@@ -141,6 +141,23 @@ impl ValueFn {
         ValueFn::Custom(Arc::new(f))
     }
 
+    /// Does this function provably map a row to a row (a tuple)? This is
+    /// the one representation rule between the walker and the row
+    /// executor. Under §2.1 a relation is a set of tuples, and the
+    /// executor holds every element as a tuple row. `map` may still emit
+    /// bare values (`π0`, an interpreted function, a scalar constant). A
+    /// relation-valued plan whose maps are not row-shaped neither lowers
+    /// nor passes the partition gate, so it stays with the walker at every
+    /// worker count. An opaque closure proves nothing and is refused.
+    pub fn row_shaped(&self) -> bool {
+        match self {
+            ValueFn::Identity | ValueFn::Cols(_) | ValueFn::Pair(..) => true,
+            ValueFn::Const(c) => matches!(c, Value::Tuple(_)),
+            ValueFn::Compose(a, b) => a.row_shaped() && b.row_shaped(),
+            ValueFn::Proj(_) | ValueFn::Interp(_) | ValueFn::Custom(_) => false,
+        }
+    }
+
     /// Constants mentioned (for the classifier).
     pub fn constants(&self) -> Vec<Value> {
         match self {

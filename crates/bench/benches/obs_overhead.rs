@@ -3,8 +3,9 @@
 //!
 //! Two questions:
 //!
-//! 1. What does instrumentation cost when **enabled**? (engine execute
-//!    with the global registry recording vs disabled — informative.)
+//! 1. What does instrumentation cost when **enabled**? (a one-worker
+//!    executor run with the global registry recording vs disabled —
+//!    informative.)
 //! 2. What does it cost when **disabled**? The design claim is that a
 //!    disabled registry makes every recording call one relaxed atomic
 //!    load; this harness *asserts* the disabled-path overhead against an
@@ -14,6 +15,7 @@ use criterion::{black_box, Criterion};
 use genpar_algebra::Query;
 use genpar_engine::workload::{generate_table, WorkloadSpec};
 use genpar_engine::{lower, Catalog};
+use genpar_exec::{EvalParallel, ExecConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::time::{Duration, Instant};
@@ -40,11 +42,11 @@ fn bench_execute_enabled_vs_disabled(c: &mut Criterion) {
 
     genpar_obs::set_enabled(true);
     group.bench_function("enabled", |b| {
-        b.iter(|| black_box(plan.execute(&cat).unwrap()))
+        b.iter(|| black_box(plan.eval_parallel(&cat, &ExecConfig::serial()).unwrap()))
     });
     genpar_obs::set_enabled(false);
     group.bench_function("disabled", |b| {
-        b.iter(|| black_box(plan.execute(&cat).unwrap()))
+        b.iter(|| black_box(plan.eval_parallel(&cat, &ExecConfig::serial()).unwrap()))
     });
     genpar_obs::set_enabled(true);
     genpar_obs::reset();
@@ -183,20 +185,32 @@ fn verify_timeline_overhead() -> f64 {
     let prev = genpar_obs::timeline::enabled();
     // warmup both variants
     genpar_obs::timeline::set_enabled(false);
-    black_box(plan.execute(&cat).expect("warmup run"));
+    black_box(
+        plan.eval_parallel(&cat, &ExecConfig::serial())
+            .expect("warmup run"),
+    );
     genpar_obs::timeline::set_enabled(true);
-    black_box(plan.execute(&cat).expect("warmup run"));
+    black_box(
+        plan.eval_parallel(&cat, &ExecConfig::serial())
+            .expect("warmup run"),
+    );
 
     let mut off = Vec::with_capacity(ROUNDS);
     let mut on = Vec::with_capacity(ROUNDS);
     for _ in 0..ROUNDS {
         genpar_obs::timeline::set_enabled(false);
         let t = Instant::now();
-        black_box(plan.execute(&cat).expect("timeline-off run"));
+        black_box(
+            plan.eval_parallel(&cat, &ExecConfig::serial())
+                .expect("timeline-off run"),
+        );
         off.push(t.elapsed());
         genpar_obs::timeline::set_enabled(true);
         let t = Instant::now();
-        black_box(plan.execute(&cat).expect("timeline-on run"));
+        black_box(
+            plan.eval_parallel(&cat, &ExecConfig::serial())
+                .expect("timeline-on run"),
+        );
         on.push(t.elapsed());
     }
     genpar_obs::timeline::set_enabled(prev);

@@ -11,6 +11,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use genpar_algebra::Query;
 use genpar_engine::workload::{generate_keyed_pair, generate_table, WorkloadSpec};
 use genpar_engine::{lower, Catalog};
+use genpar_exec::{EvalParallel, ExecConfig};
 use genpar_optimizer::{optimize, Constraints, RuleSet};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -37,12 +38,13 @@ fn bench_union_projection_sweep(c: &mut Criterion) {
         let q = Query::rel("R").union(Query::rel("S")).project([0]);
         let (opt, _) = optimize(&q, &RuleSet::standard(), &catalog);
         let base_plan = lower(&q).unwrap();
+        let serial = ExecConfig::serial();
         let opt_plan = lower(&opt).unwrap();
         group.bench_with_input(BenchmarkId::new("original", rows), &rows, |b, _| {
-            b.iter(|| black_box(base_plan.execute(&catalog).unwrap()))
+            b.iter(|| black_box(base_plan.eval_parallel(&catalog, &serial).unwrap()))
         });
         group.bench_with_input(BenchmarkId::new("rewritten", rows), &rows, |b, _| {
-            b.iter(|| black_box(opt_plan.execute(&catalog).unwrap()))
+            b.iter(|| black_box(opt_plan.eval_parallel(&catalog, &serial).unwrap()))
         });
     }
     group.finish();
@@ -57,12 +59,13 @@ fn bench_duplication_sweep(c: &mut Criterion) {
         let q = Query::rel("R").union(Query::rel("S")).project([0]);
         let (opt, _) = optimize(&q, &RuleSet::standard(), &catalog);
         let base_plan = lower(&q).unwrap();
+        let serial = ExecConfig::serial();
         let opt_plan = lower(&opt).unwrap();
         group.bench_with_input(BenchmarkId::new("original", range), &range, |b, _| {
-            b.iter(|| black_box(base_plan.execute(&catalog).unwrap()))
+            b.iter(|| black_box(base_plan.eval_parallel(&catalog, &serial).unwrap()))
         });
         group.bench_with_input(BenchmarkId::new("rewritten", range), &range, |b, _| {
-            b.iter(|| black_box(opt_plan.execute(&catalog).unwrap()))
+            b.iter(|| black_box(opt_plan.eval_parallel(&catalog, &serial).unwrap()))
         });
     }
     group.finish();
@@ -81,12 +84,13 @@ fn bench_keyed_difference(c: &mut Criterion) {
         );
         let (opt, _) = optimize(&q, &rules, &catalog);
         let base_plan = lower(&q).unwrap();
+        let serial = ExecConfig::serial();
         let opt_plan = lower(&opt).unwrap();
         group.bench_with_input(BenchmarkId::new("original", arity), &arity, |b, _| {
-            b.iter(|| black_box(base_plan.execute(&catalog).unwrap()))
+            b.iter(|| black_box(base_plan.eval_parallel(&catalog, &serial).unwrap()))
         });
         group.bench_with_input(BenchmarkId::new("rewritten", arity), &arity, |b, _| {
-            b.iter(|| black_box(opt_plan.execute(&catalog).unwrap()))
+            b.iter(|| black_box(opt_plan.eval_parallel(&catalog, &serial).unwrap()))
         });
     }
     group.finish();

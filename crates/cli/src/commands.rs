@@ -791,7 +791,7 @@ pub(crate) fn explain_with(
         None => {
             let _ = writeln!(
                 out,
-                "  (complex-value query — not lowerable to the flat physical engine)"
+                "  (not lowerable to the row executor: complex values or a bare-valued map)"
             );
         }
     }
@@ -939,44 +939,13 @@ pub(crate) fn profile_with(
     let scope_guard = obs_scope.enter();
     let (chosen, _trace, _base, new_est) =
         optimize_costed_parallel_with_stats(q, rules, catalog, w, cal, obs_stats);
-    let mut stats = genpar_engine::plan::ExecStats::default();
-    if w > 1 && partition_safety(&chosen).parallel_eligible() {
-        // certified: plain partitioning, per-round fixpoint, or combiner
-        // — eval_query picks the same route the executor would
-        let cfg = ExecConfig::default().with_workers(w);
-        let (_, s, _route) =
-            genpar_exec::eval_query(&chosen, catalog, &cfg).map_err(CliError::from)?;
-        stats = s;
-        stats.est_rows_out = new_est.rows.round().max(0.0) as u64;
-    } else {
-        match genpar_engine::lower(&chosen) {
-            Some(plan) => {
-                if w > 1 {
-                    if let PartitionSafety::Unsafe { op, reason } = partition_safety(&chosen) {
-                        genpar_exec::note_fallback(op, reason);
-                    }
-                }
-                let (_, s) = plan.execute(catalog).map_err(CliError::from)?;
-                stats = s;
-                // pair the model's prediction with the observed result size
-                stats.est_rows_out = new_est.rows.round().max(0.0) as u64;
-            }
-            None => {
-                if w > 1 {
-                    if let PartitionSafety::Unsafe { op, reason } = partition_safety(&chosen) {
-                        genpar_exec::note_fallback(op, reason);
-                    }
-                }
-                // complex-value query: fall back to the algebra interpreter
-                // over the catalog's relations
-                let mut db = genpar_algebra::eval::Db::with_standard_int();
-                for t in catalog.tables() {
-                    db.set(t.name.clone(), t.to_value());
-                }
-                genpar_algebra::eval::eval(&chosen, &db).map_err(CliError::from)?;
-            }
-        }
-    }
+    // one call at the requested worker count: the gate picks the route
+    // (executor, per-round fixpoint, combiner, or the walker fallback)
+    let cfg = ExecConfig::default().with_workers(w);
+    let (_, mut stats, _route) =
+        genpar_exec::eval_query(&chosen, catalog, &cfg).map_err(CliError::from)?;
+    // pair the model's prediction with the observed result size
+    stats.est_rows_out = new_est.rows.round().max(0.0) as u64;
     drop(scope_guard);
     let snap = obs_scope.snapshot();
     let mut tl = genpar_obs::timeline::snapshot();
@@ -1276,7 +1245,7 @@ const CHAOS_QUERIES: &[&str] = &[
 /// `genpar chaos [--seed N] [--cases M]`: the chaos oracle as a
 /// subcommand. Each case deterministically derives a random catalog,
 /// query, worker width and multi-site fault storm from the seed,
-/// computes the fault-free serial answer, replays the query under the
+/// computes the walker's answer, replays the query under the
 /// storm, and fails loudly (exit 5, with the repro seed) if the
 /// recovered answer differs — plus a torn-write drill proving corrupt
 /// state files are quarantined and regenerated. Exit 0 means every
@@ -1321,10 +1290,11 @@ fn chaos_cmd(seed: u64, cases: u32) -> Result<String, CliError> {
         }
         catalog.add(e);
         let q = &queries[rng.gen_range(0..queries.len())];
-        // the fault-free serial truth for this case
-        let (truth, _, _) =
-            genpar_exec::eval_query(q, &catalog, &ExecConfig::serial()).map_err(|e| {
-                CliError::internal(format!("chaos case {case}: clean serial run failed: {e}"))
+        // the serial truth for this case: the walker, which passes no
+        // exec.* fault site
+        let truth = genpar_algebra::eval::eval(q, &genpar_exec::db_from_catalog(&catalog))
+            .map_err(|e| {
+                CliError::internal(format!("chaos case {case}: walker run failed: {e}"))
             })?;
         // a storm: one to three sites, each nth-hit or persistent
         let storm: Vec<String> = (0..rng.gen_range(1..4usize))
@@ -1750,7 +1720,7 @@ mod tests {
         )
         .unwrap();
         assert!(out.contains("spans:"), "{out}");
-        assert!(out.contains("engine.execute"), "{out}");
+        assert!(out.contains("exec.parallel"), "{out}");
         assert!(out.contains("counters:"), "{out}");
         assert!(
             out.contains("misestimate (actual / estimated rows):"),

@@ -52,11 +52,11 @@ fn explain_example_2_2_blocks_difference_push_without_key() {
 }
 
 #[test]
-fn profile_example_2_2_reports_engine_counters() {
+fn profile_example_2_2_reports_executor_counters() {
     let _g = obs_guard();
     let db = example_db();
-    // pin serial: this test is about the serial engine's counters, and
-    // must not flip routes when CI exports GENPAR_PARALLEL
+    // pin one worker: the executor runs inline, and the worker count
+    // must not change when CI exports GENPAR_PARALLEL
     let out = run(&[
         "profile",
         "pi[$1](union(r1, r3))",
@@ -69,9 +69,9 @@ fn profile_example_2_2_reports_engine_counters() {
     let j = genpar_obs::Json::parse(&out).expect("profile --json is valid JSON");
     let counters = j.get("counters").expect("counters object");
     let scanned = counters
-        .get("engine.rows_scanned")
+        .get("exec.rows_scanned")
         .and_then(|v| v.as_int())
-        .expect("engine.rows_scanned recorded");
+        .expect("exec.rows_scanned recorded");
     assert!(scanned > 0, "{out}");
     assert!(
         counters
@@ -171,4 +171,17 @@ fn explain_example_2_2_even_now_earns_a_combiner_certificate() {
     // and run answers through the combiner route, no fallback event
     let out = run(&["run", "even(r1)", "--db", &db, "--parallel", "4"]);
     assert_eq!(out.trim(), "true", "Example 2.2's r1 has 6 tuples");
+}
+
+/// One representation at every worker count: `map` with a bare-valued
+/// function is refused by the partition gate (§2.1: rows are tuples), so
+/// the walker answers at 1, 2 and 4 workers alike. This pins identity
+/// across worker counts, not that `succ` of a 1-tuple is right.
+#[test]
+fn bare_valued_map_prints_the_same_bytes_at_every_worker_count() {
+    let db = example_db();
+    let at = |w: &str| run(&["run", "map[succ](nums)", "--db", &db, "--parallel", w]);
+    let one = at("1");
+    assert_eq!(at("2"), one, "2 workers diverged from 1");
+    assert_eq!(at("4"), one, "4 workers diverged from 1");
 }

@@ -71,28 +71,6 @@ fn algebra_eval_fault_exits_5() {
 }
 
 #[test]
-fn engine_scan_fault_exits_5() {
-    let db = small_db();
-    let out = genpar()
-        .env("GENPAR_FAULTS", "engine.scan:1")
-        .args(["profile", "--db", db.to_str().unwrap(), "R"])
-        .output()
-        .unwrap();
-    assert_fault_exit(&out, "engine.scan");
-}
-
-#[test]
-fn engine_execute_fault_exits_5() {
-    let db = small_db();
-    let out = genpar()
-        .env("GENPAR_FAULTS", "engine.execute:1")
-        .args(["profile", "--db", db.to_str().unwrap(), "R"])
-        .output()
-        .unwrap();
-    assert_fault_exit(&out, "engine.execute");
-}
-
-#[test]
 fn checker_invariance_fault_exits_5() {
     let out = genpar()
         .env("GENPAR_FAULTS", "checker.invariance:1")
@@ -148,7 +126,7 @@ fn unfired_fault_leaves_command_untouched() {
     let db = small_db();
     // nth=9 is never reached: the command must behave normally.
     let out = genpar()
-        .env("GENPAR_FAULTS", "engine.scan:9")
+        .env("GENPAR_FAULTS", "algebra.eval:9")
         .args(["run", "--db", db.to_str().unwrap(), "R"])
         .output()
         .unwrap();
@@ -319,23 +297,53 @@ fn persistent_parallel_fault_degrades_to_serial_answer() {
 }
 
 #[test]
+fn profile_under_persistent_morsel_fault_degrades_and_counts_it() {
+    // profile runs the executor at every worker count, one included:
+    // with every morsel faulting, the ladder's last rung answers on the
+    // walker and the profile counts the serial degrade step
+    let db = small_db();
+    for workers in ["1", "4"] {
+        let out = genpar()
+            .env("GENPAR_FAULTS", "exec.morsel:*")
+            .args([
+                "profile",
+                "--db",
+                db.to_str().unwrap(),
+                "--parallel",
+                workers,
+                "--json",
+                "pi[$1](R)",
+            ])
+            .output()
+            .unwrap();
+        assert_no_panic(&out);
+        assert_eq!(out.status.code(), Some(0), "stderr: {}", stderr_of(&out));
+        let json = String::from_utf8_lossy(&out.stdout);
+        assert!(
+            json.contains("\"exec.degrade_step.serial\":1"),
+            "serial degrade step missing at {workers} worker(s): {json}"
+        );
+    }
+}
+
+#[test]
 fn unknown_fault_site_is_usage_error_naming_the_token() {
     let out = genpar()
-        .env("GENPAR_FAULTS", "exec.morsel:1,engine.scna:2")
+        .env("GENPAR_FAULTS", "exec.morsel:1,exec.morsle:2")
         .args(["classify", "R"])
         .output()
         .unwrap();
     assert_no_panic(&out);
     assert_eq!(out.status.code(), Some(2), "stderr: {}", stderr_of(&out));
     let err = stderr_of(&out);
-    assert!(err.contains("engine.scna"), "must name the bad site: {err}");
+    assert!(err.contains("exec.morsle"), "must name the bad site: {err}");
     assert!(err.contains("GENPAR_FAULTS"), "{err}");
 }
 
 #[test]
 fn bad_fault_nth_is_usage_error_naming_the_token() {
     let out = genpar()
-        .env("GENPAR_FAULTS", "engine.scan:soon")
+        .env("GENPAR_FAULTS", "exec.morsel:soon")
         .args(["classify", "R"])
         .output()
         .unwrap();

@@ -400,7 +400,12 @@ fn counters_section(text: &str) -> &str {
         .find("\ncounters:")
         .unwrap_or_else(|| panic!("profile output has no counters section: {text}"));
     let rest = &text[start + 1..];
-    match rest.find("\nevents") {
+    // histograms (wall-clock latencies) and events follow the counters
+    let end = ["\nhistograms", "\nevents"]
+        .iter()
+        .filter_map(|s| rest.find(s))
+        .min();
+    match end {
         Some(end) => &rest[..end],
         None => rest,
     }

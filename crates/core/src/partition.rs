@@ -133,13 +133,15 @@ fn first_unsafe_op(q: &Query) -> Option<(&'static str, &'static str)> {
         Query::Project(_, a) | Query::Select(_, a) | Query::SelectHat(_, _, a) => {
             first_unsafe_op(a)
         }
-        Query::Map(f, a) => match f {
-            genpar_algebra::ValueFn::Custom(..) => Some((
-                "map",
-                "opaque map closure carries no genericity certificate (classifier returns unknown)",
-            )),
-            _ => first_unsafe_op(a),
-        },
+        Query::Map(genpar_algebra::ValueFn::Custom(..), _) => Some((
+            "map",
+            "opaque map closure carries no genericity certificate (classifier returns unknown)",
+        )),
+        Query::Map(f, _) if !f.row_shaped() => Some((
+            "map",
+            "map may emit bare (non-tuple) values: rows are tuples (§2.1), so only the walker holds its output",
+        )),
+        Query::Map(_, a) => first_unsafe_op(a),
         Query::Product(a, b)
         | Query::Union(a, b)
         | Query::Intersect(a, b)
@@ -414,6 +416,28 @@ mod tests {
                 assert!(reason.contains("certificate"), "{reason}");
             }
             other => panic!("expected Unsafe, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn bare_valued_map_is_refused() {
+        for f in [
+            ValueFn::Proj(0),
+            ValueFn::Interp("succ".into()),
+            ValueFn::Const(Value::Int(1)),
+            ValueFn::Compose(
+                Box::new(ValueFn::Proj(0)),
+                Box::new(ValueFn::Interp("succ".into())),
+            ),
+        ] {
+            let q = genpar_algebra::Query::rel("R").map(f);
+            match partition_safety(&q) {
+                PartitionSafety::Unsafe { op, reason } => {
+                    assert_eq!(op, "map");
+                    assert!(reason.contains("§2.1"), "{reason}");
+                }
+                other => panic!("expected Unsafe for {q}, got {other:?}"),
+            }
         }
     }
 

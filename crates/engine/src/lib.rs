@@ -13,9 +13,9 @@
 //!   social-security-number example of Section 4.4 is exactly a key on
 //!   `R ∪ S` making `π₁` injective);
 //! * [`table`] — set-semantics tables of tuples;
-//! * [`plan`] — physical operators (scan, filter, project, hash join,
-//!   union, difference, map) with per-operator row counters, plus a
-//!   lowering from `genpar-algebra` queries;
+//! * [`plan`] — physical operator trees (scan, filter, project, hash
+//!   join, union, difference, map), their work counters and errors, plus
+//!   a lowering from `genpar-algebra` queries. `genpar-exec` runs them;
 //! * [`workload`] — random table generators with controllable
 //!   duplication factor and key columns, used by the benchmark harness.
 

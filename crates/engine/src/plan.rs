@@ -1,9 +1,11 @@
 //! Physical plans with work counters, and lowering from algebra queries.
+//!
+//! The plan is data: `genpar-exec` runs it (inline at one worker, on the
+//! morsel pool at more). This module owns its shape, its lowering, its
+//! structural fingerprint and the counters and errors of a run.
 
-use crate::schema::Catalog;
 use genpar_algebra::{Pred, Query, ValueFn};
 use genpar_value::Value;
-use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
 /// A physical operator tree.
@@ -28,7 +30,8 @@ pub enum PhysicalPlan {
     /// Difference (set).
     Difference(Box<PhysicalPlan>, Box<PhysicalPlan>),
     /// Apply a function to every row (the row is passed as a tuple
-    /// value; the result must be a tuple).
+    /// value). [`lower`] emits it only for row-shaped functions
+    /// ([`ValueFn::row_shaped`]), so the result is a tuple.
     MapRows(ValueFn, Box<PhysicalPlan>),
 }
 
@@ -87,10 +90,6 @@ impl ExecError {
     pub fn is_budget(&self) -> bool {
         matches!(self, ExecError::Budget { .. })
     }
-
-    fn from_fault(f: genpar_guard::Fault) -> ExecError {
-        ExecError::Fault(f.to_string())
-    }
 }
 
 impl fmt::Display for ExecError {
@@ -117,22 +116,6 @@ impl fmt::Display for ExecError {
 }
 
 impl std::error::Error for ExecError {}
-
-/// Wrap a guard breach into a structured exec error carrying the work
-/// counters accumulated so far.
-fn budget_err(b: genpar_guard::BudgetBreach, stats: &ExecStats) -> ExecError {
-    ExecError::Budget {
-        resource: b.resource,
-        limit: b.limit,
-        used: b.used,
-        op: b.op,
-        partial: *stats,
-    }
-}
-
-fn cells(rows: &BTreeSet<Vec<Value>>) -> u64 {
-    rows.iter().map(|r| r.len() as u64).sum()
-}
 
 /// FNV-1a, the workspace's standard cheap stable hash (an independent
 /// copy — `genpar-exec`'s partitioning hash is private to its morsel
@@ -228,253 +211,6 @@ impl PhysicalPlan {
         h.0
     }
 
-    /// Execute against a catalog, producing sorted deduplicated rows and
-    /// work counters. The run is wrapped in an `engine.execute` obs span
-    /// and the final [`ExecStats`] are folded into `engine.*` counters.
-    ///
-    /// This is the engine's robustness boundary: operators charge any
-    /// armed [`genpar_guard::ExecBudget`] as they materialize rows, and a
-    /// panic escaping an operator is caught here and converted to
-    /// [`ExecError::Internal`] instead of unwinding into the caller.
-    pub fn execute(&self, catalog: &Catalog) -> Result<(Vec<Vec<Value>>, ExecStats), ExecError> {
-        genpar_guard::faultpoint("engine.execute").map_err(ExecError::from_fault)?;
-        // every executor entry is a fresh query on the timeline: spans and
-        // events recorded below carry this id (nested executions — a
-        // sub-plan run inside another — get their own, by design)
-        let _q = genpar_obs::timeline::begin_query();
-        let _sp = genpar_obs::span("engine.execute");
-        let mut stats = ExecStats::default();
-        let rows = genpar_guard::catch_panics(|| self.run(catalog, &mut stats))
-            .map_err(ExecError::Internal)??;
-        stats.rows_out = rows.len() as u64;
-        genpar_obs::counter("engine.executions", 1);
-        genpar_obs::counter("engine.rows_scanned", stats.rows_scanned);
-        genpar_obs::counter("engine.rows_processed", stats.rows_processed);
-        genpar_obs::counter("engine.cells_processed", stats.cells_processed);
-        genpar_obs::counter("engine.rows_out", stats.rows_out);
-        genpar_obs::counter("engine.probes", stats.probes);
-        Ok((rows.into_iter().collect(), stats))
-    }
-
-    fn run(
-        &self,
-        catalog: &Catalog,
-        stats: &mut ExecStats,
-    ) -> Result<BTreeSet<Vec<Value>>, ExecError> {
-        let op = self.op_name();
-        genpar_guard::charge_steps(1, op).map_err(|b| budget_err(b, stats))?;
-        let mut sp = genpar_obs::span(op);
-        let mut rows_in = 0u64;
-        let out = self.run_node(catalog, stats, &mut sp, &mut rows_in)?;
-        sp.field("rows_out", out.len() as u64);
-        genpar_guard::charge_rows(out.len() as u64, op).map_err(|b| budget_err(b, stats))?;
-        genpar_guard::charge_cells(cells(&out), op).map_err(|b| budget_err(b, stats))?;
-        // feed the observed-statistics loop: one event per node execution,
-        // keyed by the structural fingerprint, pairing what flowed in with
-        // what came out (the optimizer harvests selectivity from these)
-        if genpar_obs::enabled() {
-            genpar_obs::event(
-                "plan.node_stats",
-                [
-                    ("fp", genpar_obs::FieldValue::U64(self.fingerprint())),
-                    ("op", genpar_obs::FieldValue::Str(op.to_string())),
-                    ("rows_in", genpar_obs::FieldValue::U64(rows_in)),
-                    ("rows_out", genpar_obs::FieldValue::U64(out.len() as u64)),
-                ],
-            );
-        }
-        Ok(out)
-    }
-
-    fn run_node(
-        &self,
-        catalog: &Catalog,
-        stats: &mut ExecStats,
-        sp: &mut genpar_obs::SpanGuard,
-        rows_in: &mut u64,
-    ) -> Result<BTreeSet<Vec<Value>>, ExecError> {
-        // helper for predicate evaluation against the algebra evaluator
-        let db = genpar_algebra::Db::with_standard_int();
-        match self {
-            PhysicalPlan::Scan(name) => {
-                genpar_guard::faultpoint("engine.scan").map_err(ExecError::from_fault)?;
-                let t = catalog
-                    .get(name)
-                    .ok_or_else(|| ExecError::UnknownTable(name.clone()))?;
-                stats.rows_scanned += t.len() as u64;
-                *rows_in = t.len() as u64;
-                sp.field("rows_in", *rows_in);
-                Ok(t.rows().cloned().collect())
-            }
-            PhysicalPlan::Values(rows) => {
-                // a constant relation is a row source just like a scan
-                stats.rows_scanned += rows.len() as u64;
-                *rows_in = rows.len() as u64;
-                sp.field("rows_in", *rows_in);
-                Ok(rows.iter().cloned().collect())
-            }
-            PhysicalPlan::Filter(p, inner) => {
-                let input = inner.run(catalog, stats)?;
-                *rows_in = input.len() as u64;
-                sp.field("rows_in", *rows_in);
-                let mut out = BTreeSet::new();
-                for row in input {
-                    stats.rows_processed += 1;
-                    stats.cells_processed += row.len() as u64;
-                    let tv = Value::Tuple(row.clone());
-                    if genpar_algebra::eval::eval_pred(p, &tv, &db)
-                        .map_err(|e| ExecError::Eval(e.to_string()))?
-                    {
-                        out.insert(row);
-                    }
-                }
-                Ok(out)
-            }
-            PhysicalPlan::Project(cols, inner) => {
-                let input = inner.run(catalog, stats)?;
-                *rows_in = input.len() as u64;
-                sp.field("rows_in", *rows_in);
-                let mut out = BTreeSet::new();
-                for row in input {
-                    stats.rows_processed += 1;
-                    stats.cells_processed += row.len() as u64;
-                    let mut projected = Vec::with_capacity(cols.len());
-                    for &c in cols {
-                        projected.push(
-                            row.get(c)
-                                .cloned()
-                                .ok_or_else(|| ExecError::Eval(format!("column {c} missing")))?,
-                        );
-                    }
-                    out.insert(projected);
-                }
-                Ok(out)
-            }
-            PhysicalPlan::HashJoin(on, left, right) => {
-                let l = left.run(catalog, stats)?;
-                let r = right.run(catalog, stats)?;
-                *rows_in = (l.len() + r.len()) as u64;
-                sp.field("rows_in", *rows_in);
-                let mut out = BTreeSet::new();
-                if let Some(&(i0, j0)) = on.first() {
-                    let mut index: BTreeMap<&Value, Vec<&Vec<Value>>> = BTreeMap::new();
-                    for row in &r {
-                        stats.rows_processed += 1;
-                        stats.cells_processed += row.len() as u64;
-                        index.entry(&row[j0]).or_default().push(row);
-                    }
-                    for lrow in &l {
-                        stats.rows_processed += 1;
-                        stats.cells_processed += lrow.len() as u64;
-                        stats.probes += 1;
-                        if let Some(matches) = index.get(&lrow[i0]) {
-                            'next: for rrow in matches {
-                                for &(i, j) in &on[1..] {
-                                    if lrow[i] != rrow[j] {
-                                        continue 'next;
-                                    }
-                                }
-                                let mut joined = lrow.clone();
-                                joined.extend(rrow.iter().cloned());
-                                out.insert(joined);
-                            }
-                        }
-                    }
-                } else {
-                    // keyless join degenerates to a product: quadratic,
-                    // so budget-check between inner sweeps
-                    for lrow in &l {
-                        genpar_guard::charge_steps(r.len() as u64, "plan.HashJoin")
-                            .map_err(|b| budget_err(b, stats))?;
-                        genpar_guard::charge_rows(out.len() as u64, "plan.HashJoin")
-                            .map_err(|b| budget_err(b, stats))?;
-                        for rrow in &r {
-                            stats.rows_processed += 1;
-                            stats.cells_processed += (lrow.len() + rrow.len()) as u64;
-                            let mut joined = lrow.clone();
-                            joined.extend(rrow.iter().cloned());
-                            out.insert(joined);
-                        }
-                    }
-                }
-                Ok(out)
-            }
-            PhysicalPlan::Product(a, b) => {
-                let l = a.run(catalog, stats)?;
-                let r = b.run(catalog, stats)?;
-                *rows_in = (l.len() + r.len()) as u64;
-                sp.field("rows_in", *rows_in);
-                let mut out = BTreeSet::new();
-                for lrow in &l {
-                    // quadratic growth: check the budget per outer row so
-                    // a breach fires long before the full product exists
-                    genpar_guard::charge_steps(r.len() as u64, "plan.Product")
-                        .map_err(|b| budget_err(b, stats))?;
-                    genpar_guard::charge_rows(out.len() as u64, "plan.Product")
-                        .map_err(|b| budget_err(b, stats))?;
-                    for rrow in &r {
-                        stats.rows_processed += 1;
-                        stats.cells_processed += (lrow.len() + rrow.len()) as u64;
-                        let mut joined = lrow.clone();
-                        joined.extend(rrow.iter().cloned());
-                        out.insert(joined);
-                    }
-                }
-                Ok(out)
-            }
-            PhysicalPlan::Union(a, b) => {
-                let mut l = a.run(catalog, stats)?;
-                let r = b.run(catalog, stats)?;
-                *rows_in = (l.len() + r.len()) as u64;
-                sp.field("rows_in", *rows_in);
-                stats.rows_processed += (l.len() + r.len()) as u64;
-                stats.cells_processed += cells(&l) + cells(&r);
-                l.extend(r);
-                Ok(l)
-            }
-            PhysicalPlan::Intersect(a, b) => {
-                let l = a.run(catalog, stats)?;
-                let r = b.run(catalog, stats)?;
-                *rows_in = (l.len() + r.len()) as u64;
-                sp.field("rows_in", *rows_in);
-                stats.rows_processed += (l.len() + r.len()) as u64;
-                stats.cells_processed += cells(&l) + cells(&r);
-                Ok(l.intersection(&r).cloned().collect())
-            }
-            PhysicalPlan::Difference(a, b) => {
-                let l = a.run(catalog, stats)?;
-                let r = b.run(catalog, stats)?;
-                *rows_in = (l.len() + r.len()) as u64;
-                sp.field("rows_in", *rows_in);
-                stats.rows_processed += (l.len() + r.len()) as u64;
-                stats.cells_processed += cells(&l) + cells(&r);
-                Ok(l.difference(&r).cloned().collect())
-            }
-            PhysicalPlan::MapRows(f, inner) => {
-                let input = inner.run(catalog, stats)?;
-                *rows_in = input.len() as u64;
-                sp.field("rows_in", *rows_in);
-                let mut out = BTreeSet::new();
-                for row in input {
-                    stats.rows_processed += 1;
-                    stats.cells_processed += row.len() as u64;
-                    let tv = Value::Tuple(row);
-                    let mapped = genpar_algebra::eval::apply_fn(f, &tv, &db)
-                        .map_err(|e| ExecError::Eval(e.to_string()))?;
-                    match mapped {
-                        Value::Tuple(cols) => {
-                            out.insert(cols);
-                        }
-                        other => {
-                            out.insert(vec![other]);
-                        }
-                    }
-                }
-                Ok(out)
-            }
-        }
-    }
-
     /// Total number of operators.
     pub fn size(&self) -> usize {
         match self {
@@ -543,7 +279,8 @@ impl fmt::Display for PhysicalPlan {
 
 /// Lower an algebra query to a physical plan. Supports the relational
 /// fragment (the operators Section 4.4's rewrites target); complex-value
-/// operators return `None`.
+/// operators, and maps that may emit bare values
+/// ([`ValueFn::row_shaped`]), return `None`.
 pub fn lower(q: &Query) -> Option<PhysicalPlan> {
     Some(match q {
         Query::Rel(n) => PhysicalPlan::Scan(n.clone()),
@@ -567,7 +304,9 @@ pub fn lower(q: &Query) -> Option<PhysicalPlan> {
         Query::Join(on, a, b) => {
             PhysicalPlan::HashJoin(on.clone(), Box::new(lower(a)?), Box::new(lower(b)?))
         }
-        Query::Map(f, inner) => PhysicalPlan::MapRows(f.clone(), Box::new(lower(inner)?)),
+        Query::Map(f, inner) if f.row_shaped() => {
+            PhysicalPlan::MapRows(f.clone(), Box::new(lower(inner)?))
+        }
         _ => return None,
     })
 }
@@ -579,138 +318,6 @@ mod tests {
     use crate::table::Table;
     use genpar_value::CvType;
 
-    fn catalog() -> Catalog {
-        let mut r = Table::new("R", Schema::uniform(CvType::int(), 2));
-        for i in 0..10 {
-            r.insert(vec![Value::Int(i), Value::Int(i % 3)]);
-        }
-        let mut s = Table::new("S", Schema::uniform(CvType::int(), 2));
-        for i in 5..15 {
-            s.insert(vec![Value::Int(i), Value::Int(i % 3)]);
-        }
-        Catalog::new().with(r).with(s)
-    }
-
-    #[test]
-    fn scan_counts_rows() {
-        let c = catalog();
-        let (rows, stats) = PhysicalPlan::Scan("R".into()).execute(&c).unwrap();
-        assert_eq!(rows.len(), 10);
-        assert_eq!(stats.rows_scanned, 10);
-        assert_eq!(stats.rows_out, 10);
-    }
-
-    #[test]
-    fn unknown_table_errors() {
-        let c = catalog();
-        assert_eq!(
-            PhysicalPlan::Scan("Z".into()).execute(&c).unwrap_err(),
-            ExecError::UnknownTable("Z".into())
-        );
-    }
-
-    #[test]
-    fn filter_and_project() {
-        let c = catalog();
-        let p = PhysicalPlan::Project(
-            vec![1],
-            Box::new(PhysicalPlan::Filter(
-                Pred::eq_const(1, Value::Int(0)),
-                Box::new(PhysicalPlan::Scan("R".into())),
-            )),
-        );
-        let (rows, stats) = p.execute(&c).unwrap();
-        assert_eq!(rows, vec![vec![Value::Int(0)]]);
-        assert_eq!(stats.rows_processed, 10 + 4); // filter 10, project 4 (0,3,6,9)
-    }
-
-    #[test]
-    fn hash_join_matches_product_filter() {
-        let c = catalog();
-        let join = PhysicalPlan::HashJoin(
-            vec![(0, 0)],
-            Box::new(PhysicalPlan::Scan("R".into())),
-            Box::new(PhysicalPlan::Scan("S".into())),
-        );
-        let (jrows, _) = join.execute(&c).unwrap();
-        let pf = PhysicalPlan::Filter(
-            Pred::eq_cols(0, 2),
-            Box::new(PhysicalPlan::Product(
-                Box::new(PhysicalPlan::Scan("R".into())),
-                Box::new(PhysicalPlan::Scan("S".into())),
-            )),
-        );
-        let (prows, pstats) = pf.execute(&c).unwrap();
-        assert_eq!(jrows, prows);
-        assert_eq!(jrows.len(), 5); // keys 5..10 overlap
-                                    // the join does strictly less work than product+filter
-        let (_, jstats) = join.execute(&c).unwrap();
-        assert!(jstats.rows_processed < pstats.rows_processed);
-    }
-
-    #[test]
-    fn multi_key_join() {
-        let c = catalog();
-        let join = PhysicalPlan::HashJoin(
-            vec![(0, 0), (1, 1)],
-            Box::new(PhysicalPlan::Scan("R".into())),
-            Box::new(PhysicalPlan::Scan("S".into())),
-        );
-        let (rows, _) = join.execute(&c).unwrap();
-        assert_eq!(rows.len(), 5); // same rows coincide on both columns
-    }
-
-    #[test]
-    fn set_operators() {
-        let c = catalog();
-        let u = PhysicalPlan::Union(
-            Box::new(PhysicalPlan::Scan("R".into())),
-            Box::new(PhysicalPlan::Scan("S".into())),
-        );
-        assert_eq!(u.execute(&c).unwrap().0.len(), 15);
-        let i = PhysicalPlan::Intersect(
-            Box::new(PhysicalPlan::Scan("R".into())),
-            Box::new(PhysicalPlan::Scan("S".into())),
-        );
-        assert_eq!(i.execute(&c).unwrap().0.len(), 5);
-        let d = PhysicalPlan::Difference(
-            Box::new(PhysicalPlan::Scan("R".into())),
-            Box::new(PhysicalPlan::Scan("S".into())),
-        );
-        assert_eq!(d.execute(&c).unwrap().0.len(), 5);
-    }
-
-    #[test]
-    fn map_rows_applies_fn() {
-        let c = catalog();
-        let m = PhysicalPlan::MapRows(
-            ValueFn::Cols(vec![1, 0]),
-            Box::new(PhysicalPlan::Scan("R".into())),
-        );
-        let (rows, _) = m.execute(&c).unwrap();
-        assert_eq!(rows.len(), 10);
-        assert_eq!(rows[0].len(), 2);
-    }
-
-    #[test]
-    fn lowering_agrees_with_algebra_eval() {
-        use genpar_algebra::eval::eval;
-        let c = catalog();
-        let q = Query::rel("R")
-            .select(Pred::eq_cols(1, 1))
-            .union(Query::rel("S"))
-            .project([0]);
-        let plan = lower(&q).unwrap();
-        let (rows, _) = plan.execute(&c).unwrap();
-        // compare to the algebra evaluator on the same data
-        let db = genpar_algebra::Db::new()
-            .with("R", c.get("R").unwrap().to_value())
-            .with("S", c.get("S").unwrap().to_value());
-        let expected = eval(&q, &db).unwrap();
-        let got = Value::set(rows.into_iter().map(Value::Tuple));
-        assert_eq!(got, expected);
-    }
-
     #[test]
     fn lowering_rejects_complex_value_ops() {
         assert!(lower(&Query::Powerset(Box::new(Query::rel("R")))).is_none());
@@ -718,108 +325,20 @@ mod tests {
     }
 
     #[test]
-    fn every_operator_populates_stats() {
-        // regression: Values used to count nothing, and Product /
-        // keyless HashJoin skipped cells_processed
-        let c = catalog();
-        let vals = PhysicalPlan::Values(vec![
-            vec![Value::Int(1), Value::Int(2)],
-            vec![Value::Int(3), Value::Int(4)],
-        ]);
-        let (_, vstats) = vals.execute(&c).unwrap();
-        assert_eq!(vstats.rows_scanned, 2);
-        assert_eq!(vstats.rows_out, 2);
-
-        let prod = PhysicalPlan::Product(
-            Box::new(PhysicalPlan::Scan("R".into())),
-            Box::new(PhysicalPlan::Scan("S".into())),
-        );
-        let (_, pstats) = prod.execute(&c).unwrap();
-        assert_eq!(pstats.rows_processed, 100);
-        assert_eq!(pstats.cells_processed, 100 * 4, "product counts cells");
-
-        let keyless = PhysicalPlan::HashJoin(
-            vec![],
-            Box::new(PhysicalPlan::Scan("R".into())),
-            Box::new(PhysicalPlan::Scan("S".into())),
-        );
-        let (_, kstats) = keyless.execute(&c).unwrap();
-        assert_eq!(kstats.cells_processed, 100 * 4, "keyless join counts cells");
+    fn lowering_refuses_maps_that_may_emit_bare_values() {
+        let lowers = |f: ValueFn| lower(&Query::rel("R").map(f)).is_some();
+        assert!(lowers(ValueFn::Cols(vec![1, 0])));
+        assert!(lowers(ValueFn::Pair(
+            Box::new(ValueFn::Proj(0)),
+            Box::new(ValueFn::Interp("succ".into()))
+        )));
+        assert!(!lowers(ValueFn::Proj(0)));
+        assert!(!lowers(ValueFn::Interp("succ".into())));
+        assert!(!lowers(ValueFn::custom(|v| v.clone())));
     }
 
     #[test]
-    fn execute_records_obs_spans() {
-        let c = catalog();
-        genpar_obs::reset();
-        let p = PhysicalPlan::Project(vec![0], Box::new(PhysicalPlan::Scan("R".into())));
-        p.execute(&c).unwrap();
-        let snap = genpar_obs::snapshot();
-        let exec = snap
-            .spans
-            .iter()
-            .find(|s| s.name == "engine.execute")
-            .expect("engine.execute span recorded");
-        let project = exec
-            .children
-            .iter()
-            .find(|s| s.name == "plan.Project")
-            .expect("plan.Project nested under engine.execute");
-        assert_eq!(project.fields["rows_in"], 10);
-        assert_eq!(project.children[0].name, "plan.Scan");
-        assert!(snap.counters["engine.rows_scanned"] >= 10);
-    }
-
-    #[test]
-    fn budget_stops_product_early() {
-        let c = catalog();
-        let prod = PhysicalPlan::Product(
-            Box::new(PhysicalPlan::Scan("R".into())),
-            Box::new(PhysicalPlan::Scan("S".into())),
-        );
-        let _scope = genpar_guard::ExecBudget::default()
-            .with_max_steps(40)
-            .enter();
-        match prod.execute(&c).unwrap_err() {
-            ExecError::Budget {
-                resource, partial, ..
-            } => {
-                assert_eq!(resource, genpar_guard::Resource::Steps);
-                // the breach reports work done before the cap, not zero
-                // and not the full 10×10 product
-                assert!(partial.rows_scanned >= 20, "{partial:?}");
-            }
-            other => panic!("expected Budget, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn budget_stops_oversized_results() {
-        let c = catalog();
-        let _scope = genpar_guard::ExecBudget::default().with_max_rows(3).enter();
-        let err = PhysicalPlan::Scan("R".into()).execute(&c).unwrap_err();
-        assert!(err.is_budget(), "{err}");
-        assert!(err.to_string().contains("rows limit 3"), "{err}");
-    }
-
-    #[test]
-    fn panic_in_operator_becomes_internal_error() {
-        let c = catalog();
-        let m = PhysicalPlan::MapRows(
-            ValueFn::custom(|_| panic!("operator bug: bad row")),
-            Box::new(PhysicalPlan::Scan("R".into())),
-        );
-        match m.execute(&c).unwrap_err() {
-            ExecError::Internal(msg) => {
-                assert!(msg.contains("operator bug"), "{msg}")
-            }
-            other => panic!("expected Internal, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn table_from_bad_value_is_caught_at_boundary() {
-        // try_from_value rejects shapes; from_value panics — but a panic
-        // inside execute() still surfaces as Internal, never unwinds
+    fn table_from_bad_value_is_rejected() {
         let v = Value::Int(3);
         assert!(Table::try_from_value("R", Schema::uniform(CvType::int(), 1), &v).is_err());
     }

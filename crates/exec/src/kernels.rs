@@ -6,7 +6,7 @@
 //! independent of worker count, morsel size and scheduling. Each task
 //! passes the `exec.morsel` fault site and charges the shared budget
 //! meter; the merge passes `exec.merge` and charges the output-side rows
-//! and cells, mirroring the serial engine's per-node charges.
+//! and cells of each plan node.
 //!
 //! Every task is wall-clock timed into the `exec.morsel_us` histogram,
 //! and chunk-based kernels feed each batch's p95 latency back to the
@@ -368,10 +368,7 @@ pub(crate) fn par_map(input: Rows, f: &ValueFn, ctx: &Ctx) -> Result<(Rows, Exec
                         stats.rows_processed += 1;
                         stats.cells_processed += row.len() as u64;
                         let tv = Value::Tuple(row);
-                        match m.run_fn(prog, &tv, &db).map_err(eval_err)? {
-                            Value::Tuple(cols) => out.push(cols),
-                            other => out.push(vec![other]),
-                        }
+                        out.push(into_row(m.run_fn(prog, &tv, &db).map_err(eval_err)?)?);
                     }
                 }
                 None => {
@@ -379,10 +376,7 @@ pub(crate) fn par_map(input: Rows, f: &ValueFn, ctx: &Ctx) -> Result<(Rows, Exec
                         stats.rows_processed += 1;
                         stats.cells_processed += row.len() as u64;
                         let tv = Value::Tuple(row);
-                        match apply_fn(f, &tv, &db).map_err(eval_err)? {
-                            Value::Tuple(cols) => out.push(cols),
-                            other => out.push(vec![other]),
-                        }
+                        out.push(into_row(apply_fn(f, &tv, &db).map_err(eval_err)?)?);
                     }
                 }
             }
@@ -390,6 +384,19 @@ pub(crate) fn par_map(input: Rows, f: &ValueFn, ctx: &Ctx) -> Result<(Rows, Exec
         },
     )?;
     merge(parts, ctx, "plan.MapRows")
+}
+
+/// A mapped value as a row. [`genpar_engine::lower`] admits only
+/// row-shaped functions, so a bare value here is a broken invariant, not
+/// a value to wrap: wrapping it would make the executor answer `{(v)}`
+/// where the walker answers `{v}`.
+fn into_row(v: Value) -> Result<Vec<Value>, ExecError> {
+    match v {
+        Value::Tuple(cols) => Ok(cols),
+        other => Err(ExecError::Internal(format!(
+            "map emitted the bare value {other}: only row-shaped maps lower"
+        ))),
+    }
 }
 
 /// Partitioned hash join: both sides are routed by a deterministic hash

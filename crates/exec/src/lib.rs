@@ -3,16 +3,20 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 //! # genpar-exec — the genericity-aware parallel partitioned executor
 //!
-//! Morsel-driven parallel evaluation of physical plans, **gated by the
-//! genericity checker**. The paper's central observation — generic
+//! Morsel-driven evaluation of physical plans, **gated by the genericity
+//! checker**. It is the one row executor: at one worker its tasks run
+//! inline on the caller's thread, at more they fan out on the pool.
+//!
+//! The paper's central observation — generic
 //! queries cannot distinguish relabelled inputs — has a physical
 //! corollary: queries built from operators that distribute over
 //! partition union can be evaluated per partition and canonically
 //! merged, with results `Value`-identical to serial evaluation. The gate
 //! ([`genpar_core::partition_safety`]) certifies exactly that fragment;
-//! whole-set operators (`even`, `powerset`, active-domain tests …) and
-//! uncertified opaque closures take the serial path, recorded as an
-//! `exec.fallback` obs event.
+//! whole-set operators (`even`, `powerset`, active-domain tests …),
+//! uncertified opaque closures and maps that may emit bare values take
+//! the algebra walker, recorded as an `exec.fallback` obs event. The
+//! walker is also the serial truth every oracle compares against.
 //!
 //! Pipeline per operator: chunk or hash-partition the input
 //! ([`morsel`]), fan tasks out on a work-stealing worker pool
@@ -26,9 +30,9 @@
 //! Entry points:
 //!
 //! * [`EvalParallel::eval_parallel`] — extension method on
-//!   [`PhysicalPlan`]: parallel evaluation of an already-lowered plan.
+//!   [`PhysicalPlan`]: evaluation of an already-lowered plan.
 //! * [`eval_query`] — query-level entry: consult the gate, lower and run
-//!   parallel when certified, fall back to the serial algebra evaluator
+//!   on the executor when certified, fall back to the algebra walker
 //!   otherwise. Returns the route taken alongside the result.
 //!
 //! Worker count comes from [`ExecConfig`]: explicit, or the
@@ -39,7 +43,7 @@ pub mod morsel;
 pub mod pool;
 pub mod tune;
 
-use genpar_algebra::{eval::eval, Db, Query, ValueFn};
+use genpar_algebra::{eval::eval, Db, Query};
 use genpar_core::{partition_safety, PartitionSafety, SafetyCert};
 use genpar_engine::plan::{lower, ExecError, ExecStats, PhysicalPlan};
 use genpar_engine::schema::Catalog;
@@ -113,7 +117,8 @@ pub(crate) fn note_degrade(step: &'static str) {
 /// Executor configuration.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ExecConfig {
-    /// Worker threads. `<= 1` means serial (no threads spawned).
+    /// Worker threads. `<= 1` runs every task inline on the caller's
+    /// thread (no threads spawned).
     pub workers: usize,
     /// Rows per morsel for embarrassingly-parallel operators. Only the
     /// effective size when `auto_tune` is off; otherwise the global
@@ -181,32 +186,30 @@ impl ExecConfig {
 /// Which path [`eval_query`] took.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ExecRoute {
-    /// The gate certified the query; it ran on the parallel executor.
+    /// The gate certified the query; it ran on the morsel executor
+    /// (inline when `workers` is 1).
     Parallel {
-        /// Worker threads used.
+        /// Worker count requested.
         workers: usize,
         /// Rendering of the genericity certificate.
         certificate: String,
     },
-    /// The gate refused; the serial algebra evaluator ran instead
-    /// (recorded as an `exec.fallback` obs event).
+    /// The gate refused; the algebra walker ran instead (recorded as an
+    /// `exec.fallback` obs event).
     Fallback {
         /// The offending operator.
         op: &'static str,
         /// Why it cannot be partitioned.
         reason: &'static str,
     },
-    /// Serial execution was requested (`workers <= 1`); the gate was
-    /// never consulted.
-    Serial,
 }
 
 /// Parallel evaluation of physical plans — an extension trait because
 /// `genpar-exec` sits above `genpar-engine` in the crate graph.
 pub trait EvalParallel {
-    /// Evaluate against a catalog on `cfg.workers` threads, producing
-    /// canonically-ordered deduplicated rows and summed work counters.
-    /// `Value`-identical to [`PhysicalPlan::execute`] by construction:
+    /// Evaluate against a catalog on `cfg.workers` threads (inline at
+    /// one), producing canonically-ordered deduplicated rows and summed
+    /// work counters. Identical at every worker count by construction:
     /// deterministic hash partitioning + canonical merge.
     fn eval_parallel(
         &self,
@@ -234,12 +237,7 @@ fn eval_plan_parallel(
     cfg: &ExecConfig,
     cert: Option<&str>,
 ) -> Result<(Vec<Vec<Value>>, ExecStats), ExecError> {
-    if cfg.workers <= 1 {
-        // serial request: the engine's own path (thread-local budget
-        // charging, engine.* spans) is already exactly right
-        return plan.execute(catalog);
-    }
-    // a parallel run is a fresh query on the timeline; pool workers
+    // a run is a fresh query on the timeline; pool workers
     // stamp the same id on every span they record for it. When an
     // obs scope is active (a served request), reuse its query id so
     // timeline records and the scope stay keyed together instead of
@@ -261,13 +259,47 @@ fn eval_plan_parallel(
     };
     let mut stats = ExecStats::default();
     let rows = genpar_guard::catch_panics(|| run_plan(plan, catalog, &ctx, &mut stats))
-        .map_err(ExecError::Internal)??;
+        .map_err(ExecError::Internal)?
+        .map_err(|e| with_partial(e, &stats))?;
     stats.rows_out = rows.len() as u64;
-    genpar_obs::counter("exec.executions", 1);
-    genpar_obs::counter("exec.rows_out", stats.rows_out);
-    genpar_obs::counter("exec.rows_processed", stats.rows_processed);
+    record_run(&stats);
     sp.field("rows_out", stats.rows_out);
     Ok((rows, stats))
+}
+
+/// A budget breach reports the work of the whole run so far: the
+/// counters of the plan nodes that finished, plus whatever the breaching
+/// site reported for its own node.
+fn with_partial(e: ExecError, done: &ExecStats) -> ExecError {
+    match e {
+        ExecError::Budget {
+            resource,
+            limit,
+            used,
+            op,
+            mut partial,
+        } => {
+            kernels::add_stats(&mut partial, done);
+            ExecError::Budget {
+                resource,
+                limit,
+                used,
+                op,
+                partial,
+            }
+        }
+        other => other,
+    }
+}
+
+/// Fold one finished run's work counters into the `exec.*` obs counters.
+fn record_run(stats: &ExecStats) {
+    genpar_obs::counter("exec.executions", 1);
+    genpar_obs::counter("exec.rows_scanned", stats.rows_scanned);
+    genpar_obs::counter("exec.rows_processed", stats.rows_processed);
+    genpar_obs::counter("exec.cells_processed", stats.cells_processed);
+    genpar_obs::counter("exec.rows_out", stats.rows_out);
+    genpar_obs::counter("exec.probes", stats.probes);
 }
 
 fn run_plan(
@@ -287,14 +319,14 @@ fn run_plan(
             stats.rows_scanned += t.len() as u64;
             rows_in = t.len() as u64;
             sp.field("rows_in", rows_in);
-            charge_source(ctx, t.len() as u64, op, stats)?;
+            charge_source(ctx, t.len() as u64, op)?;
             t.rows().cloned().collect()
         }
         PhysicalPlan::Values(rows) => {
             stats.rows_scanned += rows.len() as u64;
             rows_in = rows.len() as u64;
             sp.field("rows_in", rows_in);
-            charge_source(ctx, rows.len() as u64, op, stats)?;
+            charge_source(ctx, rows.len() as u64, op)?;
             genpar_value::canonical_rows(rows.iter().cloned())
         }
         PhysicalPlan::Filter(p, a) => {
@@ -368,10 +400,9 @@ fn run_plan(
         )?,
     };
     sp.field("rows_out", out.len() as u64);
-    // the same observed-statistics feed the serial engine emits: one
-    // event per node execution keyed by the structural fingerprint (the
-    // routes agree on row counts by construction, so either path can
-    // train the optimizer's store)
+    // feed the observed-statistics loop: one event per node execution,
+    // keyed by the structural fingerprint, pairing what flowed in with
+    // what came out (the optimizer harvests selectivity from these)
     if genpar_obs::enabled() {
         genpar_obs::event(
             "plan.node_stats",
@@ -416,33 +447,17 @@ fn setop_node(
 }
 
 /// Source-node budget charges (scans and constant relations produce rows
-/// without passing through a kernel merge).
-fn charge_source(
-    ctx: &Ctx,
-    rows: u64,
-    op: &'static str,
-    stats: &ExecStats,
-) -> Result<(), ExecError> {
+/// without passing through a kernel merge). The breach's partial stats
+/// are filled in by the route ([`with_partial`]).
+fn charge_source(ctx: &Ctx, rows: u64, op: &'static str) -> Result<(), ExecError> {
     if let Some(m) = ctx.meter {
-        m.charge_steps(1, op).map_err(|b| ExecError::Budget {
-            resource: b.resource,
-            limit: b.limit,
-            used: b.used,
-            op: b.op,
-            partial: *stats,
-        })?;
-        m.charge_rows(rows, op).map_err(|b| ExecError::Budget {
-            resource: b.resource,
-            limit: b.limit,
-            used: b.used,
-            op: b.op,
-            partial: *stats,
-        })?;
+        m.charge_steps(1, op).map_err(breach_to_exec)?;
+        m.charge_rows(rows, op).map_err(breach_to_exec)?;
     }
     Ok(())
 }
 
-/// Build an algebra database mirroring a catalog (for the serial
+/// Build an algebra database mirroring a catalog (for the walker
 /// fallback path), with the standard integer signature.
 pub fn db_from_catalog(catalog: &Catalog) -> Db {
     let mut db = Db::with_standard_int();
@@ -472,14 +487,14 @@ fn eval_to_exec(e: genpar_algebra::EvalError) -> ExecError {
     }
 }
 
-/// Evaluate a query with the partition-safety gate in the loop.
+/// Evaluate a query with the partition-safety gate in the loop, at any
+/// worker count (one worker runs the same routes inline).
 ///
-/// * `cfg.workers <= 1` — serial: the engine path when the query lowers,
-///   the algebra evaluator otherwise ([`ExecRoute::Serial`]).
-/// * Gate says **safe** — lower and run on the parallel executor; the
+/// * Gate says **safe** — lower and run on the morsel executor; the
 ///   genericity certificate rides along in [`ExecRoute::Parallel`].
-/// * Gate says **unsafe** (or the plan will not lower) — run the serial
-///   algebra evaluator, bump the `exec.fallbacks` counter and record an
+///   A root fixpoint or aggregate takes its per-round or combiner route.
+/// * Gate says **unsafe** (or the plan will not lower) — run the algebra
+///   walker, bump the `exec.fallbacks` counter and record an
 ///   `exec.fallback` obs event naming the operator and reason.
 ///
 /// In every route the result is the same [`Value`].
@@ -488,10 +503,6 @@ pub fn eval_query(
     catalog: &Catalog,
     cfg: &ExecConfig,
 ) -> Result<(Value, ExecStats, ExecRoute), ExecError> {
-    if cfg.workers <= 1 {
-        let (v, stats) = eval_serial(q, catalog)?;
-        return Ok((v, stats, ExecRoute::Serial));
-    }
     match partition_safety(q) {
         PartitionSafety::Safe(cert) => match lower(q) {
             Some(plan) => {
@@ -528,29 +539,6 @@ pub fn eval_query(
         PartitionSafety::Combiner { op, cert } => run_combiner_route(q, catalog, cfg, op, &cert),
         PartitionSafety::Unsafe { op, reason } => fallback(q, catalog, op, reason),
     }
-}
-
-/// Is every `map` in the tree guaranteed to emit tuple-shaped values?
-/// The row engine represents every set element as a tuple row, while the
-/// interpreter lets `map` produce bare values — a fixpoint accumulator
-/// crossing rounds must stay in one representation, so bodies whose maps
-/// may emit non-tuples take the serial path.
-fn row_shaped(q: &Query) -> bool {
-    fn fn_row_shaped(f: &ValueFn) -> bool {
-        match f {
-            ValueFn::Identity | ValueFn::Cols(_) | ValueFn::Pair(..) => true,
-            ValueFn::Const(c) => matches!(c, Value::Tuple(_)),
-            ValueFn::Compose(a, b) => fn_row_shaped(a) && fn_row_shaped(b),
-            _ => false,
-        }
-    }
-    let mut ok = true;
-    q.visit(&mut |n| {
-        if let Query::Map(f, _) = n {
-            ok &= fn_row_shaped(f);
-        }
-    });
-    ok
 }
 
 /// Does the subtree mention `var` as a free relation name?
@@ -590,13 +578,15 @@ fn delta_linear(q: &Query, var: &str) -> bool {
     }
 }
 
-fn breach_to_exec(b: genpar_guard::BudgetBreach, partial: &ExecStats) -> ExecError {
+/// A guard breach as an exec error; the route fills in the partial
+/// stats ([`with_partial`]).
+fn breach_to_exec(b: genpar_guard::BudgetBreach) -> ExecError {
     ExecError::Budget {
         resource: b.resource,
         limit: b.limit,
         used: b.used,
         op: b.op,
-        partial: *partial,
+        partial: ExecStats::default(),
     }
 }
 
@@ -625,14 +615,6 @@ fn run_fixpoint_route(
             "fixpoint route on a non-fixpoint query".to_string(),
         ));
     };
-    if !row_shaped(init) || !row_shaped(step) {
-        return fallback(
-            q,
-            catalog,
-            "fix",
-            "body map may emit non-tuple values: row engine and interpreter representations diverge",
-        );
-    }
     let Some(init_plan) = lower(init) else {
         return fallback(
             q,
@@ -671,9 +653,7 @@ fn run_fixpoint_route(
         Ok((acc, rounds)) => {
             sp.field("rounds", rounds);
             stats.rows_out = acc.len() as u64;
-            genpar_obs::counter("exec.executions", 1);
-            genpar_obs::counter("exec.rows_out", stats.rows_out);
-            genpar_obs::counter("exec.rows_processed", stats.rows_processed);
+            record_run(&stats);
             let value = genpar_value::rows_to_value(acc);
             let certificate =
                 format!(
@@ -698,7 +678,7 @@ fn run_fixpoint_route(
                 "injected fault in a fixpoint round: degraded to the serial interpreter",
             )
         }
-        Err(e) => Err(e),
+        Err(e) => Err(with_partial(e, &stats)),
     }
 }
 
@@ -723,7 +703,7 @@ fn drive_fixpoint(
     let round_watchdog_us = kernels::watchdog_deadline_us(hist.snapshot().p95);
     let round_retries = recovery_retries().unwrap_or(0);
     for iter in 0..bound {
-        genpar_guard::charge_depth(iter + 1, "fixpoint").map_err(|b| breach_to_exec(b, stats))?;
+        genpar_guard::charge_depth(iter + 1, "fixpoint").map_err(breach_to_exec)?;
         let start = std::time::Instant::now();
         let mut rsp = genpar_obs::span("exec.fixpoint_round");
         rsp.field("round", iter + 1);
@@ -748,7 +728,7 @@ fn drive_fixpoint(
                         .map_err(|f| ExecError::Fault(f.to_string()))?;
                     if let Some(m) = ctx.meter {
                         m.charge_steps(1, "exec.fixpoint_round")
-                            .map_err(|b| breach_to_exec(b, stats))?;
+                            .map_err(breach_to_exec)?;
                     }
                     let plan = lower(&bound_body).ok_or_else(|| {
                         ExecError::Internal(
@@ -790,7 +770,7 @@ fn drive_fixpoint(
         limit: bound,
         used: bound,
         op: "fixpoint",
-        partial: *stats,
+        partial: ExecStats::default(),
     })
 }
 
@@ -843,9 +823,7 @@ fn run_combiner_route(
         Ok((total, s)) => {
             kernels::add_stats(&mut stats, &s);
             stats.rows_out = 1;
-            genpar_obs::counter("exec.executions", 1);
-            genpar_obs::counter("exec.rows_out", 1);
-            genpar_obs::counter("exec.rows_processed", stats.rows_processed);
+            record_run(&stats);
             let value = match kind {
                 CombineKind::Parity => Value::Bool(total % 2 == 0),
                 CombineKind::Count | CombineKind::Sum(_) => Value::Int(total),
@@ -871,7 +849,7 @@ fn run_combiner_route(
                 "injected fault in the combiner: degraded to the serial interpreter",
             )
         }
-        Err(e) => Err(e),
+        Err(e) => Err(with_partial(e, &stats)),
     }
 }
 
@@ -903,17 +881,6 @@ fn fallback(
     let db = db_from_catalog(catalog);
     let v = eval(q, &db).map_err(eval_to_exec)?;
     Ok((v, ExecStats::default(), ExecRoute::Fallback { op, reason }))
-}
-
-fn eval_serial(q: &Query, catalog: &Catalog) -> Result<(Value, ExecStats), ExecError> {
-    if let Some(plan) = lower(q) {
-        let (rows, stats) = plan.execute(catalog)?;
-        Ok((genpar_value::rows_to_value(rows), stats))
-    } else {
-        let db = db_from_catalog(catalog);
-        let v = eval(q, &db).map_err(eval_to_exec)?;
-        Ok((v, ExecStats::default()))
-    }
 }
 
 #[cfg(test)]

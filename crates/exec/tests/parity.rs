@@ -1,7 +1,7 @@
-//! Serial-vs-parallel parity: on every workload in the relational
-//! fragment, the parallel executor's result is `Value`-identical to the
-//! serial engine's and to the algebra evaluator's — across worker counts
-//! and morsel sizes, including degenerate ones. This is the executable
+//! Walker-vs-executor parity: on every workload in the relational
+//! fragment, the executor's result is `Value`-identical to the algebra
+//! walker's — at one worker (inline) and across worker counts and morsel
+//! sizes, including degenerate ones. This is the executable
 //! form of the partition-safety argument: deterministic hash routing +
 //! canonical merge ⇒ the same set, in the same canonical order.
 
@@ -10,7 +10,7 @@ use genpar_engine::plan::lower;
 use genpar_engine::schema::{Catalog, Schema};
 use genpar_engine::table::Table;
 use genpar_engine::workload::{generate_keyed_pair, generate_table, WorkloadSpec};
-use genpar_exec::{EvalParallel, ExecConfig, ExecRoute};
+use genpar_exec::{db_from_catalog, EvalParallel, ExecConfig, ExecRoute};
 use genpar_value::{rows_to_value, CvType, Value};
 use proptest::prelude::*;
 use rand::{rngs::StdRng, SeedableRng};
@@ -71,16 +71,31 @@ fn tier1_queries() -> Vec<Query> {
     ]
 }
 
+/// The walker's answer: the serial truth.
+fn walker(q: &Query, catalog: &Catalog) -> Value {
+    genpar_algebra::eval::eval(q, &db_from_catalog(catalog)).expect("walker ok")
+}
+
+/// Run `f` inside a private obs scope; returns its result and the
+/// scope's snapshot (immune to concurrently running tests).
+fn scoped<T>(f: impl FnOnce() -> T) -> (T, genpar_obs::Snapshot) {
+    let scope = genpar_obs::Scope::anonymous();
+    let guard = scope.enter();
+    let out = f();
+    drop(guard);
+    (out, scope.snapshot())
+}
+
 fn assert_parity(catalog: &Catalog, q: &Query, cfg: &ExecConfig) {
     let plan = lower(q).expect("tier-1 queries lower");
-    let (serial_rows, _) = plan.execute(catalog).expect("serial ok");
-    let (par_rows, _) = plan.eval_parallel(catalog, cfg).expect("parallel ok");
-    let serial_v = rows_to_value(serial_rows);
+    let (par_rows, _) = plan.eval_parallel(catalog, cfg).expect("executor ok");
     let par_v = rows_to_value(par_rows.clone());
     assert_eq!(
-        serial_v, par_v,
-        "parallel != serial for {q} at workers={} morsel_rows={}",
-        cfg.workers, cfg.morsel_rows
+        walker(q, catalog),
+        par_v,
+        "executor != walker for {q} at workers={} morsel_rows={}",
+        cfg.workers,
+        cfg.morsel_rows
     );
     // and rows come out already canonically ordered
     let recanon = genpar_value::canonical_rows(par_rows.clone());
@@ -92,7 +107,7 @@ fn parallel_matches_serial_on_tier1_queries() {
     let small = small_catalog();
     let big = workload_catalog();
     for q in tier1_queries() {
-        for workers in [2, 4, 8] {
+        for workers in [1, 2, 4, 8] {
             for morsel_rows in [1, 7, 1024] {
                 let cfg = ExecConfig::serial()
                     .with_workers(workers)
@@ -141,8 +156,12 @@ fn eval_query_routes_parallel_with_certificate() {
         other => panic!("expected Parallel route, got {other:?}"),
     }
     let (sv, _, sroute) = eval_query(&c, &q, 1);
-    assert_eq!(sroute, ExecRoute::Serial);
+    assert!(
+        matches!(sroute, ExecRoute::Parallel { workers: 1, .. }),
+        "one worker runs the same route inline: {sroute:?}"
+    );
     assert_eq!(v, sv);
+    assert_eq!(v, walker(&q, &c));
 }
 
 // thin wrapper so route tests read naturally
@@ -158,9 +177,8 @@ fn eval_query(
 #[test]
 fn non_partition_safe_queries_fall_back_with_event() {
     let c = small_catalog();
-    genpar_obs::reset();
     let q = Query::Adom(Box::new(Query::rel("R")));
-    let (v, _, route) = eval_query(&c, &q, 4);
+    let ((v, _, route), snap) = scoped(|| eval_query(&c, &q, 4));
     match route {
         ExecRoute::Fallback { op, reason } => {
             assert_eq!(op, "adom");
@@ -171,7 +189,6 @@ fn non_partition_safe_queries_fall_back_with_event() {
     // the fallback computed the right answer (adom of R is non-empty)
     assert!(v.as_set().is_some_and(|s| !s.is_empty()));
     // ... and announced itself to the obs registry
-    let snap = genpar_obs::snapshot();
     assert!(snap.counters.get("exec.fallbacks").copied().unwrap_or(0) >= 1);
     let ev = snap
         .events
@@ -189,7 +206,8 @@ fn non_partition_safe_queries_fall_back_with_event() {
 #[test]
 fn even_and_count_take_the_combiner_route_not_fallback() {
     let c = small_catalog();
-    genpar_obs::reset();
+    let scope = genpar_obs::Scope::anonymous();
+    let guard = scope.enter();
     for (q, expect) in [
         (
             Query::Even(Box::new(Query::rel("R"))),
@@ -214,11 +232,13 @@ fn even_and_count_take_the_combiner_route_not_fallback() {
             other => panic!("expected combiner Parallel route for {q}, got {other:?}"),
         }
         assert_eq!(v, expect, "wrong aggregate for {q}");
-        // serial route agrees
+        // one worker and the walker agree
         let (sv, _, _) = eval_query(&c, &q, 1);
-        assert_eq!(v, sv, "serial/parallel disagree for {q}");
+        assert_eq!(v, sv, "1-worker/4-worker disagree for {q}");
+        assert_eq!(v, walker(&q, &c), "executor/walker disagree for {q}");
     }
-    let snap = genpar_obs::snapshot();
+    drop(guard);
+    let snap = scope.snapshot();
     assert_eq!(
         snap.counters.get("exec.fallbacks").copied().unwrap_or(0),
         0,
@@ -295,8 +315,7 @@ fn fixpoint_routes_parallel_and_matches_serial() {
         .join_on(Query::rel("E"), [(1, 0)])
         .project([0, 3]);
     let q = Query::fixpoint("X", Query::rel("E"), step);
-    genpar_obs::reset();
-    let (v, _, route) = eval_query(&c, &q, 4);
+    let ((v, _, route), snap) = scoped(|| eval_query(&c, &q, 4));
     match route {
         ExecRoute::Parallel {
             workers,
@@ -315,11 +334,11 @@ fn fixpoint_routes_parallel_and_matches_serial() {
         other => panic!("expected Parallel route, got {other:?}"),
     }
     let (sv, _, sroute) = eval_query(&c, &q, 1);
-    assert_eq!(sroute, ExecRoute::Serial);
-    assert_eq!(v, sv, "parallel fixpoint != serial fixpoint");
+    assert!(matches!(sroute, ExecRoute::Parallel { workers: 1, .. }));
+    assert_eq!(v, sv, "4-worker fixpoint != 1-worker fixpoint");
+    assert_eq!(v, walker(&q, &c), "executor fixpoint != walker fixpoint");
     // a closed 31-cycle's closure is complete: 31 × 31 pairs
     assert_eq!(v.as_set().map(|s| s.len()), Some(31 * 31));
-    let snap = genpar_obs::snapshot();
     assert!(
         snap.counters
             .get("exec.fixpoint_rounds")
@@ -372,8 +391,7 @@ fn nonlinear_fixpoint_body_runs_full_accumulator_rounds() {
         }
         other => panic!("expected Parallel route, got {other:?}"),
     }
-    let (sv, _, _) = eval_query(&c, &q, 1);
-    assert_eq!(v, sv, "nonlinear fixpoint parallel != serial");
+    assert_eq!(v, walker(&q, &c), "nonlinear fixpoint executor != walker");
     // TC of a 13-node path: n(n-1)/2 ordered reachable pairs
     assert_eq!(v.as_set().map(|s| s.len()), Some(13 * 12 / 2));
 }
@@ -442,11 +460,9 @@ fn unknown_table_errors_in_parallel_too() {
 #[test]
 fn worker_spans_and_morsel_counters_recorded() {
     let c = workload_catalog();
-    genpar_obs::reset();
     let plan = lower(&Query::rel("R").select(Pred::eq_cols(0, 0))).unwrap();
     let cfg = ExecConfig::serial().with_workers(4).with_morsel_rows(32);
-    plan.eval_parallel(&c, &cfg).unwrap();
-    let snap = genpar_obs::snapshot();
+    let (_, snap) = scoped(|| plan.eval_parallel(&c, &cfg).unwrap());
     assert!(snap.counters.get("exec.morsels").copied().unwrap_or(0) >= 2);
     assert!(snap.counters.get("exec.executions") == Some(&1));
     assert!(
@@ -462,15 +478,14 @@ fn worker_spans_and_morsel_counters_recorded() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Satellite 1's equality property: random relational-fragment
-    /// queries over random tables evaluate `Value`-identically on the
-    /// serial engine and the parallel executor, at every tested worker
-    /// count and morsel size.
+    /// Random relational-fragment queries over random tables evaluate
+    /// `Value`-identically on the walker and the executor, at every
+    /// tested worker count (one included) and morsel size.
     #[test]
     fn prop_parallel_value_equals_serial(
         rows_r in proptest::collection::vec((0i64..30, 0i64..6), 0..60),
         rows_s in proptest::collection::vec((0i64..30, 0i64..6), 0..60),
-        workers in 2usize..6,
+        workers in 1usize..6,
         morsel_rows in 1usize..40,
         pick in 0usize..9,
     ) {
@@ -487,8 +502,7 @@ proptest! {
         let q = &qs[pick % qs.len()];
         let plan = lower(q).expect("lowerable");
         let cfg = ExecConfig::serial().with_workers(workers).with_morsel_rows(morsel_rows);
-        let (serial_rows, _) = plan.execute(&c).expect("serial ok");
-        let (par_rows, _) = plan.eval_parallel(&c, &cfg).expect("parallel ok");
-        prop_assert_eq!(rows_to_value(serial_rows), rows_to_value(par_rows));
+        let (par_rows, _) = plan.eval_parallel(&c, &cfg).expect("executor ok");
+        prop_assert_eq!(walker(q, &c), rows_to_value(par_rows));
     }
 }

@@ -8,7 +8,7 @@
 //!
 //! Only counters are compared: span nanoseconds and histogram samples
 //! are wall-clock (never identical between passes), and steal events are
-//! scheduling-dependent. Counters (`engine.rows_scanned`,
+//! scheduling-dependent. Counters (`exec.rows_scanned`,
 //! `exec.executions`, route/fallback counts, …) are deterministic
 //! functions of the query and the data.
 
@@ -157,8 +157,11 @@ fn nested_and_sibling_scopes_stay_disjoint_then_roll_up() {
         let _gb = b.enter();
         genpar_exec::eval_query(&q, &catalog, &cfg).expect("scope-b eval ok");
     }
+    // the same filter as `delta`: scheduling-dependent steals out, and
+    // counters that never moved (recorded as 0) carry no information
     let strip = |mut c: BTreeMap<String, u64>| {
         c.remove("exec.steals");
+        c.retain(|_, v| *v > 0);
         c
     };
     let counters_a = strip(a.snapshot().counters);

@@ -1,8 +1,8 @@
 //! Deterministic fault injection.
 //!
-//! Call sites name themselves with [`faultpoint`]`("engine.scan")`; a
+//! Call sites name themselves with [`faultpoint`]`("exec.morsel")`; a
 //! test (or an operator, via the `GENPAR_FAULTS` environment variable)
-//! arms a spec like `engine.scan:2` and the **second** hit of that site
+//! arms a spec like `exec.morsel:2` and the **second** hit of that site
 //! fails with a [`Fault`]. Since the workspace is single-source-of-truth
 //! deterministic, arming `site:nth` reproduces the identical failure
 //! every run — the harness the robustness tests use to prove each
@@ -18,7 +18,7 @@
 //! site  := [a-zA-Z0-9._-]+
 //! ```
 //!
-//! Example: `GENPAR_FAULTS=engine.scan:1,optimizer.cost:*`.
+//! Example: `GENPAR_FAULTS=exec.morsel:1,optimizer.cost:*`.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -87,8 +87,6 @@ pub const KNOWN_SITES: &[&str] = &[
     "algebra.eval",
     "bench.op",
     "checker.invariance",
-    "engine.execute",
-    "engine.scan",
     "exec.combine",
     "exec.fixpoint_round",
     "exec.merge",
@@ -332,11 +330,11 @@ mod tests {
     #[test]
     fn fault_renders_site_and_hit() {
         let f = Fault {
-            site: "engine.scan".into(),
+            site: "exec.morsel".into(),
             hit: 4,
         };
         let s = f.to_string();
-        assert!(s.contains("engine.scan"), "{s}");
+        assert!(s.contains("exec.morsel"), "{s}");
         assert!(s.contains("hit 4"), "{s}");
     }
 }

@@ -15,12 +15,12 @@
 //! ```
 //! genpar_obs::reset();
 //! {
-//!     let mut sp = genpar_obs::span("engine.execute");
+//!     let mut sp = genpar_obs::span("exec.parallel");
 //!     sp.field("rows_out", 42);
-//!     genpar_obs::counter("engine.rows_scanned", 42);
+//!     genpar_obs::counter("exec.rows_scanned", 42);
 //! }
 //! let snap = genpar_obs::snapshot();
-//! assert_eq!(snap.counters["engine.rows_scanned"], 42);
+//! assert_eq!(snap.counters["exec.rows_scanned"], 42);
 //! println!("{}", snap.render_tree());
 //! ```
 //!
@@ -308,12 +308,12 @@ mod tests {
             a.field("rows_out", 4);
             let _b = reg.span("plan.Scan");
         }
-        reg.counter("engine.rows_scanned", 10);
+        reg.counter("exec.rows_scanned", 10);
         let text = reg.snapshot().render_tree();
         assert!(text.contains("plan.Project"), "{text}");
         assert!(text.contains("└─ plan.Scan"), "{text}");
         assert!(text.contains("rows_out=4"), "{text}");
-        assert!(text.contains("engine.rows_scanned = 10"), "{text}");
+        assert!(text.contains("exec.rows_scanned = 10"), "{text}");
     }
 
     #[test]

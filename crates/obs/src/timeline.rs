@@ -145,10 +145,9 @@ static CURRENT_QUERY: AtomicU64 = AtomicU64::new(0);
 /// Propagation rule (DESIGN.md §12): the id is process-global, set at
 /// each executor entry; worker threads read it at record time, so every
 /// record a query's morsels/rounds/combines produce carries the same id
-/// without any per-thread plumbing. Nested executor entries (e.g. a
-/// fault-degraded fixpoint re-entering the serial engine) get their own
-/// id — distinct execution phases of one user query stay
-/// distinguishable on the timeline.
+/// without any per-thread plumbing. Each executor entry outside a served
+/// request gets its own id, so distinct runs stay distinguishable on the
+/// timeline.
 pub fn begin_query() -> QueryId {
     let id = NEXT_QUERY.fetch_add(1, Ordering::Relaxed) + 1;
     CURRENT_QUERY.store(id, Ordering::Relaxed);

@@ -465,6 +465,7 @@ mod tests {
     use crate::rules::Constraints;
     use genpar_engine::workload::generate_keyed_pair;
     use genpar_engine::{lower, Catalog};
+    use genpar_exec::{EvalParallel, ExecConfig};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -521,8 +522,14 @@ mod tests {
 
         // and the model's decisions match the engine's actual counters
         for (cat, q_chosen) in [(&cat2, &chosen2), (&cat8, &chosen8)] {
-            let (_, chosen_stats) = lower(q_chosen).unwrap().execute(cat).unwrap();
-            let (_, base_stats) = lower(&q).unwrap().execute(cat).unwrap();
+            let (_, chosen_stats) = lower(q_chosen)
+                .unwrap()
+                .eval_parallel(cat, &ExecConfig::serial())
+                .unwrap();
+            let (_, base_stats) = lower(&q)
+                .unwrap()
+                .eval_parallel(cat, &ExecConfig::serial())
+                .unwrap();
             assert!(
                 chosen_stats.cells_processed <= base_stats.cells_processed,
                 "model picked a worse plan: {chosen_stats:?} vs {base_stats:?}"

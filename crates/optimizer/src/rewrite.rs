@@ -372,6 +372,7 @@ mod tests {
     use genpar_algebra::{Db, ValueFn};
     use genpar_engine::workload::{generate_keyed_pair, generate_table, WorkloadSpec};
     use genpar_engine::{lower, Catalog};
+    use genpar_exec::{EvalParallel, ExecConfig};
     use genpar_value::Value;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -566,8 +567,14 @@ mod tests {
         let catalog = test_catalog();
         let q = Query::rel("R").union(Query::rel("S")).project([0]);
         let (opt, _) = optimize(&q, &RuleSet::standard(), &catalog);
-        let (_, base_stats) = lower(&q).unwrap().execute(&catalog).unwrap();
-        let (_, opt_stats) = lower(&opt).unwrap().execute(&catalog).unwrap();
+        let (_, base_stats) = lower(&q)
+            .unwrap()
+            .eval_parallel(&catalog, &ExecConfig::serial())
+            .unwrap();
+        let (_, opt_stats) = lower(&opt)
+            .unwrap()
+            .eval_parallel(&catalog, &ExecConfig::serial())
+            .unwrap();
         // pushing π below ∪ shrinks the union's inputs (duplicates
         // collapse early): strictly fewer rows processed
         assert!(

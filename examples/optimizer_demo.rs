@@ -12,6 +12,7 @@ use genpar::optimizer::{optimize, Constraints, RuleSet};
 use genpar_algebra::{Pred, Query, ValueFn};
 use genpar_engine::workload::{generate_keyed_pair, generate_table, WorkloadSpec};
 use genpar_engine::{lower, Catalog};
+use genpar_exec::{EvalParallel, ExecConfig};
 use genpar_value::Value;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -26,8 +27,8 @@ fn run_both(name: &str, q: &Query, rules: &RuleSet, catalog: &Catalog) {
     } else {
         print!("{trace}");
     }
-    let base = lower(q).and_then(|p| p.execute(catalog).ok());
-    let fast = lower(&opt).and_then(|p| p.execute(catalog).ok());
+    let base = lower(q).and_then(|p| p.eval_parallel(catalog, &ExecConfig::serial()).ok());
+    let fast = lower(&opt).and_then(|p| p.eval_parallel(catalog, &ExecConfig::serial()).ok());
     if let (Some((rows_a, sa)), Some((rows_b, sb))) = (base, fast) {
         assert_eq!(rows_a, rows_b, "rewrite changed semantics!");
         println!(

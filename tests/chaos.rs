@@ -1,13 +1,14 @@
 //! The chaos oracle: random fault storms against the recovery ladder.
 //!
 //! Each case draws a random database, a random query covering every
-//! parallel route (plain partition, combiner, per-round fixpoint), a
-//! random worker count and morsel size, and a random *storm* — one to
+//! executor route (plain partition, combiner, per-round fixpoint), a
+//! random worker count (one included: the ladder then runs inline) and
+//! morsel size, and a random *storm* — one to
 //! three fault sites armed at once, each either nth-hit (the retry rung
 //! must absorb it) or persistent (the ladder must walk retry →
-//! quarantine → serial fallback). The contract under storm is the same
+//! quarantine → walker fallback). The contract under storm is the same
 //! as the clean differential oracle's: the answer is byte-identical to
-//! the fault-free serial interpreter's, and the executor never errors
+//! the algebra walker's (the serial truth), and the executor never errors
 //! and never panics. A second block drills the crash-safe persistence
 //! layer: injected write faults must leave the previous file intact,
 //! and torn files must be quarantined and regenerated, never trusted.
@@ -19,7 +20,7 @@
 use genpar_algebra::{Pred, Query, ValueFn};
 use genpar_engine::workload::{generate_edges, generate_table, WorkloadSpec};
 use genpar_engine::Catalog;
-use genpar_exec::{eval_query, ExecConfig};
+use genpar_exec::{db_from_catalog, eval_query, ExecConfig};
 use genpar_optimizer::persist;
 use genpar_optimizer::StatsStore;
 use genpar_value::Value;
@@ -111,22 +112,22 @@ fn random_storm(rng: &mut StdRng) -> String {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// The storm oracle: under any random fault storm, every parallel
-    /// configuration still reproduces the fault-free serial answer,
-    /// byte-identical — recovered in place or degraded to serial,
+    /// The storm oracle: under any random fault storm, every executor
+    /// configuration still reproduces the walker's answer,
+    /// byte-identical — recovered in place or degraded to the walker,
     /// never wrong and never an error.
     #[test]
     fn chaos_storms_preserve_serial_answers(seed in 0u64..1_000_000) {
         let mut rng = StdRng::seed_from_u64(seed);
         let cat = random_catalog(&mut rng);
         let q = random_query(&mut rng);
-        // truth on the serial interpreter, faults disarmed (workers=1
-        // never reaches an exec.* site even if another case is armed)
-        let (truth, _, _) = eval_query(&q, &cat, &ExecConfig::serial())
-            .map_err(|e| TestCaseError::Fail(format!("clean serial eval failed on {q}: {e}")))?;
+        // truth on the walker, which passes no exec.* site even if
+        // another case is armed
+        let truth = genpar_algebra::eval::eval(&q, &db_from_catalog(&cat))
+            .map_err(|e| TestCaseError::Fail(format!("walker eval failed on {q}: {e}")))?;
         let truth_bytes = truth.to_string();
         let storm = random_storm(&mut rng);
-        let workers = if rng.gen_bool(0.5) { 2 } else { 4 };
+        let workers: usize = [1, 2, 4][rng.gen_range(0..3usize)];
         let morsel = rng.gen_range(4..64usize);
         let _g = fault_lock();
         genpar_guard::arm_faults(&storm)
@@ -229,7 +230,7 @@ fn chaos_leaves_the_process_clean() {
     let mut rng = StdRng::seed_from_u64(0xc0ffee);
     let cat = random_catalog(&mut rng);
     let q = Query::rel("R").union(Query::rel("S"));
-    let (truth, _, _) = eval_query(&q, &cat, &ExecConfig::serial()).unwrap();
+    let truth = genpar_algebra::eval::eval(&q, &db_from_catalog(&cat)).unwrap();
     let cfg = ExecConfig::serial().with_workers(4);
     let (v, _, _) = eval_query(&q, &cat, &cfg).unwrap();
     assert_eq!(v, truth);

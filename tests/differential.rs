@@ -1,14 +1,15 @@
-//! Serial-vs-parallel differential oracle.
+//! Walker-vs-executor differential oracle.
 //!
 //! The executor's one correctness contract is *route equivalence*: for
-//! any query, `eval_query` must produce the same canonical `Value` on
-//! the serial interpreter and on every parallel route — plain
-//! partitioning, per-round fixpoint evaluation, and the combiner class —
-//! at any worker count and any morsel size. These properties generate
-//! hundreds of random plans per shape (fixpoint bodies, root combiners,
-//! and mixed/uncertified plans) over random databases and assert
-//! byte-identical results across worker counts {2, 4} and several
-//! pinned morsel sizes.
+//! any query, `eval_query` must produce the same canonical `Value` as
+//! the algebra walker (the serial truth) on every route — plain
+//! partitioning, per-round fixpoint evaluation, the combiner class and
+//! the walker fallback — at any worker count and any morsel size. These
+//! properties generate hundreds of random plans per shape (fixpoint
+//! bodies, root combiners, and mixed/uncertified plans, over binary and
+//! unary relations, with tuple-valued and bare-valued maps) over random
+//! databases and assert byte-identical results across worker counts
+//! {1, 2, 4} and several pinned morsel sizes.
 //!
 //! Everything is driven through [`genpar_exec::ExecConfig`] rather than
 //! the `GENPAR_PARALLEL`/`GENPAR_MORSEL` environment (same code paths,
@@ -17,27 +18,27 @@
 use genpar_algebra::{Pred, Query, ValueFn};
 use genpar_engine::workload::{generate_edges, generate_table, WorkloadSpec};
 use genpar_engine::Catalog;
-use genpar_exec::{eval_query, ExecConfig};
+use genpar_exec::{db_from_catalog, eval_query, ExecConfig};
 use genpar_value::Value;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 /// Worker counts and pinned morsel sizes every query is checked at.
-const WORKERS: [usize; 2] = [2, 4];
+const WORKERS: [usize; 3] = [1, 2, 4];
 const MORSELS: [usize; 3] = [16, 64, 256];
 
-/// Assert the differential contract for one query: every parallel
-/// configuration reproduces the serial interpreter's value, bytewise.
+/// Assert the differential contract for one query: every executor
+/// configuration reproduces the walker's value, bytewise.
 fn assert_differential(q: &Query, cat: &Catalog) -> Result<(), TestCaseError> {
-    let (truth, _, _) = eval_query(q, cat, &ExecConfig::serial())
-        .map_err(|e| TestCaseError::Fail(format!("serial eval failed on {q}: {e}")))?;
+    let truth = genpar_algebra::eval::eval(q, &db_from_catalog(cat))
+        .map_err(|e| TestCaseError::Fail(format!("walker eval failed on {q}: {e}")))?;
     let truth_bytes = truth.to_string();
     for w in WORKERS {
         for m in MORSELS {
             let cfg = ExecConfig::serial().with_workers(w).with_morsel_rows(m);
             let (v, _, route) = eval_query(q, cat, &cfg).map_err(|e| {
-                TestCaseError::Fail(format!("parallel eval failed on {q} (w={w}, m={m}): {e}"))
+                TestCaseError::Fail(format!("executor eval failed on {q} (w={w}, m={m}): {e}"))
             })?;
             prop_assert_eq!(
                 &v,
@@ -61,13 +62,17 @@ fn assert_differential(q: &Query, cat: &Catalog) -> Result<(), TestCaseError> {
     Ok(())
 }
 
-/// A random flat, distributive inner plan over `R` (and sometimes `S`) —
-/// certified input for the combiner and plain-partition routes — paired
-/// with its output arity (so aggregate columns stay in range).
+/// A random flat inner plan over `R`, `S` and the unary `U`, paired with
+/// its output arity (so aggregate columns stay in range). Most shapes
+/// are distributive — certified input for the combiner and
+/// plain-partition routes; the bare-valued maps are refused by the gate
+/// and exercise the walker route under the same oracle.
 fn random_inner(rng: &mut StdRng) -> (Query, usize) {
     let r = Query::rel("R");
     let s = Query::rel("S");
-    match rng.gen_range(0..9) {
+    let u = Query::rel("U");
+    let succ = || ValueFn::Interp("succ".into());
+    match rng.gen_range(0..15) {
         0 => (r, 2),
         1 => (r.project(vec![rng.gen_range(0..2usize)]), 1),
         2 => (r.select(Pred::eq_cols(0, 1)), 2),
@@ -84,24 +89,41 @@ fn random_inner(rng: &mut StdRng) -> (Query, usize) {
             2,
         ),
         7 => (r.map(ValueFn::Cols(vec![1, 0])), 2),
-        _ => (r.join_on(s, [(0, 0)]).project(vec![0, 1, 3]), 3),
+        8 => (r.join_on(s, [(0, 0)]).project(vec![0, 1, 3]), 3),
+        // unary relations, alone and mixed with binary ones
+        9 => (u, 1),
+        10 => (u.union(r.project(vec![1])), 1),
+        11 => (u.join_on(r, [(0, 0)]), 3),
+        // bare-valued maps: elements are not tuples
+        12 => (r.map(ValueFn::Proj(rng.gen_range(0..2))), 1),
+        13 => (u.map(succ()), 1),
+        _ => (
+            r.map(ValueFn::Compose(
+                Box::new(ValueFn::Proj(0)),
+                Box::new(succ()),
+            )),
+            1,
+        ),
     }
 }
 
-/// A random database for the flat shapes: two binary relations with a
-/// small value range (collisions exercise dedup in the canonical merge).
+/// A random database for the flat shapes: two binary relations and a
+/// unary one, with a small value range (collisions exercise dedup in the
+/// canonical merge).
 fn random_flat_catalog(rng: &mut StdRng) -> Catalog {
-    let spec = |rows| WorkloadSpec {
+    let spec = |rows, arity| WorkloadSpec {
         rows,
-        arity: 2,
+        arity,
         value_range: 12,
         key_on_first: false,
     };
     let r_rows = rng.gen_range(0..180);
     let s_rows = rng.gen_range(0..120);
-    let r = generate_table(rng, "R", spec(r_rows));
-    let s = generate_table(rng, "S", spec(s_rows));
-    Catalog::new().with(r).with(s)
+    let u_rows = rng.gen_range(0..12);
+    let r = generate_table(rng, "R", spec(r_rows, 2));
+    let s = generate_table(rng, "S", spec(s_rows, 2));
+    let u = generate_table(rng, "U", spec(u_rows, 1));
+    Catalog::new().with(r).with(s).with(u)
 }
 
 /// A random fixpoint step body over loop variable `X` and edges `E`.
@@ -131,7 +153,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     /// Shape 1 — root fixpoints: random graphs, random (linear and
-    /// nonlinear) bodies, serial and parallel saturation agree exactly.
+    /// nonlinear) bodies, walker and executor saturation agree exactly.
     #[test]
     fn differential_fixpoint(seed in 0u64..1_000_000) {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -150,7 +172,7 @@ proptest! {
 
     /// Shape 2 — root combiners: `count`, `sum`, `even` over random
     /// distributive plans; partial accumulators + serial combine must
-    /// equal the interpreter's whole-set aggregate.
+    /// equal the walker's whole-set aggregate.
     #[test]
     fn differential_combiner(seed in 0u64..1_000_000) {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -170,7 +192,7 @@ proptest! {
 
     /// Shape 4 — fault-degraded routes: with faults armed on the
     /// per-round fixpoint site and the first combine, the parallel
-    /// routes degrade to the serial interpreter mid-query — and the
+    /// routes degrade to the walker mid-query — and the
     /// oracle still holds: a degraded route returns the *correct*
     /// answer, never a wrong one.
     ///
@@ -240,7 +262,7 @@ proptest! {
 
     /// Shape 3 — mixed: plain partition-safe plans, combiners, fixpoints
     /// and uncertified whole-set operators drawn together, so the route
-    /// dispatch itself (including the serial fallback) is part of the
+    /// dispatch itself (including the walker fallback) is part of the
     /// differential surface.
     #[test]
     fn differential_mixed(seed in 0u64..1_000_000) {
@@ -256,7 +278,7 @@ proptest! {
             2 => Query::Even(Box::new(random_inner(&mut rng).0)),
             // per-round fixpoint
             3 => Query::fixpoint("X", Query::rel("E"), random_step(&mut rng)),
-            // uncertified: whole-input operator → serial fallback route
+            // uncertified: whole-input operator → walker fallback route
             4 => Query::Adom(Box::new(random_inner(&mut rng).0)),
             // aggregate *below* the root is uncertified too
             _ => Query::Singleton(Box::new(random_inner(&mut rng).0.count())),

@@ -11,6 +11,7 @@ use genpar::prelude::*;
 use genpar_algebra::eval::{eval, Db, EvalError};
 use genpar_algebra::{catalog, Pred, Query};
 use genpar_engine::{lower, Catalog, Schema, Table};
+use genpar_exec::{EvalParallel, ExecConfig};
 use genpar_value::parse::parse_value;
 
 fn rel2() -> CvType {
@@ -139,7 +140,7 @@ fn optimizer_on_empty_catalog_is_safe() {
     let (opt, trace) = optimize(&q, &RuleSet::standard(), &catalog);
     assert!(!trace.steps.is_empty());
     let plan = lower(&opt).unwrap();
-    assert!(plan.execute(&catalog).is_err()); // unknown table, reported
+    assert!(plan.eval_parallel(&catalog, &ExecConfig::serial()).is_err()); // unknown table, reported
 }
 
 #[test]

@@ -16,6 +16,7 @@ use genpar_algebra::eval::{eval, Db};
 use genpar_algebra::{Pred, Query};
 use genpar_engine::workload::{generate_keyed_pair, generate_table, WorkloadSpec};
 use genpar_engine::{lower, Catalog};
+use genpar_exec::{EvalParallel, ExecConfig};
 use genpar_lambda::eval::{eval_closed, LValue};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -69,8 +70,14 @@ fn classify_probe_optimize_execute() {
     assert!(!trace.steps.is_empty());
     assert!(new_est.cost < base_est.cost);
 
-    let (rows_base, stats_base) = lower(&q).unwrap().execute(&catalog).unwrap();
-    let (rows_opt, stats_opt) = lower(&chosen).unwrap().execute(&catalog).unwrap();
+    let (rows_base, stats_base) = lower(&q)
+        .unwrap()
+        .eval_parallel(&catalog, &ExecConfig::serial())
+        .unwrap();
+    let (rows_opt, stats_opt) = lower(&chosen)
+        .unwrap()
+        .eval_parallel(&catalog, &ExecConfig::serial())
+        .unwrap();
     assert_eq!(rows_base, rows_opt);
     assert!(stats_opt.cells_processed < stats_base.cells_processed);
 }
@@ -96,8 +103,14 @@ fn key_constraint_gates_the_difference_push() {
     );
     let (chosen, trace, _, _) = optimize_costed(&q, &rules, &catalog);
     assert!(!trace.steps.is_empty());
-    let (a, _) = lower(&q).unwrap().execute(&catalog).unwrap();
-    let (b, _) = lower(&chosen).unwrap().execute(&catalog).unwrap();
+    let (a, _) = lower(&q)
+        .unwrap()
+        .eval_parallel(&catalog, &ExecConfig::serial())
+        .unwrap();
+    let (b, _) = lower(&chosen)
+        .unwrap()
+        .eval_parallel(&catalog, &ExecConfig::serial())
+        .unwrap();
     assert_eq!(a, b);
 }
 

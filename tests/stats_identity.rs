@@ -17,7 +17,7 @@
 use genpar_algebra::{Pred, Query};
 use genpar_engine::workload::{generate_edges, generate_table, WorkloadSpec};
 use genpar_engine::{lower, Catalog};
-use genpar_exec::{eval_query, ExecConfig};
+use genpar_exec::{db_from_catalog, eval_query, ExecConfig};
 use genpar_optimizer::{
     estimate_with_stats, optimize_costed_parallel_with_stats, route_costs_with_stats, Calibration,
     CatalogStats, RuleSet, StatsStore, MIN_SAMPLES,
@@ -85,11 +85,12 @@ fn observed_stats_flip_the_route_but_not_the_answer() {
         with.margin_cells
     );
 
-    // the flip is advisory only: both routes compute the same Value
-    let (truth, _, _) = eval_query(&q, &cat, &ExecConfig::serial()).expect("serial eval");
-    let (par, _, _) =
-        eval_query(&q, &cat, &ExecConfig::serial().with_workers(4)).expect("parallel eval");
-    assert_eq!(truth, par, "route flip changed the answer");
+    // the flip is advisory only: every route computes the walker's Value
+    let truth = genpar_algebra::eval::eval(&q, &db_from_catalog(&cat)).expect("walker eval");
+    for w in [1, 4] {
+        let (v, _, _) = eval_query(&q, &cat, &ExecConfig::serial().with_workers(w)).expect("eval");
+        assert_eq!(truth, v, "route flip changed the answer at {w} workers");
+    }
 }
 
 /// One query shape drawn from the same distribution the differential
@@ -170,16 +171,19 @@ proptest! {
         let q = random_query(&mut rng);
         let cal = startup_calibration();
 
-        let (truth, _, _) = eval_query(&q, &cat, &ExecConfig::serial())
-            .map_err(|e| TestCaseError::Fail(format!("serial eval failed on {q}: {e}")))?;
+        let truth = genpar_algebra::eval::eval(&q, &db_from_catalog(&cat))
+            .map_err(|e| TestCaseError::Fail(format!("walker eval failed on {q}: {e}")))?;
 
         // harvest genuine per-node observations through the real
-        // pipeline: obs events -> snapshot -> StatsStore::harvest
+        // pipeline: obs events -> snapshot -> StatsStore::harvest, in a
+        // private scope so concurrent tests cannot wipe or pollute it
         genpar_obs::set_enabled(true);
-        genpar_obs::reset();
-        eval_query(&q, &cat, &ExecConfig::serial().with_workers(4))
-            .map_err(|e| TestCaseError::Fail(format!("instrumented eval failed: {e}")))?;
-        let snap = genpar_obs::snapshot();
+        let scope = genpar_obs::Scope::anonymous();
+        let guard = scope.enter();
+        let run = eval_query(&q, &cat, &ExecConfig::serial().with_workers(4));
+        drop(guard);
+        run.map_err(|e| TestCaseError::Fail(format!("instrumented eval failed: {e}")))?;
+        let snap = scope.snapshot();
         let mut store = StatsStore::new();
         for _ in 0..MIN_SAMPLES {
             store.harvest("t", &snap);

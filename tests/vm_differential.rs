@@ -6,8 +6,8 @@
 //! — the same value on success and the same structured error on
 //! failure. These properties generate hundreds of random predicates,
 //! value functions, and full plans per shape and assert byte-identical
-//! results serially and across worker counts {2, 4} × morsel sizes
-//! {16, 64, 256}, with the VM on, with the VM killed (`GENPAR_VM=0`
+//! results against the algebra walker (the serial truth) across worker
+//! counts {1, 2, 4} × morsel sizes {16, 64, 256}, with the VM on, with the VM killed (`GENPAR_VM=0`
 //! semantics via `set_enabled`), and with the `vm.exec` fault armed
 //! (the VM must *degrade to the walker*, never to a wrong answer).
 //!
@@ -19,7 +19,7 @@ use genpar_algebra::eval::{apply_fn, eval_pred, Db};
 use genpar_algebra::{vm, Pred, Query, ValueFn};
 use genpar_engine::workload::{generate_edges, generate_table, WorkloadSpec};
 use genpar_engine::Catalog;
-use genpar_exec::{eval_query, ExecConfig};
+use genpar_exec::{db_from_catalog, eval_query, ExecConfig};
 use genpar_value::Value;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -27,7 +27,7 @@ use rand::{Rng, SeedableRng};
 use std::sync::{Mutex, MutexGuard};
 
 /// Worker counts and pinned morsel sizes every query is checked at.
-const WORKERS: [usize; 2] = [2, 4];
+const WORKERS: [usize; 3] = [1, 2, 4];
 const MORSELS: [usize; 3] = [16, 64, 256];
 
 /// The VM switch and the fault table are process-global; every case
@@ -166,18 +166,23 @@ fn random_vm_query(rng: &mut StdRng) -> Query {
     }
 }
 
-/// Assert the full differential contract for one query: the serial
-/// walker's answer is reproduced byte-identically by every parallel
+/// The algebra walker's answer: the serial truth.
+fn walker(q: &Query, cat: &Catalog) -> Result<Value, TestCaseError> {
+    genpar_algebra::eval::eval(q, &db_from_catalog(cat))
+        .map_err(|e| TestCaseError::Fail(format!("walker eval failed on {q}: {e}")))
+}
+
+/// Assert the full differential contract for one query: the walker's
+/// answer is reproduced byte-identically by every executor
 /// configuration with the VM engaged.
 fn assert_differential(q: &Query, cat: &Catalog) -> Result<(), TestCaseError> {
-    let (truth, _, _) = eval_query(q, cat, &ExecConfig::serial())
-        .map_err(|e| TestCaseError::Fail(format!("serial eval failed on {q}: {e}")))?;
+    let truth = walker(q, cat)?;
     let truth_bytes = truth.to_string();
     for w in WORKERS {
         for m in MORSELS {
             let cfg = ExecConfig::serial().with_workers(w).with_morsel_rows(m);
             let (v, _, route) = eval_query(q, cat, &cfg).map_err(|e| {
-                TestCaseError::Fail(format!("parallel eval failed on {q} (w={w}, m={m}): {e}"))
+                TestCaseError::Fail(format!("executor eval failed on {q} (w={w}, m={m}): {e}"))
             })?;
             prop_assert_eq!(
                 v.to_string(),
@@ -257,7 +262,7 @@ proptest! {
     }
 
     /// Shape 3 — full plans: σ/map-bearing queries over random
-    /// databases, serial truth vs {2, 4} workers × {16, 64, 256}
+    /// databases, walker truth vs {1, 2, 4} workers × {16, 64, 256}
     /// morsel rows with the VM engaged, plus a VM-off pass: killing
     /// the switch must leave the answer byte-identical.
     #[test]
@@ -270,8 +275,7 @@ proptest! {
         let verdict = assert_differential(&q, &cat);
         // kill switch: the AST path must reproduce the same bytes
         let killed = verdict.and_then(|()| {
-            let (on, _, _) = eval_query(&q, &cat, &ExecConfig::serial())
-                .map_err(|e| TestCaseError::Fail(format!("vm-on eval failed on {q}: {e}")))?;
+            let on = walker(&q, &cat)?;
             vm::set_enabled(false);
             let off = eval_query(&q, &cat, &ExecConfig::serial().with_workers(2))
                 .map_err(|e| TestCaseError::Fail(format!("vm-off eval failed on {q}: {e}")))?;
@@ -331,10 +335,7 @@ proptest! {
         let spec = if rng.gen_bool(0.5) { "vm.exec:*" } else { "vm.exec:2" };
         let _g = vm_lock();
         vm::set_enabled(true);
-        let (truth, _, _) = match eval_query(&q, &cat, &ExecConfig::serial()) {
-            Ok(v) => v,
-            Err(e) => return Err(TestCaseError::Fail(format!("clean eval failed on {q}: {e}"))),
-        };
+        let truth = walker(&q, &cat)?;
         genpar_guard::arm_faults(spec)
             .map_err(|e| TestCaseError::Fail(format!("arm_faults({spec}): {e}")))?;
         let verdict = assert_differential(&q, &cat).and_then(|()| {
@@ -362,7 +363,7 @@ fn vm_fault_degradation_is_counted() {
     let mut rng = StdRng::seed_from_u64(7);
     let cat = random_flat_catalog(&mut rng);
     let q = Query::rel("R").select(Pred::Named("even".into(), vec![0]));
-    let (truth, _, _) = eval_query(&q, &cat, &ExecConfig::serial()).unwrap();
+    let truth = genpar_algebra::eval::eval(&q, &db_from_catalog(&cat)).unwrap();
     genpar_guard::arm_faults("vm.exec:*").unwrap();
     let degrades =
         |snap: &genpar_obs::Snapshot| snap.counters.get("vm.degrade").copied().unwrap_or(0);
