@@ -156,8 +156,13 @@ impl Conn {
     }
 
     fn request(&mut self, line: &str) -> Json {
-        writeln!(self.writer, "{line}").unwrap();
-        self.writer.flush().unwrap();
+        self.send(format!("{line}\n").as_bytes())
+    }
+
+    /// Send raw bytes (which must end the request line) and read the
+    /// one response line.
+    fn send(&mut self, bytes: &[u8]) -> Json {
+        self.writer.write_all(bytes).unwrap();
         let mut resp = String::new();
         self.reader.read_line(&mut resp).unwrap();
         Json::parse(resp.trim()).unwrap_or_else(|e| panic!("bad response {resp:?}: {e}"))
@@ -243,6 +248,41 @@ fn served_responses_are_byte_identical_to_one_shot_output() {
     assert_eq!(status_of(&ack), "ok");
     let code = server.wait();
     assert_eq!(code.code(), Some(0), "graceful shutdown must exit 0");
+}
+
+#[test]
+fn requests_split_inside_a_character_or_not_utf8_are_answered() {
+    let db = small_db();
+    let server = Server::spawn(&db, &[]);
+    let mut conn = server.connect();
+
+    // the split falls between the two bytes of 'é', and the pause
+    // outlasts the session's 100 ms read timeout
+    conn.writer
+        .write_all(b"{\"op\": \"run\", \"query\": \"R\", \"tenant\": \"caf\xC3")
+        .unwrap();
+    std::thread::sleep(Duration::from_millis(250));
+    let resp = conn.send(b"\xA9\"}\n");
+    assert_eq!(status_of(&resp), "ok", "{resp}");
+    assert_eq!(resp.get("tenant").and_then(|v| v.as_str()), Some("café"));
+
+    // a line that is not UTF-8 is a structured parse error, not a
+    // silent disconnect
+    let bad = conn.send(b"{\"op\": \"ping\", \"x\": \"\xFF\xFE\"}\n");
+    assert_eq!(status_of(&bad), "error", "{bad}");
+    assert_eq!(
+        bad.get("error")
+            .and_then(|e| e.get("kind"))
+            .and_then(|v| v.as_str()),
+        Some("parse"),
+        "{bad}"
+    );
+    let ping = conn.request(r#"{"op": "ping"}"#);
+    assert_eq!(status_of(&ping), "ok");
+
+    let ack = conn.request(r#"{"op": "shutdown"}"#);
+    assert_eq!(status_of(&ack), "ok");
+    assert_eq!(server.wait().code(), Some(0));
 }
 
 #[test]

@@ -129,20 +129,31 @@ impl fmt::Display for Json {
     }
 }
 
+/// Write `s` as a quoted JSON string. Each maximal run that needs no
+/// escaping goes out as one slice, so an unbuffered sink sees a handful
+/// of writes per string rather than one per character. Every escapable
+/// character is ASCII, so cutting at those bytes never splits a UTF-8
+/// sequence.
 fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
-    write!(f, "\"")?;
-    for c in s.chars() {
-        match c {
-            '"' => write!(f, "\\\"")?,
-            '\\' => write!(f, "\\\\")?,
-            '\n' => write!(f, "\\n")?,
-            '\r' => write!(f, "\\r")?,
-            '\t' => write!(f, "\\t")?,
-            c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
-            c => write!(f, "{c}")?,
+    f.write_str("\"")?;
+    let mut start = 0;
+    for (i, &b) in s.as_bytes().iter().enumerate() {
+        if b >= 0x20 && b != b'"' && b != b'\\' {
+            continue;
         }
+        f.write_str(&s[start..i])?;
+        match b {
+            b'"' => f.write_str("\\\"")?,
+            b'\\' => f.write_str("\\\\")?,
+            b'\n' => f.write_str("\\n")?,
+            b'\r' => f.write_str("\\r")?,
+            b'\t' => f.write_str("\\t")?,
+            _ => write!(f, "\\u{b:04x}")?,
+        }
+        start = i + 1;
     }
-    write!(f, "\"")
+    f.write_str(&s[start..])?;
+    f.write_str("\"")
 }
 
 /// A parse error with a byte offset.
@@ -363,6 +374,54 @@ mod tests {
     fn escapes_survive() {
         let j = Json::Str("quote \" back \\ newline \n tab \t".into());
         assert_eq!(Json::parse(&j.to_string()).unwrap(), j);
+    }
+
+    /// The per-character escaper the run-slicing one replaced; its
+    /// output is the byte-for-byte reference.
+    fn reference_escaped(s: &str) -> String {
+        use std::fmt::Write;
+        let mut out = String::from("\"");
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                c if (c as u32) < 0x20 => write!(out, "\\u{:04x}", c as u32).unwrap(),
+                c => out.push(c),
+            }
+        }
+        out.push('"');
+        out
+    }
+
+    fn assert_escapes_like_reference(s: &str) {
+        let j = Json::str(s);
+        let rendered = j.to_string();
+        assert_eq!(rendered, reference_escaped(s), "escaping {s:?}");
+        assert_eq!(Json::parse(&rendered).unwrap(), j, "round trip of {s:?}");
+    }
+
+    #[test]
+    fn escaper_bytes_match_the_per_character_reference() {
+        for c in ('\u{0}'..='\u{ff}').chain(['é', '😀', '\u{2028}']) {
+            assert_escapes_like_reference(&c.to_string());
+            // the same char at the start, middle and end of plain runs
+            assert_escapes_like_reference(&format!("{c}ab"));
+            assert_escapes_like_reference(&format!("ab{c}cd"));
+            assert_escapes_like_reference(&format!("ab{c}"));
+        }
+        for s in [
+            "",
+            "plain run only",
+            "\"lead\" then tail",
+            "head \\ middle \u{1} é \n tail",
+            "caf\u{e9}\t\u{1f600}\r\n\u{2028}\u{7f}\"",
+            "\n\n\"\"\\\\\u{0}\u{1f}",
+        ] {
+            assert_escapes_like_reference(s);
+        }
     }
 
     #[test]

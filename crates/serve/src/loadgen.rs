@@ -11,9 +11,10 @@
 //! `budget_exceeded` is counted separately (it is quota backpressure,
 //! not an error).
 
+use crate::protocol;
 use genpar_obs::Json;
 use std::collections::BTreeMap;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
@@ -191,10 +192,7 @@ fn client_loop(spec: &BenchSpec, client_idx: usize, tenant: &str) -> Result<Benc
         ]);
         report.offered += 1;
         let sent = Instant::now();
-        if writeln!(writer, "{request}")
-            .and_then(|()| writer.flush())
-            .is_err()
-        {
+        if protocol::write_line(&mut writer, &request).is_err() {
             report.errors += 1;
             break; // connection is gone; this client is done
         }

@@ -14,6 +14,10 @@
 //! per-request wall deadline), `workers` (optional worker-count hint,
 //! capped by the server's pool).
 //!
+//! Every message leaves through [`write_line`]: the whole rendered line
+//! in one `write_all`, never a formatter writing straight onto the
+//! socket (with `TCP_NODELAY` that sends one segment per fragment).
+//!
 //! Responses are JSON objects with a `status` discriminant:
 //!
 //! * `ok` — carries `output`, the byte-identical text the one-shot CLI
@@ -29,6 +33,7 @@
 //! * `shutting_down` — the server is draining; no new work accepted.
 
 use genpar_obs::Json;
+use std::io::{self, Write};
 
 /// Protocol operations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -160,6 +165,15 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
         tenant_filter,
         query_id,
     })
+}
+
+/// Send one protocol message: `msg` rendered, plus the `'\n'` that
+/// frames it, handed to `w` in a single `write_all` however finely
+/// `Json`'s `Display` splits its output.
+pub fn write_line(w: &mut impl Write, msg: &Json) -> io::Result<()> {
+    let mut line = msg.to_string();
+    line.push('\n');
+    w.write_all(line.as_bytes())
 }
 
 /// `status: "ok"` response carrying the one-shot CLI output.
@@ -312,5 +326,48 @@ mod tests {
         // newlines in output must be escaped by the JSON renderer
         let r = ok_response(Op::Run, "t", 1, "line1\nline2\n", 1).to_string();
         assert!(!r.contains('\n'), "{r}");
+    }
+
+    /// A sink that records every `write` call it receives.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn write_line_sends_one_write_per_message() {
+        let pieces = [
+            "plain text ",
+            "\"quoted\" ",
+            "back\\slash ",
+            "line\n",
+            "\t\r\u{1}\u{1f}",
+            "café 😀 \u{2028} ",
+        ];
+        let mut output = String::new();
+        while output.len() < 4096 {
+            output.extend(pieces);
+        }
+        let resp = ok_response(Op::Run, "tenant \"x\"", 42, &output, 9);
+        let mut sink = CountingWriter::default();
+        write_line(&mut sink, &resp).unwrap();
+        assert_eq!(sink.writes, 1, "a message must leave in exactly one write");
+        let line = String::from_utf8(sink.bytes).unwrap();
+        let body = line.strip_suffix('\n').expect("the line ends in '\\n'");
+        assert!(!body.contains('\n'), "the trailing '\\n' is the only one");
+        assert_eq!(Json::parse(body).unwrap(), resp);
     }
 }

@@ -26,7 +26,7 @@ use crate::protocol::{self, Op, Request};
 use crate::tenants::Tenants;
 use genpar_guard::ExecBudget;
 use genpar_obs::Json;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -201,21 +201,16 @@ fn session(stream: TcpStream, ctx: &ServerCtx) {
         return;
     };
     let mut reader = BufReader::new(stream);
-    let mut line = String::new();
+    // raw bytes, decoded only once the line is complete: a timeout may
+    // split a multi-byte character, and `read_line` would drop the
+    // bytes it had already consumed on the invalid prefix
+    let mut line = Vec::new();
     loop {
-        match reader.read_line(&mut line) {
+        match reader.read_until(b'\n', &mut line) {
             Ok(0) => break, // client closed
             Ok(_) => {
-                let trimmed = line.trim();
-                if !trimmed.is_empty() {
-                    let resp = match protocol::parse_request(trimmed) {
-                        Ok(req) => handle_request(ctx, &req),
-                        Err(msg) => protocol::parse_error_response(&msg),
-                    };
-                    if writeln!(writer, "{resp}")
-                        .and_then(|()| writer.flush())
-                        .is_err()
-                    {
+                if let Some(resp) = respond(ctx, &line) {
+                    if protocol::write_line(&mut writer, &resp).is_err() {
                         break;
                     }
                 }
@@ -225,7 +220,7 @@ fn session(stream: TcpStream, ctx: &ServerCtx) {
                 }
             }
             // a timeout mid-line leaves the partial read appended to
-            // `line`; the next read_line continues it — don't clear
+            // `line`; the next read_until continues it — don't clear
             Err(e)
                 if matches!(
                     e.kind(),
@@ -240,6 +235,25 @@ fn session(stream: TcpStream, ctx: &ServerCtx) {
             Err(_) => break,
         }
     }
+}
+
+/// The response to one complete request line; `None` for a blank line.
+fn respond(ctx: &ServerCtx, line: &[u8]) -> Option<Json> {
+    let line = match std::str::from_utf8(line) {
+        Ok(line) => line.trim(),
+        Err(e) => {
+            return Some(protocol::parse_error_response(&format!(
+                "request is not UTF-8: {e}"
+            )))
+        }
+    };
+    if line.is_empty() {
+        return None;
+    }
+    Some(match protocol::parse_request(line) {
+        Ok(req) => handle_request(ctx, &req),
+        Err(msg) => protocol::parse_error_response(&msg),
+    })
 }
 
 fn handle_request(ctx: &ServerCtx, req: &Request) -> Json {
