@@ -18,13 +18,13 @@
 //!   timeline and scoped overheads are additionally capped at 5%
 //!   absolute — their tentpoles' bounds).
 //!
-//! Every document is validated against its **declared**
-//! `schema_version`, not against whichever keys happen to be present: a
-//! report that stamps schema v3 but lacks a quantile key v3 promises
-//! (`timeline_overhead`, a `shape` tag, the shape's `p95`) fails loudly
-//! with exit 1 instead of silently skipping the comparison. Only a
-//! *baseline* whose schema genuinely predates a key gets a loud skip —
-//! that is a stale baseline, not a malformed report.
+//! Each report has one schema: `BENCH_parallel.json` and
+//! `BENCH_obs.json` are schema v4, and `BENCH_baseline.json` wraps one
+//! of each. A document declaring any other `schema_version` fails with
+//! exit 1 and a request to regenerate it with `cargo bench`; a v4
+//! document missing a key v4 promises (an overhead, a `shape` tag, the
+//! shape's `p95`, the VM block) fails loudly instead of silently
+//! skipping the comparison.
 //!
 //! When the baseline was recorded on a machine with a different
 //! `hardware_threads` count, latency numbers are not comparable: the
@@ -43,7 +43,9 @@ use std::process::ExitCode;
 
 const P95_RELATIVE_BOUND: f64 = 1.10;
 const OVERHEAD_RELATIVE_BOUND: f64 = 1.10;
-/// VM-vs-AST gates (schema v4, within the current report): the VM-mode
+/// The one `schema_version` both benches write and this gate reads.
+const REPORT_SCHEMA: i128 = 4;
+/// VM-vs-AST gates (within the current report): the VM-mode
 /// morsel p95 may not exceed the AST-mode p95 by more than 10% relative
 /// with a 25µs absolute floor, and the scan-filter `vm_speedup` must
 /// clear 1.2× — the latter only on machines with ≥ 2 hardware threads
@@ -64,15 +66,12 @@ const P95_GATES: [(&str, &str, f64); 2] = [
     ("fixpoint_round_us", "exec.fixpoint_round_us", 25.0),
 ];
 
-/// Gated overheads in `BENCH_obs.json`: `(report key, schema_version
-/// that introduced it)`. The introduction version is what makes the
-/// missing-key check loud: a document *declaring* that version without
-/// the key is malformed; a baseline predating it gets a loud skip.
-const OVERHEAD_GATES: [(&str, i128); 4] = [
-    ("kill_switch_overhead", 1),
-    ("guard_overhead", 2),
-    ("timeline_overhead", 3),
-    ("scoped_overhead", 4),
+/// Gated overheads in `BENCH_obs.json`.
+const OVERHEAD_GATES: [&str; 4] = [
+    "kill_switch_overhead",
+    "guard_overhead",
+    "timeline_overhead",
+    "scoped_overhead",
 ];
 
 fn read_json(path: &str) -> Result<Json, String> {
@@ -88,42 +87,41 @@ fn as_num(j: &Json) -> Option<f64> {
     }
 }
 
-fn schema_version(doc: &Json, what: &str) -> Result<i128, String> {
-    doc.get("schema_version")
-        .and_then(|v| v.as_int())
-        .ok_or_else(|| format!("{what}: report has no schema_version"))
-}
-
-/// The histogram keys one parallel result row promises under its
-/// document's declared schema. Schema v3 rows are shape-tagged and carry
-/// exactly their shape's histogram; schema v2 rows carry both; schema v1
-/// predates the quantile keys entirely.
-fn promised_hists(sv: i128, row: &Json, what: &str, i: usize) -> Result<Vec<&'static str>, String> {
-    if sv >= 3 {
-        match row.get("shape").and_then(|s| s.as_str()) {
-            Some("scan") => Ok(vec!["morsel_us"]),
-            Some("fixpoint") => Ok(vec!["fixpoint_round_us"]),
-            Some(other) => Err(format!(
-                "{what}: results[{i}] has unknown shape \"{other}\" (schema v{sv})"
-            )),
-            None => Err(format!(
-                "{what}: schema v{sv} promises a \"shape\" tag on every result \
-                 but results[{i}] has none"
-            )),
-        }
-    } else if sv == 2 {
-        Ok(vec!["morsel_us", "fixpoint_round_us"])
-    } else {
-        Ok(vec![])
+/// Reject any report whose declared schema is not [`REPORT_SCHEMA`]:
+/// an older report is regenerated, never read through a compatibility
+/// path.
+fn check_schema(doc: &Json, what: &str) -> Result<(), String> {
+    match doc.get("schema_version").and_then(|v| v.as_int()) {
+        Some(REPORT_SCHEMA) => Ok(()),
+        Some(sv) => Err(format!(
+            "{what}: schema v{sv} is not the current v{REPORT_SCHEMA} — regenerate \
+             the report with `cargo bench`"
+        )),
+        None => Err(format!("{what}: report has no schema_version")),
     }
 }
 
-/// Validate a `BENCH_parallel.json` document against its **declared**
-/// schema: every quantile key that schema version promises must be
-/// present. A missing promised key is a hard error — never a silent
-/// skip.
+/// The histogram key one parallel result row promises: rows are
+/// shape-tagged and carry exactly their shape's histogram.
+fn promised_hist(row: &Json, what: &str, i: usize) -> Result<&'static str, String> {
+    match row.get("shape").and_then(|s| s.as_str()) {
+        Some("scan") => Ok("morsel_us"),
+        Some("fixpoint") => Ok("fixpoint_round_us"),
+        Some(other) => Err(format!(
+            "{what}: results[{i}] has unknown shape \"{other}\""
+        )),
+        None => Err(format!(
+            "{what}: schema v{REPORT_SCHEMA} promises a \"shape\" tag on every result \
+             but results[{i}] has none"
+        )),
+    }
+}
+
+/// Validate a `BENCH_parallel.json` document: it must be schema v4 and
+/// carry every key v4 promises. A missing promised key is a hard error —
+/// never a silent skip.
 fn validate_parallel(doc: &Json, what: &str) -> Result<(), String> {
-    let sv = schema_version(doc, what)?;
+    check_schema(doc, what)?;
     let results = doc
         .get("results")
         .and_then(|r| r.as_arr())
@@ -133,53 +131,57 @@ fn validate_parallel(doc: &Json, what: &str) -> Result<(), String> {
             .get("workers")
             .and_then(|v| v.as_int())
             .ok_or_else(|| format!("{what}: results[{i}] has no workers count"))?;
-        for key in promised_hists(sv, r, what, i)? {
-            if r.get(key)
-                .and_then(|m| m.get("p95"))
-                .and_then(as_num)
-                .is_none()
-            {
-                return Err(format!(
-                    "{what}: schema v{sv} promises \"{key}.p95\" on results[{i}] \
-                     (workers {w}) but it is missing"
-                ));
-            }
-        }
-    }
-    // schema v4: the VM-vs-AST comparison block
-    if sv >= 4 {
-        if doc.get("vm_speedup").and_then(as_num).is_none() {
+        let key = promised_hist(r, what, i)?;
+        if r.get(key)
+            .and_then(|m| m.get("p95"))
+            .and_then(as_num)
+            .is_none()
+        {
             return Err(format!(
-                "{what}: schema v{sv} promises numeric \"vm_speedup\""
+                "{what}: schema v{REPORT_SCHEMA} promises \"{key}.p95\" on results[{i}] \
+                 (workers {w}) but it is missing"
             ));
         }
-        let vf = doc
-            .get("vm_filter")
-            .ok_or_else(|| format!("{what}: schema v{sv} promises a \"vm_filter\" object"))?;
-        for key in ["ast_morsel_us", "vm_morsel_us"] {
-            if vf
-                .get(key)
-                .and_then(|m| m.get("p95"))
-                .and_then(as_num)
-                .is_none()
-            {
-                return Err(format!(
-                    "{what}: schema v{sv} promises \"vm_filter.{key}.p95\""
-                ));
-            }
+        if r.get("degrade_steps").and_then(|v| v.as_int()).is_none() {
+            return Err(format!(
+                "{what}: schema v{REPORT_SCHEMA} promises integer \"degrade_steps\" on results[{i}] \
+                 (workers {w})"
+            ));
+        }
+    }
+    // the VM-vs-AST comparison block
+    if doc.get("vm_speedup").and_then(as_num).is_none() {
+        return Err(format!(
+            "{what}: schema v{REPORT_SCHEMA} promises numeric \"vm_speedup\""
+        ));
+    }
+    let vf = doc.get("vm_filter").ok_or_else(|| {
+        format!("{what}: schema v{REPORT_SCHEMA} promises a \"vm_filter\" object")
+    })?;
+    for key in ["ast_morsel_us", "vm_morsel_us"] {
+        if vf
+            .get(key)
+            .and_then(|m| m.get("p95"))
+            .and_then(as_num)
+            .is_none()
+        {
+            return Err(format!(
+                "{what}: schema v{REPORT_SCHEMA} promises \"vm_filter.{key}.p95\""
+            ));
         }
     }
     Ok(())
 }
 
-/// Validate a `BENCH_obs.json` document against its declared schema:
-/// every overhead key that schema version promises must be numeric.
+/// Validate a `BENCH_obs.json` document: it must be schema v4 and every
+/// gated overhead must be numeric.
 fn validate_obs(doc: &Json, what: &str) -> Result<(), String> {
-    let sv = schema_version(doc, what)?;
-    for (key, introduced) in OVERHEAD_GATES {
-        if sv >= introduced && doc.get(key).and_then(as_num).is_none() {
+    check_schema(doc, what)?;
+    for key in OVERHEAD_GATES {
+        if doc.get(key).and_then(as_num).is_none() {
             return Err(format!(
-                "{what}: schema v{sv} promises \"{key}\" but it is missing or non-numeric"
+                "{what}: schema v{REPORT_SCHEMA} promises \"{key}\" but it is missing or \
+                 non-numeric"
             ));
         }
     }
@@ -188,8 +190,8 @@ fn validate_obs(doc: &Json, what: &str) -> Result<(), String> {
 
 /// `workers -> p95` of one per-result histogram (`key`) from a
 /// `BENCH_parallel.json` document. Shape tags never collide here: each
-/// histogram key lives on exactly one shape (or, pre-v3, on every row
-/// exactly once per worker count), so `workers` alone is a unique key.
+/// histogram key lives on exactly one shape, so `workers` alone is a
+/// unique key.
 fn p95_by_workers(parallel: &Json, key: &str) -> Vec<(i128, f64)> {
     let mut out = Vec::new();
     let Some(results) = parallel.get("results").and_then(|r| r.as_arr()) else {
@@ -223,13 +225,17 @@ fn compare(baseline: &Json, parallel: &Json, obs: &Json) -> Result<Vec<String>, 
     // of hardware parity): the clean benchmark path must take zero
     // recovery rungs. A nonzero `degrade_steps` means the measured
     // medians include retry/quarantine/fallback work — the numbers are
-    // not a benchmark of the parallel path at all. Absent on pre-ladder
-    // reports; present implies zero.
+    // not a benchmark of the parallel path at all.
     if let Some(results) = parallel.get("results").and_then(|r| r.as_arr()) {
         for (i, r) in results.iter().enumerate() {
-            let Some(d) = r.get("degrade_steps").and_then(|v| v.as_int()) else {
-                continue;
-            };
+            let d = r
+                .get("degrade_steps")
+                .and_then(|v| v.as_int())
+                .ok_or_else(|| {
+                    format!(
+                        "current parallel report lost results[{i}].degrade_steps after validation"
+                    )
+                })?;
             if d != 0 {
                 let w = r.get("workers").and_then(|v| v.as_int()).unwrap_or(-1);
                 let shape = r
@@ -257,62 +263,54 @@ fn compare(baseline: &Json, parallel: &Json, obs: &Json) -> Result<Vec<String>, 
     // VM-vs-AST gates: compared *within the current report* (same run,
     // same machine — no baseline or hardware parity needed), so they run
     // before the cross-machine skip below.
-    let cur_sv = schema_version(parallel, "current parallel report")?;
-    if cur_sv >= 4 {
-        let speedup = parallel
-            .get("vm_speedup")
+    let speedup = parallel
+        .get("vm_speedup")
+        .and_then(as_num)
+        .ok_or("current parallel report lost \"vm_speedup\" after validation")?;
+    let vf = parallel
+        .get("vm_filter")
+        .ok_or("current parallel report lost \"vm_filter\" after validation")?;
+    let p95_of = |key: &str| {
+        vf.get(key)
+            .and_then(|m| m.get("p95"))
             .and_then(as_num)
-            .ok_or("current parallel report lost \"vm_speedup\" after validation")?;
-        let vf = parallel
-            .get("vm_filter")
-            .ok_or("current parallel report lost \"vm_filter\" after validation")?;
-        let p95_of = |key: &str| {
-            vf.get(key)
-                .and_then(|m| m.get("p95"))
-                .and_then(as_num)
-                .ok_or_else(|| format!("current parallel report lost \"vm_filter.{key}.p95\""))
-        };
-        let ast_p95 = p95_of("ast_morsel_us")?;
-        let vm_p95 = p95_of("vm_morsel_us")?;
-        let bound = (ast_p95 * P95_RELATIVE_BOUND).max(ast_p95 + VM_P95_FLOOR_US);
-        let verdict = if vm_p95 > bound { "REGRESSION" } else { "ok" };
-        println!(
-            "bench-compare: vm_filter morsel p95: VM {vm_p95:.0}µs vs AST {ast_p95:.0}µs \
-             (bound {bound:.0}µs) — {verdict}"
-        );
-        if vm_p95 > bound {
-            regressions.push(format!(
-                "VM-mode morsel p95 regressed vs the AST walker: {vm_p95:.0}µs > \
-                 {bound:.0}µs (AST {ast_p95:.0}µs + 10%, {VM_P95_FLOOR_US:.0}µs floor)"
-            ));
-        }
-        if cur_hw >= 2 {
-            let verdict = if speedup < VM_SPEEDUP_BOUND {
-                "REGRESSION"
-            } else {
-                "ok"
-            };
-            println!(
-                "bench-compare: vm_speedup: {speedup:.2}x (bound {VM_SPEEDUP_BOUND:.1}x) — \
-                 {verdict}"
-            );
-            if speedup < VM_SPEEDUP_BOUND {
-                regressions.push(format!(
-                    "vm_speedup below the acceptance bound: {speedup:.2}x < \
-                     {VM_SPEEDUP_BOUND:.1}x on the scan-filter workload"
-                ));
-            }
+            .ok_or_else(|| format!("current parallel report lost \"vm_filter.{key}.p95\""))
+    };
+    let ast_p95 = p95_of("ast_morsel_us")?;
+    let vm_p95 = p95_of("vm_morsel_us")?;
+    let bound = (ast_p95 * P95_RELATIVE_BOUND).max(ast_p95 + VM_P95_FLOOR_US);
+    let verdict = if vm_p95 > bound { "REGRESSION" } else { "ok" };
+    println!(
+        "bench-compare: vm_filter morsel p95: VM {vm_p95:.0}µs vs AST {ast_p95:.0}µs \
+         (bound {bound:.0}µs) — {verdict}"
+    );
+    if vm_p95 > bound {
+        regressions.push(format!(
+            "VM-mode morsel p95 regressed vs the AST walker: {vm_p95:.0}µs > \
+             {bound:.0}µs (AST {ast_p95:.0}µs + 10%, {VM_P95_FLOOR_US:.0}µs floor)"
+        ));
+    }
+    if cur_hw >= 2 {
+        let verdict = if speedup < VM_SPEEDUP_BOUND {
+            "REGRESSION"
         } else {
-            println!(
-                "bench-compare: vm_speedup SKIPPED — {cur_hw} hardware thread(s): the \
-                 {VM_SPEEDUP_BOUND:.1}x bound is only gated on ≥ 2 threads \
-                 (measured {speedup:.2}x, recorded in the report)"
-            );
+            "ok"
+        };
+        println!(
+            "bench-compare: vm_speedup: {speedup:.2}x (bound {VM_SPEEDUP_BOUND:.1}x) — \
+             {verdict}"
+        );
+        if speedup < VM_SPEEDUP_BOUND {
+            regressions.push(format!(
+                "vm_speedup below the acceptance bound: {speedup:.2}x < \
+                 {VM_SPEEDUP_BOUND:.1}x on the scan-filter workload"
+            ));
         }
     } else {
         println!(
-            "bench-compare: vm gates SKIPPED — current parallel report schema \
-             v{cur_sv} predates vm_speedup (refresh the report)"
+            "bench-compare: vm_speedup SKIPPED — {cur_hw} hardware thread(s): the \
+             {VM_SPEEDUP_BOUND:.1}x bound is only gated on ≥ 2 threads \
+             (measured {speedup:.2}x, recorded in the report)"
         );
     }
 
@@ -327,15 +325,6 @@ fn compare(baseline: &Json, parallel: &Json, obs: &Json) -> Result<Vec<String>, 
     for (key, label, floor_us) in P95_GATES {
         let base_p95 = p95_by_workers(base_parallel, key);
         let cur_p95 = p95_by_workers(parallel, key);
-        if base_p95.is_empty() {
-            // validation already proved the baseline honours its own
-            // schema, so an empty set means the schema predates the key
-            println!(
-                "bench-compare: {label}: baseline schema predates {key} — \
-                 comparison skipped (refresh the baseline)"
-            );
-            continue;
-        }
         for (w, base) in &base_p95 {
             let Some((_, cur)) = cur_p95.iter().find(|(cw, _)| cw == w) else {
                 continue;
@@ -355,51 +344,35 @@ fn compare(baseline: &Json, parallel: &Json, obs: &Json) -> Result<Vec<String>, 
         }
     }
 
-    let base_obs_sv = schema_version(base_obs, "baseline obs section")?;
-    let cur_obs_sv = schema_version(obs, "current obs report")?;
-    for (key, introduced) in OVERHEAD_GATES {
-        if cur_obs_sv < introduced {
-            println!(
-                "bench-compare: obs {key}: current report schema v{cur_obs_sv} predates \
-                 this key — comparison skipped"
-            );
-            continue;
-        }
-        // validation guarantees presence for sv >= introduced
+    for key in OVERHEAD_GATES {
+        // validation guarantees presence
         let cur = obs
             .get(key)
             .and_then(as_num)
             .ok_or_else(|| format!("current obs report lost \"{key}\" after validation"))?;
-        if base_obs_sv < introduced {
-            println!(
-                "bench-compare: obs {key}: baseline schema v{base_obs_sv} predates this \
-                 key — regression comparison skipped (refresh the baseline)"
-            );
-        } else {
-            let base = base_obs
-                .get(key)
-                .and_then(as_num)
-                .ok_or_else(|| format!("baseline obs section lost \"{key}\" after validation"))?;
-            let bound = base * OVERHEAD_RELATIVE_BOUND + OVERHEAD_ABSOLUTE_SLACK;
-            let verdict = if cur > bound { "REGRESSION" } else { "ok" };
-            println!(
-                "bench-compare: obs {key}: {:.2}% vs baseline {:.2}% (bound {:.2}%) — {verdict}",
+        let base = base_obs
+            .get(key)
+            .and_then(as_num)
+            .ok_or_else(|| format!("baseline obs section lost \"{key}\" after validation"))?;
+        let bound = base * OVERHEAD_RELATIVE_BOUND + OVERHEAD_ABSOLUTE_SLACK;
+        let verdict = if cur > bound { "REGRESSION" } else { "ok" };
+        println!(
+            "bench-compare: obs {key}: {:.2}% vs baseline {:.2}% (bound {:.2}%) — {verdict}",
+            cur * 100.0,
+            base * 100.0,
+            bound * 100.0
+        );
+        if cur > bound {
+            regressions.push(format!(
+                "obs {key} regressed: {:.2}% > bound {:.2}% (baseline {:.2}% + 10% rel \
+                 + 0.5pp slack)",
                 cur * 100.0,
-                base * 100.0,
-                bound * 100.0
-            );
-            if cur > bound {
-                regressions.push(format!(
-                    "obs {key} regressed: {:.2}% > bound {:.2}% (baseline {:.2}% + 10% rel \
-                     + 0.5pp slack)",
-                    cur * 100.0,
-                    bound * 100.0,
-                    base * 100.0
-                ));
-            }
+                bound * 100.0,
+                base * 100.0
+            ));
         }
         // timeline and scoped recording each carry their tentpole's
-        // absolute cap, enforced even when the baseline predates the key
+        // absolute cap, on top of the relative bound
         if (key == "timeline_overhead" || key == "scoped_overhead") && cur > TIMELINE_ABSOLUTE_CAP {
             regressions.push(format!(
                 "obs {key} above the absolute cap: {:.2}% > {:.2}%",
@@ -412,94 +385,10 @@ fn compare(baseline: &Json, parallel: &Json, obs: &Json) -> Result<Vec<String>, 
     Ok(regressions)
 }
 
-/// Validate a `BENCH_serve.json` report against its declared schema.
-/// Schema v1 promises the load-shape counters, the latency quantile
-/// block, and — the point of the harness — `mismatches`, which must be
-/// zero: a serve report recording responses that diverged from one-shot
-/// CLI output is a correctness failure, not a performance number.
-/// Schema v2 additionally promises a non-empty `tenants` map splitting
-/// the same counters and quantiles per tenant (the scoped-observability
-/// roll-ups made per-tenant latency measurable).
-fn validate_serve(doc: &Json, what: &str) -> Result<(), String> {
-    let sv = schema_version(doc, what)?;
-    if !(1..=2).contains(&sv) {
-        return Err(format!("{what}: unknown serve schema v{sv}"));
-    }
-    if doc.get("bench").and_then(|b| b.as_str()) != Some("serve") {
-        return Err(format!("{what}: not a serve report (bench != \"serve\")"));
-    }
-    for key in [
-        "clients",
-        "duration_ms",
-        "offered",
-        "completed",
-        "shed",
-        "mismatches",
-    ] {
-        if doc.get(key).and_then(|v| v.as_int()).is_none() {
-            return Err(format!(
-                "{what}: schema v{sv} promises integer key \"{key}\""
-            ));
-        }
-    }
-    if doc.get("throughput_rps").and_then(as_num).is_none() {
-        return Err(format!("{what}: schema v{sv} promises \"throughput_rps\""));
-    }
-    let lat = doc
-        .get("latency_us")
-        .ok_or_else(|| format!("{what}: schema v{sv} promises \"latency_us\""))?;
-    for q in ["p50", "p95", "p99", "max"] {
-        if lat.get(q).and_then(|v| v.as_int()).is_none() {
-            return Err(format!("{what}: schema v{sv} promises latency_us.{q}"));
-        }
-    }
-    if sv >= 2 {
-        let Some(Json::Obj(tenants)) = doc.get("tenants") else {
-            return Err(format!(
-                "{what}: schema v{sv} promises a \"tenants\" object"
-            ));
-        };
-        if tenants.is_empty() {
-            return Err(format!(
-                "{what}: schema v{sv} promises a non-empty \"tenants\" map"
-            ));
-        }
-        for (name, t) in tenants {
-            for key in ["offered", "completed", "shed", "budget_exceeded"] {
-                if t.get(key).and_then(|v| v.as_int()).is_none() {
-                    return Err(format!(
-                        "{what}: schema v{sv} promises integer \"{key}\" on tenant {name:?}"
-                    ));
-                }
-            }
-            let lat = t.get("latency_us").ok_or_else(|| {
-                format!("{what}: schema v{sv} promises latency_us on tenant {name:?}")
-            })?;
-            for q in ["p50", "p95", "p99", "max"] {
-                if lat.get(q).and_then(|v| v.as_int()).is_none() {
-                    return Err(format!(
-                        "{what}: schema v{sv} promises latency_us.{q} on tenant {name:?}"
-                    ));
-                }
-            }
-        }
-    }
-    match doc.get("mismatches").and_then(|v| v.as_int()) {
-        Some(0) => Ok(()),
-        Some(n) => Err(format!(
-            "{what}: {n} served response(s) diverged from one-shot CLI output"
-        )),
-        None => Err(format!(
-            "{what}: schema v{sv} promises integer key \"mismatches\""
-        )),
-    }
-}
-
 fn main() -> ExitCode {
     let mut baseline_path = "BENCH_baseline.json".to_string();
     let mut parallel_path = "BENCH_parallel.json".to_string();
     let mut obs_path = "BENCH_obs.json".to_string();
-    let mut serve_path = "BENCH_serve.json".to_string();
     let mut write_baseline = false;
 
     let argv: Vec<String> = std::env::args().skip(1).collect();
@@ -507,7 +396,7 @@ fn main() -> ExitCode {
     while i < argv.len() {
         match argv[i].as_str() {
             "--write-baseline" => write_baseline = true,
-            "--baseline" | "--parallel" | "--obs" | "--serve" => {
+            "--baseline" | "--parallel" | "--obs" => {
                 let Some(v) = argv.get(i + 1) else {
                     eprintln!("bench-compare: {} needs a file argument", argv[i]);
                     return ExitCode::from(2);
@@ -515,7 +404,6 @@ fn main() -> ExitCode {
                 match argv[i].as_str() {
                     "--baseline" => baseline_path = v.clone(),
                     "--parallel" => parallel_path = v.clone(),
-                    "--serve" => serve_path = v.clone(),
                     _ => obs_path = v.clone(),
                 }
                 i += 1;
@@ -526,26 +414,6 @@ fn main() -> ExitCode {
             }
         }
         i += 1;
-    }
-
-    // the serve report is independent of the baseline comparison: when
-    // present it must be well-formed and byte-identical; when absent the
-    // skip is loud and harmless (not every pipeline runs bench-serve)
-    match read_json(&serve_path) {
-        Ok(serve) => {
-            if let Err(e) = validate_serve(&serve, &format!("{serve_path} (serve report)")) {
-                eprintln!("bench-compare: malformed input — {e}");
-                return ExitCode::FAILURE;
-            }
-            let sv = serve
-                .get("schema_version")
-                .and_then(|v| v.as_int())
-                .unwrap_or(0);
-            println!(
-                "bench-compare: serve report OK — {serve_path} (schema v{sv}, byte-identical)"
-            );
-        }
-        Err(e) => println!("bench-compare: serve SKIPPED — {e}"),
     }
 
     let (parallel, obs) = match (read_json(&parallel_path), read_json(&obs_path)) {
@@ -629,185 +497,170 @@ mod tests {
         format!("{{\"count\": 10, \"p50\": 1.0, \"p95\": {p95}, \"p99\": {p95}}}")
     }
 
-    fn parallel_v3(morsel_p95: f64, round_p95: f64) -> Json {
+    /// A schema-v4 parallel report with the VM block and the given
+    /// result rows.
+    fn parallel_rows(hw: i128, vm_p95: f64, speedup: f64, rows: &str) -> Json {
         j(&format!(
-            "{{\"schema_version\": 3, \"hardware_threads\": 4, \"results\": [
-                {{\"workers\": 4, \"shape\": \"scan\", \"morsel_us\": {}}},
-                {{\"workers\": 4, \"shape\": \"fixpoint\", \"fixpoint_round_us\": {}}}
-            ]}}",
-            hist(morsel_p95),
-            hist(round_p95)
+            "{{\"schema_version\": 4, \"hardware_threads\": {hw}, \
+              \"vm_speedup\": {speedup}, \
+              \"vm_filter\": {{\"workers\": 2, \"ast_morsel_us\": {}, \"vm_morsel_us\": {}}}, \
+              \"results\": [{rows}]}}",
+            hist(100.0),
+            hist(vm_p95),
         ))
     }
 
-    fn obs_v3(timeline: f64) -> Json {
+    /// A schema-v4 parallel report: one scan and one fixpoint row at 4
+    /// workers, and an AST morsel p95 of 100µs in the VM block.
+    fn parallel_v4(hw: i128, round_p95: f64, vm_p95: f64, speedup: f64) -> Json {
+        parallel_rows(
+            hw,
+            vm_p95,
+            speedup,
+            &format!(
+                "{{\"workers\": 4, \"shape\": \"scan\", \"degrade_steps\": 0, \"morsel_us\": {}}},
+                 {{\"workers\": 4, \"shape\": \"fixpoint\", \"degrade_steps\": 0, \
+                   \"fixpoint_round_us\": {}}}",
+                hist(100.0),
+                hist(round_p95)
+            ),
+        )
+    }
+
+    fn obs_v4(timeline: f64, scoped: f64) -> Json {
         j(&format!(
-            "{{\"schema_version\": 3, \"kill_switch_overhead\": 0.01, \
-              \"guard_overhead\": 0.01, \"timeline_overhead\": {timeline}}}"
+            "{{\"schema_version\": 4, \"kill_switch_overhead\": 0.01, \
+              \"guard_overhead\": 0.01, \"timeline_overhead\": {timeline}, \
+              \"scoped_overhead\": {scoped}}}"
         ))
+    }
+
+    fn baseline(parallel: Json, obs: Json) -> Json {
+        Json::obj([("parallel", parallel), ("obs", obs)])
     }
 
     #[test]
-    fn schema3_result_without_shape_fails_loudly() {
-        let doc = j("{\"schema_version\": 3, \"results\": [{\"workers\": 2}]}");
+    fn committed_reports_pass_the_gate() {
+        let parallel = j(include_str!("../../../../BENCH_parallel.json"));
+        let obs = j(include_str!("../../../../BENCH_obs.json"));
+        let base = j(include_str!("../../../../BENCH_baseline.json"));
+        validate_parallel(&parallel, "BENCH_parallel.json").unwrap();
+        validate_obs(&obs, "BENCH_obs.json").unwrap();
+        compare(&base, &parallel, &obs).unwrap();
+    }
+
+    #[test]
+    fn pre_v4_reports_are_rejected_naming_both_schemas() {
+        let v3 = j("{\"schema_version\": 3, \"hardware_threads\": 4, \"results\": []}");
+        let err = validate_parallel(&v3, "t").unwrap_err();
+        assert!(err.contains("v3") && err.contains("v4"), "{err}");
+        let v3 = j("{\"schema_version\": 3, \"kill_switch_overhead\": 0.01, \
+                     \"guard_overhead\": 0.01, \"timeline_overhead\": 0.01}");
+        let err = validate_obs(&v3, "t").unwrap_err();
+        assert!(err.contains("v3") && err.contains("cargo bench"), "{err}");
+        // a stale section inside the baseline fails the comparison too
+        let stale = baseline(v3, obs_v4(0.01, 0.01));
+        let cur = parallel_v4(4, 200.0, 80.0, 1.5);
+        let err = compare(&stale, &cur, &obs_v4(0.01, 0.01)).unwrap_err();
+        assert!(err.contains("baseline parallel section"), "{err}");
+    }
+
+    #[test]
+    fn result_without_shape_fails_loudly() {
+        let doc = parallel_rows(4, 80.0, 1.5, "{\"workers\": 2, \"degrade_steps\": 0}");
         let err = validate_parallel(&doc, "t").unwrap_err();
         assert!(err.contains("shape"), "unhelpful error: {err}");
     }
 
     #[test]
-    fn schema3_scan_without_its_promised_quantile_fails_loudly() {
-        let doc = j("{\"schema_version\": 3, \"results\": [
-            {\"workers\": 2, \"shape\": \"scan\"}]}");
+    fn scan_without_its_promised_quantile_fails_loudly() {
+        let doc = parallel_rows(
+            4,
+            80.0,
+            1.5,
+            "{\"workers\": 2, \"shape\": \"scan\", \"degrade_steps\": 0}",
+        );
         let err = validate_parallel(&doc, "t").unwrap_err();
         assert!(err.contains("morsel_us.p95"), "unhelpful error: {err}");
     }
 
     #[test]
-    fn schema2_without_fixpoint_quantiles_fails_instead_of_silently_skipping() {
-        // the original bug: a v2 document missing the fixpoint histogram
-        // was silently dropped from the gate instead of failing
-        let doc = j(&format!(
-            "{{\"schema_version\": 2, \"results\": [
-                {{\"workers\": 2, \"morsel_us\": {}}}]}}",
-            hist(10.0)
-        ));
-        let err = validate_parallel(&doc, "t").unwrap_err();
-        assert!(
-            err.contains("fixpoint_round_us.p95"),
-            "unhelpful error: {err}"
-        );
+    fn obs_missing_any_gated_overhead_fails_loudly() {
+        for key in OVERHEAD_GATES {
+            let others: Vec<String> = OVERHEAD_GATES
+                .iter()
+                .filter(|k| **k != key)
+                .map(|k| format!("\"{k}\": 0.01"))
+                .collect();
+            let doc = j(&format!("{{\"schema_version\": 4, {}}}", others.join(", ")));
+            let err = validate_obs(&doc, "t").unwrap_err();
+            assert!(err.contains(key), "unhelpful error: {err}");
+        }
+        assert!(validate_obs(&obs_v4(0.01, 0.01), "t").is_ok());
     }
 
     #[test]
-    fn schema1_predates_the_quantile_keys_and_validates_bare() {
-        let doc = j("{\"schema_version\": 1, \"results\": [{\"workers\": 2}]}");
-        assert!(validate_parallel(&doc, "t").is_ok());
-    }
-
-    #[test]
-    fn obs_schema3_without_timeline_overhead_fails_loudly() {
-        let doc = j("{\"schema_version\": 3, \"kill_switch_overhead\": 0.01, \
-                      \"guard_overhead\": 0.01}");
-        let err = validate_obs(&doc, "t").unwrap_err();
-        assert!(err.contains("timeline_overhead"), "unhelpful error: {err}");
-        // a v2 document never promised the key: still valid
-        let v2 = j("{\"schema_version\": 2, \"kill_switch_overhead\": 0.01, \
-                     \"guard_overhead\": 0.01}");
-        assert!(validate_obs(&v2, "t").is_ok());
-    }
-
-    #[test]
-    fn timeline_absolute_cap_applies_even_against_an_older_baseline() {
-        // baseline obs predates timeline_overhead: the relative gate is
-        // skipped loudly, but the 5% absolute cap still fires
-        let baseline = Json::obj([
-            ("parallel", parallel_v3(100.0, 200.0)),
+    fn absolute_caps_fire_inside_the_relative_bound() {
+        // a 7% baseline puts the relative bound above 8%, so 6% passes
+        // it and only the 5% absolute cap can fire
+        for (key, base_obs, over, under) in [
             (
-                "obs",
-                j("{\"schema_version\": 2, \"kill_switch_overhead\": 0.01, \
-                    \"guard_overhead\": 0.01}"),
+                "timeline_overhead",
+                obs_v4(0.07, 0.01),
+                obs_v4(0.06, 0.01),
+                obs_v4(0.04, 0.01),
             ),
-        ]);
-        let over = compare(&baseline, &parallel_v3(100.0, 200.0), &obs_v3(0.08)).unwrap();
-        assert!(
-            over.iter().any(|r| r.contains("absolute cap")),
-            "expected the absolute cap to fire: {over:?}"
-        );
-        let under = compare(&baseline, &parallel_v3(100.0, 200.0), &obs_v3(0.02)).unwrap();
-        assert!(under.is_empty(), "unexpected regressions: {under:?}");
+            (
+                "scoped_overhead",
+                obs_v4(0.01, 0.07),
+                obs_v4(0.01, 0.06),
+                obs_v4(0.01, 0.04),
+            ),
+        ] {
+            let base = baseline(parallel_v4(4, 200.0, 80.0, 1.5), base_obs);
+            let cur = parallel_v4(4, 200.0, 80.0, 1.5);
+            let fired = compare(&base, &cur, &over).unwrap();
+            assert_eq!(fired.len(), 1, "{fired:?}");
+            assert!(
+                fired[0].contains(key) && fired[0].contains("absolute cap"),
+                "expected the {key} absolute cap to fire: {fired:?}"
+            );
+            let fine = compare(&base, &cur, &under).unwrap();
+            assert!(fine.is_empty(), "unexpected regressions: {fine:?}");
+        }
     }
 
     #[test]
     fn shape_tagged_p95_regression_still_gates() {
-        let baseline = Json::obj([
-            ("parallel", parallel_v3(100.0, 200.0)),
-            ("obs", obs_v3(0.01)),
-        ]);
-        let slow = compare(&baseline, &parallel_v3(100.0, 400.0), &obs_v3(0.01)).unwrap();
+        let base = baseline(parallel_v4(4, 200.0, 80.0, 1.5), obs_v4(0.01, 0.01));
+        let slow = compare(
+            &base,
+            &parallel_v4(4, 400.0, 80.0, 1.5),
+            &obs_v4(0.01, 0.01),
+        )
+        .unwrap();
         assert!(
             slow.iter().any(|r| r.contains("exec.fixpoint_round_us")),
             "expected a fixpoint p95 regression: {slow:?}"
         );
-        let fine = compare(&baseline, &parallel_v3(100.0, 200.0), &obs_v3(0.01)).unwrap();
+        let fine = compare(
+            &base,
+            &parallel_v4(4, 200.0, 80.0, 1.5),
+            &obs_v4(0.01, 0.01),
+        )
+        .unwrap();
         assert!(fine.is_empty(), "unexpected regressions: {fine:?}");
     }
 
-    fn serve_v1(mismatches: i64) -> Json {
-        j(&format!(
-            "{{\"bench\": \"serve\", \"schema_version\": 1, \"clients\": 8, \
-              \"duration_ms\": 2000, \"offered\": 100, \"completed\": 98, \
-              \"shed\": 2, \"budget_exceeded\": 0, \"errors\": 0, \
-              \"throughput_rps\": 49.0, \
-              \"latency_us\": {{\"p50\": 900, \"p95\": 2000, \"p99\": 3000, \"max\": 4000}}, \
-              \"byte_identical\": {}, \"mismatches\": {mismatches}}}",
-            mismatches == 0
-        ))
-    }
-
-    fn obs_v4(scoped: f64) -> Json {
-        j(&format!(
-            "{{\"schema_version\": 4, \"kill_switch_overhead\": 0.01, \
-              \"guard_overhead\": 0.01, \"timeline_overhead\": 0.01, \
-              \"scoped_overhead\": {scoped}}}"
-        ))
-    }
-
     #[test]
-    fn obs_schema4_without_scoped_overhead_fails_loudly() {
-        let doc = j("{\"schema_version\": 4, \"kill_switch_overhead\": 0.01, \
-                      \"guard_overhead\": 0.01, \"timeline_overhead\": 0.01}");
-        let err = validate_obs(&doc, "t").unwrap_err();
-        assert!(err.contains("scoped_overhead"), "unhelpful error: {err}");
-        // a v3 document never promised the key: still valid
-        assert!(validate_obs(&obs_v3(0.01), "t").is_ok());
-    }
-
-    #[test]
-    fn scoped_absolute_cap_applies_even_against_an_older_baseline() {
-        // baseline obs is schema v3 (predates scoped_overhead): the
-        // relative gate is skipped loudly, but the 5% cap still fires
-        let baseline = Json::obj([
-            ("parallel", parallel_v3(100.0, 200.0)),
-            ("obs", obs_v3(0.01)),
-        ]);
-        let over = compare(&baseline, &parallel_v3(100.0, 200.0), &obs_v4(0.08)).unwrap();
-        assert!(
-            over.iter()
-                .any(|r| r.contains("scoped_overhead") && r.contains("absolute cap")),
-            "expected the scoped absolute cap to fire: {over:?}"
-        );
-        let under = compare(&baseline, &parallel_v3(100.0, 200.0), &obs_v4(0.02)).unwrap();
-        assert!(under.is_empty(), "unexpected regressions: {under:?}");
-    }
-
-    #[test]
-    fn scoped_overhead_regression_gates_against_a_v4_baseline() {
-        let baseline = Json::obj([
-            ("parallel", parallel_v3(100.0, 200.0)),
-            ("obs", obs_v4(0.01)),
-        ]);
-        let slow = compare(&baseline, &parallel_v3(100.0, 200.0), &obs_v4(0.03)).unwrap();
+    fn scoped_overhead_regression_gates_against_the_baseline() {
+        let base = baseline(parallel_v4(4, 200.0, 80.0, 1.5), obs_v4(0.01, 0.01));
+        let cur = parallel_v4(4, 200.0, 80.0, 1.5);
+        let slow = compare(&base, &cur, &obs_v4(0.01, 0.03)).unwrap();
         assert!(
             slow.iter().any(|r| r.contains("scoped_overhead regressed")),
             "expected a scoped_overhead regression: {slow:?}"
         );
-    }
-
-    /// A schema-v4 parallel report: the v3 shape rows plus the VM block.
-    fn parallel_v4(hw: i128, ast_p95: f64, vm_p95: f64, speedup: f64) -> Json {
-        j(&format!(
-            "{{\"schema_version\": 4, \"hardware_threads\": {hw}, \
-              \"vm_speedup\": {speedup}, \
-              \"vm_filter\": {{\"workers\": 2, \"ast_morsel_us\": {}, \"vm_morsel_us\": {}}}, \
-              \"results\": [
-                {{\"workers\": 4, \"shape\": \"scan\", \"morsel_us\": {}}},
-                {{\"workers\": 4, \"shape\": \"fixpoint\", \"fixpoint_round_us\": {}}}
-            ]}}",
-            hist(ast_p95),
-            hist(vm_p95),
-            hist(100.0),
-            hist(200.0)
-        ))
     }
 
     #[test]
@@ -822,119 +675,50 @@ mod tests {
             err.contains("vm_filter.ast_morsel_us.p95"),
             "unhelpful error: {err}"
         );
-        assert!(validate_parallel(&parallel_v4(4, 100.0, 80.0, 1.5), "t").is_ok());
+        assert!(validate_parallel(&parallel_v4(4, 200.0, 80.0, 1.5), "t").is_ok());
     }
 
     #[test]
     fn vm_p95_regression_vs_ast_gates_within_the_current_report() {
-        // the baseline predates v4 entirely: the within-report gate must
-        // still fire — it needs no baseline at all
-        let baseline = Json::obj([
-            ("parallel", parallel_v3(100.0, 200.0)),
-            ("obs", obs_v3(0.01)),
-        ]);
-        let slow = compare(&baseline, &parallel_v4(4, 100.0, 400.0, 1.5), &obs_v3(0.01)).unwrap();
+        // the baseline ran on other hardware, so every cross-report gate
+        // is skipped: the within-report gate must still fire
+        let base = baseline(parallel_v4(2, 200.0, 80.0, 1.5), obs_v4(0.01, 0.01));
+        let slow = compare(
+            &base,
+            &parallel_v4(4, 200.0, 400.0, 1.5),
+            &obs_v4(0.01, 0.01),
+        )
+        .unwrap();
         assert!(
             slow.iter().any(|r| r.contains("VM-mode morsel p95")),
             "expected a VM p95 regression: {slow:?}"
         );
         // jitter inside the 10% + 25µs envelope passes
-        let fine = compare(&baseline, &parallel_v4(4, 100.0, 120.0, 1.5), &obs_v3(0.01)).unwrap();
+        let fine = compare(
+            &base,
+            &parallel_v4(4, 200.0, 120.0, 1.5),
+            &obs_v4(0.01, 0.01),
+        )
+        .unwrap();
         assert!(fine.is_empty(), "unexpected regressions: {fine:?}");
     }
 
     #[test]
     fn vm_speedup_bound_gates_only_with_enough_hardware() {
-        let baseline = Json::obj([
-            ("parallel", parallel_v3(100.0, 200.0)),
-            ("obs", obs_v3(0.01)),
-        ]);
-        let slow = compare(&baseline, &parallel_v4(4, 100.0, 80.0, 1.05), &obs_v3(0.01)).unwrap();
+        let base = baseline(parallel_v4(4, 200.0, 80.0, 1.5), obs_v4(0.01, 0.01));
+        let obs = obs_v4(0.01, 0.01);
+        let slow = compare(&base, &parallel_v4(4, 200.0, 80.0, 1.05), &obs).unwrap();
         assert!(
             slow.iter().any(|r| r.contains("vm_speedup below")),
             "expected a vm_speedup failure: {slow:?}"
         );
         // one hardware thread: the bound is SKIPPED, not failed
-        let skipped =
-            compare(&baseline, &parallel_v4(1, 100.0, 80.0, 1.05), &obs_v3(0.01)).unwrap();
+        let skipped = compare(&base, &parallel_v4(1, 200.0, 80.0, 1.05), &obs).unwrap();
         assert!(
             !skipped.iter().any(|r| r.contains("vm_speedup")),
             "vm_speedup must be skipped on 1 thread: {skipped:?}"
         );
-        let fast = compare(&baseline, &parallel_v4(4, 100.0, 80.0, 1.4), &obs_v3(0.01)).unwrap();
+        let fast = compare(&base, &parallel_v4(4, 200.0, 80.0, 1.4), &obs).unwrap();
         assert!(fast.is_empty(), "unexpected regressions: {fast:?}");
-    }
-
-    #[test]
-    fn serve_report_with_mismatches_is_a_hard_failure() {
-        assert!(validate_serve(&serve_v1(0), "t").is_ok());
-        let err = validate_serve(&serve_v1(3), "t").unwrap_err();
-        assert!(err.contains("diverged"), "unhelpful error: {err}");
-    }
-
-    fn serve_v2(tenants_body: &str) -> Json {
-        j(&format!(
-            "{{\"bench\": \"serve\", \"schema_version\": 2, \"clients\": 8, \
-              \"duration_ms\": 2000, \"offered\": 100, \"completed\": 98, \
-              \"shed\": 2, \"budget_exceeded\": 0, \"errors\": 0, \
-              \"throughput_rps\": 49.0, \
-              \"latency_us\": {{\"p50\": 900, \"p95\": 2000, \"p99\": 3000, \"max\": 4000}}, \
-              \"tenants\": {tenants_body}, \
-              \"byte_identical\": true, \"mismatches\": 0}}"
-        ))
-    }
-
-    #[test]
-    fn serve_schema2_requires_a_populated_tenants_map() {
-        let good = serve_v2(
-            "{\"bench-1\": {\"offered\": 50, \"completed\": 49, \"shed\": 1, \
-              \"budget_exceeded\": 0, \"errors\": 0, \
-              \"latency_us\": {\"p50\": 900, \"p95\": 2000, \"p99\": 3000, \"max\": 4000}}}",
-        );
-        assert!(validate_serve(&good, "t").is_ok());
-
-        let empty = serve_v2("{}");
-        let err = validate_serve(&empty, "t").unwrap_err();
-        assert!(err.contains("non-empty"), "unhelpful error: {err}");
-
-        let quantless = serve_v2(
-            "{\"bench-1\": {\"offered\": 50, \"completed\": 49, \"shed\": 1, \
-              \"budget_exceeded\": 0, \
-              \"latency_us\": {\"p50\": 900, \"p95\": 2000, \"p99\": 3000}}}",
-        );
-        let err = validate_serve(&quantless, "t").unwrap_err();
-        assert!(
-            err.contains("latency_us.max") && err.contains("bench-1"),
-            "unhelpful error: {err}"
-        );
-    }
-
-    #[test]
-    fn serve_report_missing_promised_keys_fails_loudly() {
-        let doc = j("{\"bench\": \"serve\", \"schema_version\": 1, \"mismatches\": 0}");
-        let err = validate_serve(&doc, "t").unwrap_err();
-        assert!(err.contains("promises"), "unhelpful error: {err}");
-
-        let quantless = j(
-            "{\"bench\": \"serve\", \"schema_version\": 1, \"clients\": 8, \
-              \"duration_ms\": 2000, \"offered\": 1, \"completed\": 1, \"shed\": 0, \
-              \"mismatches\": 0, \"throughput_rps\": 1.0, \
-              \"latency_us\": {\"p50\": 1, \"p95\": 1, \"p99\": 1}}",
-        );
-        let err = validate_serve(&quantless, "t").unwrap_err();
-        assert!(err.contains("latency_us.max"), "unhelpful error: {err}");
-    }
-
-    #[test]
-    fn serve_report_from_a_different_bench_is_rejected() {
-        let doc = j("{\"bench\": \"parallel\", \"schema_version\": 1, \"mismatches\": 0}");
-        let err = validate_serve(&doc, "t").unwrap_err();
-        assert!(err.contains("not a serve report"), "unhelpful error: {err}");
-        let future = j("{\"bench\": \"serve\", \"schema_version\": 9}");
-        let err = validate_serve(&future, "t").unwrap_err();
-        assert!(
-            err.contains("unknown serve schema"),
-            "unhelpful error: {err}"
-        );
     }
 }

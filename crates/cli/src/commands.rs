@@ -103,23 +103,6 @@ pub fn execute(cmd: &Command) -> Result<String, CliError> {
             stats.as_deref(),
             *timeout_ms,
         ),
-        Command::BenchServe {
-            db,
-            port,
-            clients,
-            duration_ms,
-            out,
-            tenant,
-            tenants,
-        } => crate::serve_cmd::bench_serve_cmd(
-            db,
-            *port,
-            *clients,
-            *duration_ms,
-            out,
-            tenant,
-            *tenants,
-        ),
         Command::Stats { action, file } => stats_cmd(action, file),
         Command::Chaos { seed, cases } => chaos_cmd(*seed, *cases),
         Command::Audit => audit(),

@@ -187,8 +187,6 @@ USAGE:
   genpar chaos    [--seed N] [--cases M]
   genpar serve    <db.gdb> --port P [--parallel N] [--tenant-budget SPEC] [--max-inflight N]
                   [--queue N] [--calibration FILE] [--stats FILE] [--timeout MS]
-  genpar bench-serve --port P --db FILE [--clients N] [--duration S] [--out FILE] [--tenant T]
-                  [--tenants N]
   genpar audit
 
   --quiet (any command) or GENPAR_OBS=off disables observability.
@@ -236,12 +234,6 @@ USAGE:
   are shed with an `overloaded` response instead of degrading everyone.
   SIGINT (or the shutdown op) drains in-flight queries, flushes state
   files through the checksummed writer, and exits 0.
-  `genpar bench-serve` drives a live server with N closed-loop socket
-  clients for S seconds, asserts every response byte-identical to the
-  one-shot CLI, and writes BENCH_serve.json schema v2 (flat latency
-  percentiles, throughput, shed count, plus a per-tenant `tenants`
-  map) for bench-compare. --tenants N spreads the clients over N
-  numbered tenants (default 2; `T-1`..`T-N` from --tenant's T).
   The serve `stats` op takes optional \"tenant\"/\"query_id\" fields
   filtering over the per-tenant obs roll-ups retained by the scoped
   registry (each request records into its own scope, rolled up into
@@ -408,31 +400,18 @@ pub enum Command {
         /// per request via the protocol's `timeout_ms` field.
         timeout_ms: Option<u64>,
     },
-    /// `bench-serve --port P --db FILE` — closed-loop load harness
-    /// against a live server.
-    BenchServe {
-        /// The `.gdb` file the server is serving (used to compute the
-        /// one-shot baseline outputs in-process).
-        db: String,
-        /// Server port on 127.0.0.1.
-        port: u16,
-        /// Concurrent closed-loop clients (`--clients`).
-        clients: usize,
-        /// Run duration in milliseconds (`--duration` takes seconds).
-        duration_ms: u64,
-        /// Report file to write (`--out`, default `BENCH_serve.json`).
-        out: String,
-        /// Tenant name stamped on every request (`--tenant`); with
-        /// `tenants > 1` it becomes the prefix of the numbered names.
-        tenant: String,
-        /// How many tenants to spread the clients over (`--tenants`,
-        /// default 2 so the per-tenant report is populated).
-        tenants: usize,
-    },
     /// `audit` — classify the built-in paper catalog.
     Audit,
     /// `--help` or no args.
     Help,
+}
+
+/// Parse a worker count the way both `--parallel` and `GENPAR_PARALLEL`
+/// take it; `source` names the flag or variable in the usage error.
+pub fn parse_workers(source: &str, value: &str) -> Result<usize, CliError> {
+    value
+        .parse::<usize>()
+        .map_err(|e| CliError::usage(format!("bad {source} {value:?}: {e}")))
 }
 
 /// Parse argv (without the program name).
@@ -467,10 +446,7 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
 
     fn take_workers(rest: &mut Vec<&String>) -> Result<Option<usize>, CliError> {
         take_flag(rest, "--parallel")
-            .map(|w| {
-                w.parse::<usize>()
-                    .map_err(|e| CliError::usage(format!("bad --parallel: {e}")))
-            })
+            .map(|w| parse_workers("--parallel", &w))
             .transpose()
     }
 
@@ -677,65 +653,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
                 calibration,
                 stats,
                 timeout_ms,
-            })
-        }
-        "bench-serve" => {
-            let port = take_flag(&mut rest, "--port")
-                .ok_or_else(|| CliError::usage("bench-serve needs --port P"))?;
-            let port = port
-                .parse::<u16>()
-                .map_err(|e| CliError::usage(format!("bad --port {port:?}: {e}")))?;
-            let db = take_flag(&mut rest, "--db")
-                .ok_or_else(|| CliError::usage("bench-serve needs --db FILE"))?;
-            let clients = take_flag(&mut rest, "--clients")
-                .map(|v| {
-                    v.parse::<usize>()
-                        .map_err(|e| CliError::usage(format!("bad --clients {v:?}: {e}")))
-                })
-                .transpose()?
-                .unwrap_or(4);
-            if clients == 0 {
-                return Err(CliError::usage("--clients must be at least 1"));
-            }
-            let duration_ms = match take_flag(&mut rest, "--duration") {
-                Some(v) => {
-                    let secs = v
-                        .parse::<f64>()
-                        .map_err(|e| CliError::usage(format!("bad --duration {v:?}: {e}")))?;
-                    if !(secs > 0.0 && secs.is_finite()) {
-                        return Err(CliError::usage(
-                            "--duration must be a positive number of seconds",
-                        ));
-                    }
-                    (secs * 1000.0) as u64
-                }
-                None => 2000,
-            };
-            let out = take_flag(&mut rest, "--out").unwrap_or_else(|| "BENCH_serve.json".into());
-            let tenant = take_flag(&mut rest, "--tenant").unwrap_or_else(|| "bench".into());
-            let tenants = take_flag(&mut rest, "--tenants")
-                .map(|v| {
-                    v.parse::<usize>()
-                        .map_err(|e| CliError::usage(format!("bad --tenants {v:?}: {e}")))
-                })
-                .transpose()?
-                .unwrap_or(2);
-            if tenants == 0 {
-                return Err(CliError::usage("--tenants must be at least 1"));
-            }
-            if let Some(stray) = rest.first() {
-                return Err(CliError::usage(format!(
-                    "bench-serve takes no positional arguments (got {stray:?})"
-                )));
-            }
-            Ok(Command::BenchServe {
-                db,
-                port,
-                clients,
-                duration_ms,
-                out,
-                tenant,
-                tenants,
             })
         }
         "stats" => {
@@ -958,57 +875,6 @@ mod tests {
                 timeout_ms: Some(500)
             }
         );
-        assert_eq!(
-            parse_args(&argv(&["bench-serve", "--port", "7070", "--db", "x.gdb"])).unwrap(),
-            Command::BenchServe {
-                db: "x.gdb".into(),
-                port: 7070,
-                clients: 4,
-                duration_ms: 2000,
-                out: "BENCH_serve.json".into(),
-                tenant: "bench".into(),
-                tenants: 2
-            }
-        );
-        assert_eq!(
-            parse_args(&argv(&[
-                "bench-serve",
-                "--port",
-                "7070",
-                "--db",
-                "x.gdb",
-                "--clients",
-                "8",
-                "--duration",
-                "1.5",
-                "--out",
-                "o.json",
-                "--tenant",
-                "t1",
-                "--tenants",
-                "3"
-            ]))
-            .unwrap(),
-            Command::BenchServe {
-                db: "x.gdb".into(),
-                port: 7070,
-                clients: 8,
-                duration_ms: 1500,
-                out: "o.json".into(),
-                tenant: "t1".into(),
-                tenants: 3
-            }
-        );
-        assert!(parse_args(&argv(&[
-            "bench-serve",
-            "--port",
-            "7070",
-            "--db",
-            "x.gdb",
-            "--tenants",
-            "0"
-        ]))
-        .is_err());
     }
 
     #[test]
@@ -1037,38 +903,9 @@ mod tests {
         assert!(parse_args(&argv(&["serve", "--port", "7070"])).is_err());
         assert!(parse_args(&argv(&["serve", "--port", "notaport", "x.gdb"])).is_err());
         assert!(parse_args(&argv(&["serve", "--port", "7070", "a.gdb", "b.gdb"])).is_err());
-        // bench-serve: port and db are required; clients must be positive;
-        // duration is seconds and must be a positive finite number
-        assert!(parse_args(&argv(&["bench-serve", "--db", "x.gdb"])).is_err());
-        assert!(parse_args(&argv(&["bench-serve", "--port", "7070"])).is_err());
-        assert!(parse_args(&argv(&[
-            "bench-serve",
-            "--port",
-            "7070",
-            "--db",
-            "x.gdb",
-            "--clients",
-            "0"
-        ]))
-        .is_err());
-        assert!(parse_args(&argv(&[
-            "bench-serve",
-            "--port",
-            "7070",
-            "--db",
-            "x.gdb",
-            "--duration",
-            "-1"
-        ]))
-        .is_err());
-        assert!(parse_args(&argv(&[
-            "bench-serve",
-            "--port",
-            "7070",
-            "--db",
-            "x.gdb",
-            "stray"
-        ]))
-        .is_err());
+        // genpar-benchmark is the load harness; bench-serve is no command
+        let err =
+            parse_args(&argv(&["bench-serve", "--port", "7070", "--db", "x.gdb"])).unwrap_err();
+        assert_eq!(err.kind, ErrorKind::Usage);
     }
 }

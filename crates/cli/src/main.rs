@@ -5,7 +5,7 @@
 //! error, 4 budget exceeded, 5 internal error (injected fault or
 //! caught panic).
 
-use genpar_cli::{commands, parse_args, CliError};
+use genpar_cli::{commands, parse_args, parse_workers, CliError};
 
 fn fail(e: &CliError) -> ! {
     eprintln!("error: {e}");
@@ -25,6 +25,19 @@ fn main() {
     // (FaultSpecError already names the env var in its rendering.)
     if let Err(e) = genpar_guard::arm_faults_from_env() {
         fail(&CliError::usage(e.to_string()));
+    }
+
+    // GENPAR_RETRY and GENPAR_PARALLEL are read where the executor runs,
+    // which falls back to defaults; a malformed value is refused here.
+    // Empty means unset for both.
+    if let Err(e) = genpar_guard::RetryPolicy::from_env() {
+        fail(&CliError::usage(e.to_string()));
+    }
+    let parallel = std::env::var(genpar_exec::PARALLEL_ENV).unwrap_or_default();
+    if !parallel.trim().is_empty() {
+        if let Err(e) = parse_workers(genpar_exec::PARALLEL_ENV, parallel.trim()) {
+            fail(&e);
+        }
     }
 
     // GENPAR_BUDGET=rows=N,cells=N,steps=N,depth=N,powerset=N arms an

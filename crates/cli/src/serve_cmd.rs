@@ -1,5 +1,4 @@
-//! `genpar serve` and `genpar bench-serve`: the resident query service
-//! and its closed-loop load harness.
+//! `genpar serve`: the resident query service.
 //!
 //! [`ServeState`] is the bridge between the protocol-agnostic server in
 //! `genpar-serve` and this crate's command internals: it loads the
@@ -16,13 +15,10 @@ use crate::commands::{
 };
 use crate::{dbfile, CliError};
 use genpar_engine::Catalog;
-use genpar_obs::Json;
 use genpar_optimizer::{Calibration, RuleSet, StatsStore};
-use genpar_serve::loadgen::{run_bench, BenchSpec};
 use genpar_serve::protocol::Op;
 use genpar_serve::server::{HandlerError, QueryHandler, ServeConfig};
 use std::sync::{Arc, RwLock};
-use std::time::Duration;
 
 /// Resident server state: everything a request needs, loaded once.
 pub struct ServeState {
@@ -209,185 +205,4 @@ pub fn serve_cmd(
         default_timeout_ms: timeout_ms,
     };
     genpar_serve::server::serve(&cfg, Arc::new(state)).map_err(CliError::runtime)
-}
-
-/// The query mix `bench-serve` drives: one of each parallel route (plain
-/// partitioned shapes, every combiner, a per-round fixpoint), filtered
-/// to the relations the target database actually defines.
-const BENCH_QUERIES: &[&str] = &[
-    "pi[$1](R)",
-    "select[$1=$2](R)",
-    "union(R, S)",
-    "diff(R, S)",
-    "pi[$1,$4](join[$2=$1](R, S))",
-    "count(R)",
-    "sum[$2](R)",
-    "fix[X](E, pi[$1,$4](join[$2=$1](X, E)))",
-];
-
-/// `genpar bench-serve --port P --db FILE --clients N --duration S`:
-/// the closed-loop load harness. Computes each query's one-shot output
-/// in-process first, drives real socket clients against the live
-/// server (spread over `tenant_count` tenants so per-tenant roll-ups
-/// are exercised), asserts every `ok` response byte-identical, and
-/// writes a `BENCH_serve.json` schema v2 report (flat totals plus a
-/// `tenants` map of per-tenant latency quantiles) for bench-compare.
-pub fn bench_serve_cmd(
-    db: &str,
-    port: u16,
-    clients: usize,
-    duration_ms: u64,
-    out: &str,
-    tenant: &str,
-    tenant_count: usize,
-) -> Result<String, CliError> {
-    let dbv = dbfile::load_db(db)?;
-    let catalog = catalog_from_db(&dbv)?;
-    let defined: std::collections::BTreeSet<&str> =
-        catalog.tables().map(|t| t.name.as_str()).collect();
-    let mut queries = Vec::new();
-    for text in BENCH_QUERIES {
-        let q = parse_q(text)?;
-        if !q.rel_names().iter().all(|n| defined.contains(n.as_str())) {
-            continue;
-        }
-        // serial one-shot output is THE baseline: the serial-vs-parallel
-        // differential oracle already guarantees route-independence, so
-        // any served divergence is a serve-layer bug
-        let expected = run_with(text, &dbv, &catalog, Some(1))?;
-        queries.push((text.to_string(), expected));
-    }
-    if queries.is_empty() {
-        return Err(CliError::usage(format!(
-            "bench-serve: {db} defines none of the bench relations (R, S, E)"
-        )));
-    }
-    let n_queries = queries.len();
-    // N > 1 tenants get numbered names; N == 1 keeps the plain name so
-    // single-tenant runs read naturally in the report
-    let tenants: Vec<String> = if tenant_count.max(1) > 1 {
-        (1..=tenant_count)
-            .map(|i| format!("{tenant}-{i}"))
-            .collect()
-    } else {
-        vec![tenant.to_string()]
-    };
-    let spec = BenchSpec {
-        addr: format!("127.0.0.1:{port}"),
-        clients: clients.max(1),
-        duration: Duration::from_millis(duration_ms),
-        tenants,
-        queries,
-    };
-    let report = run_bench(&spec).map_err(CliError::runtime)?;
-
-    let max_us = report.latencies_us.last().copied().unwrap_or(0);
-    let tenants_json = Json::Obj(
-        report
-            .tenants
-            .iter()
-            .map(|(name, t)| {
-                (
-                    name.clone(),
-                    Json::obj([
-                        ("offered", Json::Int(t.offered as i128)),
-                        ("completed", Json::Int(t.completed as i128)),
-                        ("shed", Json::Int(t.shed as i128)),
-                        ("budget_exceeded", Json::Int(t.budget_exceeded as i128)),
-                        ("errors", Json::Int(t.errors as i128)),
-                        (
-                            "latency_us",
-                            Json::obj([
-                                ("p50", Json::Int(t.percentile_us(50.0) as i128)),
-                                ("p95", Json::Int(t.percentile_us(95.0) as i128)),
-                                ("p99", Json::Int(t.percentile_us(99.0) as i128)),
-                                (
-                                    "max",
-                                    Json::Int(t.latencies_us.last().copied().unwrap_or(0) as i128),
-                                ),
-                            ]),
-                        ),
-                    ]),
-                )
-            })
-            .collect(),
-    );
-    let doc = Json::obj([
-        ("bench", Json::str("serve")),
-        ("schema_version", Json::Int(2)),
-        ("clients", Json::Int(spec.clients as i128)),
-        (
-            "duration_ms",
-            Json::Int(report.elapsed.as_millis().min(u64::MAX as u128) as i128),
-        ),
-        ("queries", Json::Int(n_queries as i128)),
-        ("offered", Json::Int(report.offered as i128)),
-        ("completed", Json::Int(report.completed as i128)),
-        ("shed", Json::Int(report.shed as i128)),
-        ("budget_exceeded", Json::Int(report.budget_exceeded as i128)),
-        ("errors", Json::Int(report.errors as i128)),
-        ("throughput_rps", Json::Num(report.throughput_rps())),
-        (
-            "latency_us",
-            Json::obj([
-                ("p50", Json::Int(report.percentile_us(50.0) as i128)),
-                ("p95", Json::Int(report.percentile_us(95.0) as i128)),
-                ("p99", Json::Int(report.percentile_us(99.0) as i128)),
-                ("max", Json::Int(max_us as i128)),
-            ]),
-        ),
-        ("tenants", tenants_json),
-        ("byte_identical", Json::Bool(report.mismatches == 0)),
-        ("mismatches", Json::Int(report.mismatches as i128)),
-    ]);
-    std::fs::write(out, format!("{doc}\n"))
-        .map_err(|e| CliError::runtime(format!("cannot write {out}: {e}")))?;
-
-    if report.mismatches > 0 {
-        return Err(CliError::internal(format!(
-            "bench-serve: {} response(s) diverged from one-shot CLI output; first: {}",
-            report.mismatches,
-            report
-                .first_mismatch
-                .as_deref()
-                .unwrap_or("(sample unavailable)")
-        )));
-    }
-    if report.completed == 0 {
-        return Err(CliError::runtime(format!(
-            "bench-serve: no request completed against 127.0.0.1:{port} — is the server up?"
-        )));
-    }
-    let mut summary = format!(
-        "bench-serve: {} clients x {:.1}s against 127.0.0.1:{port} ({n_queries} queries, {} tenants)\n\
-         offered {} / completed {} / shed {} / budget {} / errors {}\n\
-         throughput {:.1} req/s, latency p50 {}us p95 {}us p99 {}us max {max_us}us\n",
-        spec.clients,
-        report.elapsed.as_secs_f64(),
-        spec.tenants.len(),
-        report.offered,
-        report.completed,
-        report.shed,
-        report.budget_exceeded,
-        report.errors,
-        report.throughput_rps(),
-        report.percentile_us(50.0),
-        report.percentile_us(95.0),
-        report.percentile_us(99.0),
-    );
-    for (name, t) in &report.tenants {
-        summary.push_str(&format!(
-            "  tenant {name}: completed {} / shed {} / budget {}, p50 {}us p95 {}us p99 {}us\n",
-            t.completed,
-            t.shed,
-            t.budget_exceeded,
-            t.percentile_us(50.0),
-            t.percentile_us(95.0),
-            t.percentile_us(99.0),
-        ));
-    }
-    summary.push_str(&format!(
-        "every response byte-identical to one-shot output; report written to {out}\n"
-    ));
-    Ok(summary)
 }

@@ -15,7 +15,8 @@ fn genpar() -> Command {
     // The CI parallel job exports these globally; tests pin their own.
     cmd.env_remove("GENPAR_FAULTS")
         .env_remove("GENPAR_BUDGET")
-        .env_remove("GENPAR_PARALLEL");
+        .env_remove("GENPAR_PARALLEL")
+        .env_remove("GENPAR_RETRY");
     cmd
 }
 
@@ -199,6 +200,84 @@ fn env_budget_steps_deadline_exits_4() {
         .unwrap();
     assert_no_panic(&out);
     assert_eq!(out.status.code(), Some(4), "stderr: {}", stderr_of(&out));
+}
+
+#[test]
+fn malformed_retry_and_parallel_env_vars_are_usage_errors() {
+    let db = small_db();
+    let db = db.to_str().unwrap();
+    let retry_run: &[&str] = &["run", "--parallel", "2", "--db", db, "R"];
+    let plain_run: &[&str] = &["run", "--db", db, "R"];
+    for (var, value, args) in [
+        ("GENPAR_RETRY", "banana", retry_run),
+        ("GENPAR_RETRY", "17", retry_run),
+        ("GENPAR_PARALLEL", "two", plain_run),
+        ("GENPAR_PARALLEL", "-1", plain_run),
+    ] {
+        let out = genpar().env(var, value).args(args).output().unwrap();
+        assert_no_panic(&out);
+        assert_eq!(
+            out.status.code(),
+            Some(2),
+            "{var}={value}: stderr: {}",
+            stderr_of(&out)
+        );
+        assert!(stderr_of(&out).contains(var), "{}", stderr_of(&out));
+    }
+    // empty means unset: CI runs `GENPAR_PARALLEL= genpar run ...`
+    for var in ["GENPAR_RETRY", "GENPAR_PARALLEL"] {
+        let out = genpar().env(var, "").args(plain_run).output().unwrap();
+        assert_eq!(out.status.code(), Some(0), "{var}=: {}", stderr_of(&out));
+    }
+}
+
+#[test]
+fn retry_env_var_sets_the_retry_rung() {
+    // with GENPAR_RETRY=0 a single morsel fault skips the retry rung and
+    // degrades to serial; by default it is retried in place. Either
+    // way the answer is the serial one.
+    let db = small_db();
+    let db = db.to_str().unwrap();
+    let query = "pi[$1,$4](join[$1=$1](R, S))";
+    let serial = genpar().args(["run", "--db", db, query]).output().unwrap();
+    assert_eq!(serial.status.code(), Some(0), "{}", stderr_of(&serial));
+    for (retry, taken, skipped) in [
+        (
+            Some("0"),
+            "exec.degrade_step.serial = 1",
+            "exec.degrade_step.retry",
+        ),
+        (
+            None,
+            "exec.degrade_step.retry = 1",
+            "exec.degrade_step.serial",
+        ),
+    ] {
+        let armed = || {
+            let mut cmd = genpar();
+            cmd.env("GENPAR_FAULTS", "exec.morsel:1");
+            if let Some(n) = retry {
+                cmd.env("GENPAR_RETRY", n);
+            }
+            cmd
+        };
+        let prof = armed()
+            .args(["profile", "--parallel", "4", "--db", db, query])
+            .output()
+            .unwrap();
+        assert_no_panic(&prof);
+        assert_eq!(prof.status.code(), Some(0), "{}", stderr_of(&prof));
+        let text = String::from_utf8_lossy(&prof.stdout);
+        assert!(text.contains(taken), "GENPAR_RETRY={retry:?}: {text}");
+        assert!(!text.contains(skipped), "GENPAR_RETRY={retry:?}: {text}");
+
+        let run = armed()
+            .args(["run", "--parallel", "4", "--db", db, query])
+            .output()
+            .unwrap();
+        assert_eq!(run.status.code(), Some(0), "{}", stderr_of(&run));
+        assert_eq!(run.stdout, serial.stdout, "GENPAR_RETRY={retry:?}");
+    }
 }
 
 #[test]

@@ -3,6 +3,7 @@
 //! assert the three contracts the subsystem makes:
 //!
 //! * served `output` is byte-identical to the one-shot CLI's stdout,
+//!   also under concurrent multi-tenant load with a fault armed,
 //! * SIGINT mid-load drains in-flight work and flushes state files
 //!   through the checksummed atomic writer (exit 0, file verifies),
 //! * an exhausted tenant is isolated — its `budget_exceeded` never
@@ -57,7 +58,12 @@ struct Server {
 
 impl Server {
     fn spawn(db: &std::path::Path, extra: &[&str]) -> Server {
+        Server::spawn_env(db, extra, &[])
+    }
+
+    fn spawn_env(db: &std::path::Path, extra: &[&str], env: &[(&str, &str)]) -> Server {
         let mut cmd = genpar();
+        cmd.envs(env.iter().copied());
         cmd.args([
             "serve",
             db.to_str().unwrap(),
@@ -95,10 +101,6 @@ impl Server {
             addr: addr.expect("server never printed its readiness line"),
             child,
         }
-    }
-
-    fn port(&self) -> String {
-        self.addr.rsplit(':').next().unwrap().to_string()
     }
 
     fn connect(&self) -> Conn {
@@ -285,46 +287,98 @@ fn requests_split_inside_a_character_or_not_utf8_are_answered() {
     assert_eq!(server.wait().code(), Some(0));
 }
 
+/// One query of every parallel route: plainly partitioned shapes, every
+/// combiner, and a per-round fixpoint.
+const ROUTE_QUERIES: [&str; 8] = [
+    "pi[$1](R)",
+    "select[$1=$2](R)",
+    "union(R, S)",
+    "diff(R, S)",
+    "pi[$1,$4](join[$2=$1](R, S))",
+    "count(R)",
+    "sum[$2](R)",
+    "fix[X](E, pi[$1,$4](join[$2=$1](X, E)))",
+];
+
+/// Concurrent clients spread over several tenants, with a morsel fault
+/// armed in the server: every served answer must still equal the
+/// one-shot answer, whatever route, worker or recovery rung produced it.
 #[test]
-fn bench_serve_closed_loop_reports_byte_identity() {
-    let db = small_db();
-    let server = Server::spawn(&db, &[]);
-    let report_path = tmp_path("bench", "json");
-
-    let out = genpar()
-        .args([
-            "bench-serve",
-            "--port",
-            &server.port(),
-            "--db",
-            db.to_str().unwrap(),
-            "--clients",
-            "4",
-            "--duration",
-            "1",
-            "--out",
-            report_path.to_str().unwrap(),
-        ])
-        .output()
-        .unwrap();
-    assert_eq!(
-        out.status.code(),
-        Some(0),
-        "bench-serve failed: {}",
-        String::from_utf8_lossy(&out.stderr)
+fn concurrent_tenants_under_an_armed_fault_get_one_shot_answers() {
+    const CLIENTS: usize = 8;
+    const TENANTS: usize = 4;
+    const REPEATS: usize = 3;
+    let db = write_db(
+        "R = {(1, 2), (2, 3), (3, 4), (4, 5)}\nS = {(1, 9), (2, 8)}\n\
+         E = {(1, 2), (2, 3), (3, 4), (4, 5), (5, 6)}\n",
+    );
+    let expected: Vec<(&str, String)> = ROUTE_QUERIES
+        .iter()
+        .map(|q| (*q, one_shot(&db, "run", q)))
+        .collect();
+    let stats_path = tmp_path("stats", "json");
+    let stats = stats_path.to_str().unwrap();
+    let server = Server::spawn_env(
+        &db,
+        &["--stats", stats],
+        &[("GENPAR_FAULTS", "exec.morsel:2")],
     );
 
-    let doc = Json::parse(&std::fs::read_to_string(&report_path).unwrap()).unwrap();
-    assert_eq!(doc.get("bench").and_then(|v| v.as_str()), Some("serve"));
-    assert_eq!(doc.get("mismatches").and_then(|v| v.as_int()), Some(0));
-    assert!(
-        doc.get("completed").and_then(|v| v.as_int()).unwrap_or(0) > 0,
-        "no requests completed: {doc}"
-    );
+    let barrier = std::sync::Barrier::new(CLIENTS);
+    std::thread::scope(|s| {
+        for client in 0..CLIENTS {
+            let (server, barrier, expected) = (&server, &barrier, &expected);
+            s.spawn(move || {
+                let tenant = format!("tenant-{}", client % TENANTS);
+                let mut conn = server.connect();
+                barrier.wait();
+                for _ in 0..REPEATS {
+                    for (query, want) in expected {
+                        let req = Json::obj([
+                            ("op", Json::str("run")),
+                            ("query", Json::str(*query)),
+                            ("tenant", Json::str(&tenant)),
+                        ]);
+                        let resp = conn.request(&req.to_string());
+                        assert_eq!(status_of(&resp), "ok", "{query}: {resp}");
+                        assert_eq!(
+                            &output_of(&resp),
+                            want,
+                            "served {query} for {tenant} diverged from the one-shot CLI"
+                        );
+                    }
+                }
+            });
+        }
+    });
 
     let mut conn = server.connect();
-    conn.request(r#"{"op": "shutdown"}"#);
+    let totals = conn.request(r#"{"op": "stats"}"#);
+    let degrade_steps = totals.get("degrade_steps").and_then(|v| v.as_int());
+    assert!(
+        degrade_steps.is_some_and(|d| d >= 1),
+        "the armed morsel fault never fired: {totals}"
+    );
+    let per_tenant = (CLIENTS / TENANTS * REPEATS * ROUTE_QUERIES.len()) as i128;
+    for t in 0..TENANTS {
+        let tenant = format!("tenant-{t}");
+        let req = Json::obj([("op", Json::str("stats")), ("tenant", Json::str(&tenant))]);
+        let resp = conn.request(&req.to_string());
+        let queries = resp
+            .get("tenant_rollup")
+            .and_then(|r| r.get("queries"))
+            .and_then(|v| v.as_int());
+        assert_eq!(queries, Some(per_tenant), "{tenant}: {resp}");
+    }
+
+    let ack = conn.request(r#"{"op": "shutdown"}"#);
+    assert_eq!(status_of(&ack), "ok");
     assert_eq!(server.wait().code(), Some(0));
+    let text = std::fs::read_to_string(&stats_path).unwrap();
+    assert!(
+        text.starts_with(genpar_optimizer::persist::CHECKSUM_MAGIC),
+        "flushed stats file is missing its checksum header: {text}"
+    );
 }
 
 #[test]

@@ -15,21 +15,16 @@
 //! * [`server`] — session threads, per-request wall deadlines, one
 //!   process-wide morsel worker pool, and a graceful drain that flushes
 //!   state files through the checksummed atomic writer.
-//! * [`loadgen`] — the closed-loop harness behind `genpar bench-serve`,
-//!   asserting every served response byte-identical to the one-shot
-//!   CLI.
 
 #![warn(missing_docs)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod admission;
-pub mod loadgen;
 pub mod protocol;
 pub mod server;
 pub mod tenants;
 
 pub use admission::{Admission, Admit, Ticket};
-pub use loadgen::{run_bench, BenchReport, BenchSpec};
 pub use protocol::{parse_request, Op, Request};
 pub use server::{request_shutdown, serve, HandlerError, QueryHandler, ServeConfig};
 pub use tenants::Tenants;
