@@ -385,21 +385,26 @@ pub(crate) fn run_with(
 ) -> Result<String, CliError> {
     let q = parse_q(query)?;
     let w = resolve_workers(workers);
-    if w > 1 {
-        // The partition-safety gate: queries the genericity checker
-        // certifies run on the parallel executor — plainly partitioned,
-        // as per-round fixpoint evaluation, or through a combiner.
-        // Everything else takes the serial interpreter below, with a
-        // recorded fallback.
+    // The partition-safety gate: queries the genericity checker
+    // certifies run on the executor — plainly partitioned, as per-round
+    // fixpoint evaluation, or through a combiner. At one worker only a
+    // certified fixpoint does (its prepared rounds beat the walker's
+    // naive loop), so the gate runs there only for a root fixpoint.
+    // Everything else takes the serial interpreter below, with a
+    // recorded fallback when more workers were asked for.
+    if w > 1 || matches!(q, Query::Fixpoint { .. }) {
         let verdict = partition_safety(&q);
-        if verdict.parallel_eligible() {
+        let fixpoint = matches!(verdict, PartitionSafety::FixpointRoundSafe { .. });
+        if fixpoint || (w > 1 && verdict.parallel_eligible()) {
             let cfg = ExecConfig::serial().with_workers(w);
             let (v, _stats, _route) =
-                genpar_exec::eval_query(&q, catalog, &cfg).map_err(CliError::from)?;
+                genpar_exec::eval_verdict(&q, verdict, catalog, &cfg).map_err(CliError::from)?;
             return Ok(format!("{v}\n"));
         }
         if let PartitionSafety::Unsafe { op, reason } = verdict {
-            genpar_exec::note_fallback(op, reason);
+            if w > 1 {
+                genpar_exec::note_fallback(op, reason);
+            }
         }
     }
     let v = genpar_algebra::eval::eval(&q, db).map_err(CliError::from)?;
@@ -663,6 +668,10 @@ pub(crate) fn explain_with(
             let _ = writeln!(
                 out,
                 "  each round's body runs on the morsel pool; deltas are canonically merged (semi-naive when the body is delta-linear)"
+            );
+            let _ = writeln!(
+                out,
+                "  the body is lowered once; its loop-invariant inputs are evaluated and indexed once, before round 1"
             );
             serial_hint(&mut out, w);
         }
@@ -1619,6 +1628,10 @@ mod tests {
         assert!(out.contains("fixpoint round-safe"), "{out}");
         assert!(out.contains("per-round body certified"), "{out}");
         assert!(out.contains("morsel pool"), "{out}");
+        assert!(
+            out.contains("loop-invariant inputs are evaluated and indexed once"),
+            "{out}"
+        );
         assert!(!out.contains("falls back to serial"), "{out}");
         // both routes costed: the parallel one pays per-round startup
         assert!(out.contains("serial route:"), "{out}");

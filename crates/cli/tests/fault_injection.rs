@@ -202,6 +202,59 @@ fn env_budget_steps_deadline_exits_4() {
     assert_eq!(out.status.code(), Some(4), "stderr: {}", stderr_of(&out));
 }
 
+fn example_db() -> String {
+    format!(
+        "{}/../../examples/data/example_2_2.gdb",
+        env!("CARGO_MANIFEST_DIR")
+    )
+}
+
+/// A certified transitive closure: it takes the per-round fixpoint route
+/// at every worker count, one included.
+const CLOSURE: &str = "fix[X](r1, pi[$1,$4](join[$2=$1](X, r1)))";
+
+#[test]
+fn one_worker_fixpoint_round_fault_is_retried_with_the_clean_answer() {
+    let db = example_db();
+    let clean = genpar()
+        .args(["run", "--db", &db, CLOSURE])
+        .output()
+        .unwrap();
+    assert_eq!(clean.status.code(), Some(0), "{}", stderr_of(&clean));
+    let out = genpar()
+        .env("GENPAR_FAULTS", "exec.fixpoint_round:1")
+        .args(["run", "--db", &db, CLOSURE])
+        .output()
+        .unwrap();
+    assert_no_panic(&out);
+    assert_eq!(out.status.code(), Some(0), "stderr: {}", stderr_of(&out));
+    assert_eq!(
+        out.stdout, clean.stdout,
+        "a retried round changed the answer"
+    );
+}
+
+#[test]
+fn fixpoint_depth_budget_exits_4_on_the_executor_at_every_worker_count() {
+    let db = example_db();
+    // one worker is the default: no --parallel
+    for workers in [&[][..], &["--parallel", "2"][..]] {
+        let out = genpar()
+            .env("GENPAR_BUDGET", "depth=1")
+            .args(["run", "--db", &db])
+            .args(workers)
+            .arg(CLOSURE)
+            .output()
+            .unwrap();
+        assert_no_panic(&out);
+        assert_eq!(out.status.code(), Some(4), "stderr: {}", stderr_of(&out));
+        let err = stderr_of(&out);
+        assert!(err.contains("fixpoint"), "{err}");
+        // the executor's partial progress, not the walker's
+        assert!(err.contains("probes"), "{workers:?}: {err}");
+    }
+}
+
 #[test]
 fn malformed_retry_and_parallel_env_vars_are_usage_errors() {
     let db = small_db();

@@ -454,6 +454,88 @@ pub(crate) fn par_join(
     merge(parts, ctx, "plan.HashJoin")
 }
 
+/// A join side that does not change between fixpoint rounds, indexed
+/// once on its key column so each round only probes it: the rows sorted
+/// by key (already so when the key is the first column, as rows arrive
+/// canonical), probed by binary search.
+pub(crate) struct JoinIndex {
+    key: usize,
+    rows: Rows,
+}
+
+impl JoinIndex {
+    /// Index `rows` on column `key`. The stats count the build rows once,
+    /// as [`par_join`] counts them on every run.
+    pub(crate) fn build(mut rows: Rows, key: usize) -> Result<(JoinIndex, ExecStats), ExecError> {
+        if rows.iter().any(|r| r.len() <= key) {
+            return Err(ExecError::Eval(format!("join column {key} missing")));
+        }
+        rows.sort_by(|a, b| a[key].cmp(&b[key]));
+        let stats = ExecStats {
+            rows_processed: rows.len() as u64,
+            cells_processed: row_cells(&rows),
+            ..ExecStats::default()
+        };
+        Ok((JoinIndex { key, rows }, stats))
+    }
+
+    /// The indexed rows whose key column equals `k`.
+    fn matches(&self, k: &Value) -> &[Vec<Value>] {
+        let key = self.key;
+        let lo = self.rows.partition_point(|r| r[key] < *k);
+        let n = self.rows[lo..].partition_point(|r| r[key] == *k);
+        &self.rows[lo..lo + n]
+    }
+}
+
+/// Hash join against a prebuilt [`JoinIndex`]: the probe rows are cut
+/// into morsels (one morsel runs inline, more fan out on the pool) and
+/// each probes the shared index. `build_left` says the index holds the
+/// join's left side, so joined rows keep the plan's column order.
+pub(crate) fn probe_join(
+    probe: &[Vec<Value>],
+    index: &JoinIndex,
+    on: &[(usize, usize)],
+    build_left: bool,
+    ctx: &Ctx,
+) -> Result<(Rows, ExecStats), ExecError> {
+    let Some(&(i0, j0)) = on.first() else {
+        return Err(ExecError::Internal("probe join without a key".to_string()));
+    };
+    let pk = if build_left { j0 } else { i0 };
+    let tasks: Vec<&[Vec<Value>]> = probe.chunks(ctx.morsel_rows()).collect();
+    let parts = run_timed(ctx, TaskKind::Morsel, tasks, |_, morsel| {
+        enter_morsel(ctx, morsel, "plan.HashJoin")?;
+        let mut stats = ExecStats::default();
+        let mut out = Vec::new();
+        for prow in morsel {
+            stats.rows_processed += 1;
+            stats.cells_processed += prow.len() as u64;
+            stats.probes += 1;
+            let Some(k) = prow.get(pk) else {
+                return Err(ExecError::Eval(format!("join column {pk} missing")));
+            };
+            'next: for brow in index.matches(k) {
+                let (lrow, rrow) = if build_left {
+                    (brow, prow)
+                } else {
+                    (prow, brow)
+                };
+                for &(i, j) in &on[1..] {
+                    if lrow.get(i) != rrow.get(j) {
+                        continue 'next;
+                    }
+                }
+                let mut joined = lrow.clone();
+                joined.extend(rrow.iter().cloned());
+                out.push(joined);
+            }
+        }
+        Ok((out, stats))
+    })?;
+    merge(parts, ctx, "plan.HashJoin")
+}
+
 /// Parallel Cartesian product: the left side is morselized, each task
 /// crosses its morsel with the whole right side. Quadratic, so every
 /// task charges `|morsel| × |r|` steps up front — a breach fires long

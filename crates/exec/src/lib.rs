@@ -34,10 +34,13 @@
 //! * [`eval_query`] — query-level entry: consult the gate, lower and run
 //!   on the executor when certified, fall back to the algebra walker
 //!   otherwise. Returns the route taken alongside the result.
+//! * [`eval_verdict`] — the same, for a caller that already holds the
+//!   gate's verdict (so the gate runs once per query).
 //!
 //! Worker count comes from [`ExecConfig`]: explicit, or the
 //! `GENPAR_PARALLEL` environment variable via [`ExecConfig::from_env`].
 
+mod fixpoint;
 pub mod kernels;
 pub mod morsel;
 pub mod pool;
@@ -51,7 +54,6 @@ use genpar_guard::SharedMeter;
 use genpar_obs::FieldValue;
 use genpar_value::Value;
 use kernels::{Ctx, Rows, SetOp};
-use std::collections::BTreeSet;
 
 pub use kernels::CombineKind;
 
@@ -71,7 +73,7 @@ pub const PARALLEL_ENV: &str = "GENPAR_PARALLEL";
 /// set `GENPAR_RETRY` explicitly — an opt-in to panic resilience at
 /// clone cost on the clean path. `GENPAR_RETRY=0` disables the in-place
 /// rung entirely, restoring the pre-ladder all-or-nothing behaviour.
-fn recovery_retries() -> Option<u32> {
+pub(crate) fn recovery_retries() -> Option<u32> {
     let policy = genpar_guard::RetryPolicy::from_env_lossy();
     if policy.max_retries == 0 {
         return None;
@@ -270,7 +272,7 @@ fn eval_plan_parallel(
 /// A budget breach reports the work of the whole run so far: the
 /// counters of the plan nodes that finished, plus whatever the breaching
 /// site reported for its own node.
-fn with_partial(e: ExecError, done: &ExecStats) -> ExecError {
+pub(crate) fn with_partial(e: ExecError, done: &ExecStats) -> ExecError {
     match e {
         ExecError::Budget {
             resource,
@@ -293,7 +295,7 @@ fn with_partial(e: ExecError, done: &ExecStats) -> ExecError {
 }
 
 /// Fold one finished run's work counters into the `exec.*` obs counters.
-fn record_run(stats: &ExecStats) {
+pub(crate) fn record_run(stats: &ExecStats) {
     genpar_obs::counter("exec.executions", 1);
     genpar_obs::counter("exec.rows_scanned", stats.rows_scanned);
     genpar_obs::counter("exec.rows_processed", stats.rows_processed);
@@ -302,107 +304,108 @@ fn record_run(stats: &ExecStats) {
     genpar_obs::counter("exec.probes", stats.probes);
 }
 
-fn run_plan(
+pub(crate) fn run_plan(
     plan: &PhysicalPlan,
     catalog: &Catalog,
     ctx: &Ctx,
     stats: &mut ExecStats,
 ) -> Result<Rows, ExecError> {
-    let op = plan.op_name();
-    let mut sp = genpar_obs::span(op);
-    let mut rows_in = 0u64;
-    let out: Rows = match plan {
+    traced(plan, || match plan {
         PhysicalPlan::Scan(name) => {
             let t = catalog
                 .get(name)
                 .ok_or_else(|| ExecError::UnknownTable(name.clone()))?;
             stats.rows_scanned += t.len() as u64;
-            rows_in = t.len() as u64;
-            sp.field("rows_in", rows_in);
-            charge_source(ctx, t.len() as u64, op)?;
-            t.rows().cloned().collect()
+            charge_source(ctx, t.len() as u64, plan.op_name())?;
+            Ok((t.len() as u64, t.rows().cloned().collect()))
         }
         PhysicalPlan::Values(rows) => {
             stats.rows_scanned += rows.len() as u64;
-            rows_in = rows.len() as u64;
-            sp.field("rows_in", rows_in);
-            charge_source(ctx, rows.len() as u64, op)?;
-            genpar_value::canonical_rows(rows.iter().cloned())
+            charge_source(ctx, rows.len() as u64, plan.op_name())?;
+            Ok((
+                rows.len() as u64,
+                genpar_value::canonical_rows(rows.iter().cloned()),
+            ))
         }
-        PhysicalPlan::Filter(p, a) => {
-            let input = run_plan(a, catalog, ctx, stats)?;
-            rows_in = input.len() as u64;
-            sp.field("rows_in", rows_in);
-            let (rows, s) = kernels::par_filter(input, p, ctx)?;
-            kernels::add_stats(stats, &s);
-            rows
+        _ => {
+            let inputs = children(plan)
+                .into_iter()
+                .map(|c| run_plan(c, catalog, ctx, stats))
+                .collect::<Result<Vec<Rows>, ExecError>>()?;
+            apply_op(plan, inputs, ctx, stats)
         }
-        PhysicalPlan::Project(cols, a) => {
-            let input = run_plan(a, catalog, ctx, stats)?;
-            rows_in = input.len() as u64;
-            sp.field("rows_in", rows_in);
-            let (rows, s) = kernels::par_project(input, cols, ctx)?;
-            kernels::add_stats(stats, &s);
-            rows
+    })
+}
+
+/// A node's inputs, left to right.
+pub(crate) fn children(plan: &PhysicalPlan) -> Vec<&PhysicalPlan> {
+    match plan {
+        PhysicalPlan::Scan(_) | PhysicalPlan::Values(_) => vec![],
+        PhysicalPlan::Filter(_, a) | PhysicalPlan::Project(_, a) | PhysicalPlan::MapRows(_, a) => {
+            vec![a]
         }
-        PhysicalPlan::MapRows(f, a) => {
-            let input = run_plan(a, catalog, ctx, stats)?;
-            rows_in = input.len() as u64;
-            sp.field("rows_in", rows_in);
-            let (rows, s) = kernels::par_map(input, f, ctx)?;
-            kernels::add_stats(stats, &s);
-            rows
-        }
-        PhysicalPlan::HashJoin(on, a, b) => {
-            let l = run_plan(a, catalog, ctx, stats)?;
-            let r = run_plan(b, catalog, ctx, stats)?;
-            rows_in = (l.len() + r.len()) as u64;
-            sp.field("rows_in", rows_in);
-            let (rows, s) = kernels::par_join(l, r, on, ctx)?;
-            kernels::add_stats(stats, &s);
-            rows
-        }
-        PhysicalPlan::Product(a, b) => {
-            let l = run_plan(a, catalog, ctx, stats)?;
-            let r = run_plan(b, catalog, ctx, stats)?;
-            rows_in = (l.len() + r.len()) as u64;
-            sp.field("rows_in", rows_in);
-            let (rows, s) = kernels::par_product(l, r, ctx, "plan.Product")?;
-            kernels::add_stats(stats, &s);
-            rows
-        }
-        PhysicalPlan::Union(..) => setop_node(
-            plan,
-            SetOp::Union,
-            catalog,
-            ctx,
-            stats,
-            &mut sp,
-            &mut rows_in,
-        )?,
-        PhysicalPlan::Intersect(..) => setop_node(
-            plan,
-            SetOp::Intersect,
-            catalog,
-            ctx,
-            stats,
-            &mut sp,
-            &mut rows_in,
-        )?,
-        PhysicalPlan::Difference(..) => setop_node(
-            plan,
-            SetOp::Difference,
-            catalog,
-            ctx,
-            stats,
-            &mut sp,
-            &mut rows_in,
-        )?,
+        PhysicalPlan::HashJoin(_, a, b)
+        | PhysicalPlan::Product(a, b)
+        | PhysicalPlan::Union(a, b)
+        | PhysicalPlan::Intersect(a, b)
+        | PhysicalPlan::Difference(a, b) => vec![a, b],
+    }
+}
+
+/// Run an interior node's kernel over its evaluated inputs (in
+/// [`children`] order), adding its work to `stats`. Returns the rows in
+/// and the rows out.
+pub(crate) fn apply_op(
+    plan: &PhysicalPlan,
+    inputs: Vec<Rows>,
+    ctx: &Ctx,
+    stats: &mut ExecStats,
+) -> Result<(u64, Rows), ExecError> {
+    let rows_in = inputs.iter().map(|r| r.len() as u64).sum();
+    let mut inputs = inputs.into_iter();
+    let mut input = || {
+        inputs
+            .next()
+            .ok_or_else(|| ExecError::Internal(format!("{} lacks an input", plan.op_name())))
     };
+    let (rows, s) = match plan {
+        PhysicalPlan::Filter(p, _) => kernels::par_filter(input()?, p, ctx)?,
+        PhysicalPlan::Project(cols, _) => kernels::par_project(input()?, cols, ctx)?,
+        PhysicalPlan::MapRows(f, _) => kernels::par_map(input()?, f, ctx)?,
+        PhysicalPlan::HashJoin(on, ..) => kernels::par_join(input()?, input()?, on, ctx)?,
+        PhysicalPlan::Product(..) => kernels::par_product(input()?, input()?, ctx, "plan.Product")?,
+        PhysicalPlan::Union(..) => kernels::par_setop(input()?, input()?, SetOp::Union, ctx)?,
+        PhysicalPlan::Intersect(..) => {
+            kernels::par_setop(input()?, input()?, SetOp::Intersect, ctx)?
+        }
+        PhysicalPlan::Difference(..) => {
+            kernels::par_setop(input()?, input()?, SetOp::Difference, ctx)?
+        }
+        PhysicalPlan::Scan(_) | PhysicalPlan::Values(_) => {
+            return Err(ExecError::Internal(format!(
+                "{} is a source, not a kernel",
+                plan.op_name()
+            )))
+        }
+    };
+    kernels::add_stats(stats, &s);
+    Ok((rows_in, rows))
+}
+
+/// One plan node's obs trail around `body`, which returns the node's
+/// rows in and rows out: a span named for the operator, and a
+/// `plan.node_stats` event keyed by the structural fingerprint, which
+/// feeds the observed-statistics loop (the optimizer harvests
+/// selectivity from these).
+pub(crate) fn traced(
+    plan: &PhysicalPlan,
+    body: impl FnOnce() -> Result<(u64, Rows), ExecError>,
+) -> Result<Rows, ExecError> {
+    let op = plan.op_name();
+    let mut sp = genpar_obs::span(op);
+    let (rows_in, out) = body()?;
+    sp.field("rows_in", rows_in);
     sp.field("rows_out", out.len() as u64);
-    // feed the observed-statistics loop: one event per node execution,
-    // keyed by the structural fingerprint, pairing what flowed in with
-    // what came out (the optimizer harvests selectivity from these)
     if genpar_obs::enabled() {
         genpar_obs::event(
             "plan.node_stats",
@@ -417,39 +420,10 @@ fn run_plan(
     Ok(out)
 }
 
-fn setop_node(
-    plan: &PhysicalPlan,
-    op: SetOp,
-    catalog: &Catalog,
-    ctx: &Ctx,
-    stats: &mut ExecStats,
-    sp: &mut genpar_obs::SpanGuard,
-    rows_in: &mut u64,
-) -> Result<Rows, ExecError> {
-    let (a, b) = match plan {
-        PhysicalPlan::Union(a, b)
-        | PhysicalPlan::Intersect(a, b)
-        | PhysicalPlan::Difference(a, b) => (a, b),
-        other => {
-            return Err(ExecError::Internal(format!(
-                "setop_node on non-set operator {}",
-                other.op_name()
-            )))
-        }
-    };
-    let l = run_plan(a, catalog, ctx, stats)?;
-    let r = run_plan(b, catalog, ctx, stats)?;
-    *rows_in = (l.len() + r.len()) as u64;
-    sp.field("rows_in", *rows_in);
-    let (rows, s) = kernels::par_setop(l, r, op, ctx)?;
-    kernels::add_stats(stats, &s);
-    Ok(rows)
-}
-
 /// Source-node budget charges (scans and constant relations produce rows
 /// without passing through a kernel merge). The breach's partial stats
 /// are filled in by the route ([`with_partial`]).
-fn charge_source(ctx: &Ctx, rows: u64, op: &'static str) -> Result<(), ExecError> {
+pub(crate) fn charge_source(ctx: &Ctx, rows: u64, op: &'static str) -> Result<(), ExecError> {
     if let Some(m) = ctx.meter {
         m.charge_steps(1, op).map_err(breach_to_exec)?;
         m.charge_rows(rows, op).map_err(breach_to_exec)?;
@@ -503,7 +477,18 @@ pub fn eval_query(
     catalog: &Catalog,
     cfg: &ExecConfig,
 ) -> Result<(Value, ExecStats, ExecRoute), ExecError> {
-    match partition_safety(q) {
+    eval_verdict(q, partition_safety(q), catalog, cfg)
+}
+
+/// [`eval_query`] for a caller that already holds the gate's verdict on
+/// `q`, so the gate runs once per query.
+pub fn eval_verdict(
+    q: &Query,
+    verdict: PartitionSafety,
+    catalog: &Catalog,
+    cfg: &ExecConfig,
+) -> Result<(Value, ExecStats, ExecRoute), ExecError> {
+    match verdict {
         PartitionSafety::Safe(cert) => match lower(q) {
             Some(plan) => {
                 let certificate = cert.to_string();
@@ -534,53 +519,16 @@ pub fn eval_query(
             None => fallback(q, catalog, "lit", "literal rows are not flat tuples"),
         },
         PartitionSafety::FixpointRoundSafe { body_cert } => {
-            run_fixpoint_route(q, catalog, cfg, &body_cert)
+            fixpoint::run_fixpoint_route(q, catalog, cfg, &body_cert)
         }
         PartitionSafety::Combiner { op, cert } => run_combiner_route(q, catalog, cfg, op, &cert),
         PartitionSafety::Unsafe { op, reason } => fallback(q, catalog, op, reason),
     }
 }
 
-/// Does the subtree mention `var` as a free relation name?
-fn mentions(q: &Query, var: &str) -> bool {
-    q.rel_names().iter().any(|n| n == var)
-}
-
-/// Is the step *linear* in the loop variable — semi-naive safe? True
-/// when every operator on the path to the (at most one) side mentioning
-/// `var` distributes over union in that argument, so
-/// `step(X ∪ Δ) = step(X) ∪ step(Δ)` and each round may evaluate the
-/// body on the previous round's delta alone. Joins/products with the
-/// variable on both sides need cross terms (`Δ⋈X`, `X⋈Δ`) and are
-/// conservatively refused, as is the right side of a difference
-/// (anti-monotone).
-fn delta_linear(q: &Query, var: &str) -> bool {
-    if !mentions(q, var) {
-        return true;
-    }
-    match q {
-        Query::Rel(_) => true,
-        Query::Project(_, a) | Query::Select(_, a) | Query::SelectHat(_, _, a) => {
-            delta_linear(a, var)
-        }
-        Query::Map(_, a) => delta_linear(a, var),
-        Query::Union(a, b)
-        | Query::Join(_, a, b)
-        | Query::Product(a, b)
-        | Query::Intersect(a, b) => match (mentions(a, var), mentions(b, var)) {
-            (true, true) => false,
-            (true, false) => delta_linear(a, var),
-            (false, true) => delta_linear(b, var),
-            (false, false) => true,
-        },
-        Query::Difference(a, b) => !mentions(b, var) && delta_linear(a, var),
-        _ => false,
-    }
-}
-
 /// A guard breach as an exec error; the route fills in the partial
 /// stats ([`with_partial`]).
-fn breach_to_exec(b: genpar_guard::BudgetBreach) -> ExecError {
+pub(crate) fn breach_to_exec(b: genpar_guard::BudgetBreach) -> ExecError {
     ExecError::Budget {
         resource: b.resource,
         limit: b.limit,
@@ -588,190 +536,6 @@ fn breach_to_exec(b: genpar_guard::BudgetBreach) -> ExecError {
         op: b.op,
         partial: ExecStats::default(),
     }
-}
-
-/// The parallel fixpoint driver: semi-naive delta iteration with each
-/// round's body on the morsel pool.
-///
-/// The loop as a whole does not distribute over partitioning, but the
-/// gate certified its body does — so each round substitutes the current
-/// delta (or the full accumulator when the body is non-linear in the
-/// loop variable) for the loop variable, lowers the bound body, runs it
-/// on the parallel executor and canonically merges the new rows into the
-/// accumulator. Round count, depth-budget charges and the final `Value`
-/// are identical to the serial inflationary loop by construction.
-///
-/// Any injected fault (`exec.fixpoint_round`, or a morsel/merge site
-/// inside a round) degrades the whole query to the serial interpreter —
-/// a correct answer, never a wrong one.
-fn run_fixpoint_route(
-    q: &Query,
-    catalog: &Catalog,
-    cfg: &ExecConfig,
-    body_cert: &SafetyCert,
-) -> Result<(Value, ExecStats, ExecRoute), ExecError> {
-    let Query::Fixpoint { var, init, step } = q else {
-        return Err(ExecError::Internal(
-            "fixpoint route on a non-fixpoint query".to_string(),
-        ));
-    };
-    let Some(init_plan) = lower(init) else {
-        return fallback(
-            q,
-            catalog,
-            "fix",
-            "fixpoint seed does not lower to the row engine",
-        );
-    };
-    // a probe substitution proves every round's bound body will lower
-    // (rounds only vary the literal's rows, never the plan shape)
-    if lower(&step.substitute_rel(var, &Value::empty_set())).is_none() {
-        return fallback(
-            q,
-            catalog,
-            "fix",
-            "fixpoint body does not lower to the row engine",
-        );
-    }
-    let semi_naive = delta_linear(step, var);
-    let mut sp = genpar_obs::span("exec.fixpoint");
-    sp.field("workers", cfg.workers as u64);
-    sp.field("semi_naive", u64::from(semi_naive));
-    let meter = SharedMeter::from_armed();
-    let body_cert_s = body_cert.to_string();
-    let ctx = Ctx {
-        cfg,
-        meter: meter.as_deref(),
-        cert: Some(&body_cert_s),
-    };
-    let mut stats = ExecStats::default();
-    let result = genpar_guard::catch_panics(|| {
-        drive_fixpoint(var, &init_plan, step, semi_naive, catalog, &ctx, &mut stats)
-    })
-    .map_err(ExecError::Internal)?;
-    match result {
-        Ok((acc, rounds)) => {
-            sp.field("rounds", rounds);
-            stats.rows_out = acc.len() as u64;
-            record_run(&stats);
-            let value = genpar_value::rows_to_value(acc);
-            let certificate =
-                format!(
-                "per-round body certified: {body_cert}; semi-naive deltas: {}; rounds: {rounds}",
-                if semi_naive { "yes" } else { "no (full accumulator per round)" },
-            );
-            Ok((
-                value,
-                stats,
-                ExecRoute::Parallel {
-                    workers: cfg.workers,
-                    certificate,
-                },
-            ))
-        }
-        Err(ExecError::Fault(_)) => {
-            note_degrade("serial");
-            fallback(
-                q,
-                catalog,
-                "fix",
-                "injected fault in a fixpoint round: degraded to the serial interpreter",
-            )
-        }
-        Err(e) => Err(with_partial(e, &stats)),
-    }
-}
-
-/// The round loop proper: mirrors [`genpar_algebra::fixpoint::inflationary_fixpoint`]
-/// (same bound, same `charge_depth` schedule, same stop condition) with
-/// the body evaluated on the parallel executor each round.
-fn drive_fixpoint(
-    var: &str,
-    init_plan: &PhysicalPlan,
-    step: &Query,
-    semi_naive: bool,
-    catalog: &Catalog,
-    ctx: &Ctx,
-    stats: &mut ExecStats,
-) -> Result<(Vec<Vec<Value>>, u64), ExecError> {
-    let seed = run_plan(init_plan, catalog, ctx, stats)?;
-    let mut acc: BTreeSet<Vec<Value>> = seed.iter().cloned().collect();
-    let mut delta: Rows = seed;
-    let bound =
-        (genpar_algebra::fixpoint::DEFAULT_FIXPOINT_ITERS as u64).min(genpar_guard::depth_limit());
-    let hist = genpar_obs::histogram("exec.fixpoint_round_us");
-    let round_watchdog_us = kernels::watchdog_deadline_us(hist.snapshot().p95);
-    let round_retries = recovery_retries().unwrap_or(0);
-    for iter in 0..bound {
-        genpar_guard::charge_depth(iter + 1, "fixpoint").map_err(breach_to_exec)?;
-        let start = std::time::Instant::now();
-        let mut rsp = genpar_obs::span("exec.fixpoint_round");
-        rsp.field("round", iter + 1);
-        genpar_obs::counter("exec.fixpoint_rounds", 1);
-        // non-linear bodies see the whole accumulator; linear ones only
-        // the rows that are new since the previous round
-        let input: Rows = if semi_naive {
-            std::mem::take(&mut delta)
-        } else {
-            acc.iter().cloned().collect()
-        };
-        rsp.field("input_rows", input.len() as u64);
-        let bound_body = step.substitute_rel(var, &genpar_value::rows_to_value(input));
-        // a round is pure against the accumulator (acc only changes
-        // after success), so a faulted round can be re-run whole — the
-        // round-granular rung of the recovery ladder
-        let produced = {
-            let mut attempt: u32 = 0;
-            loop {
-                let round = (|| -> Result<Rows, ExecError> {
-                    genpar_guard::faultpoint("exec.fixpoint_round")
-                        .map_err(|f| ExecError::Fault(f.to_string()))?;
-                    if let Some(m) = ctx.meter {
-                        m.charge_steps(1, "exec.fixpoint_round")
-                            .map_err(breach_to_exec)?;
-                    }
-                    let plan = lower(&bound_body).ok_or_else(|| {
-                        ExecError::Internal(
-                            "probed-lowerable fixpoint body failed to lower".to_string(),
-                        )
-                    })?;
-                    run_plan(&plan, catalog, ctx, stats)
-                })();
-                match round {
-                    Ok(rows) => break rows,
-                    Err(ExecError::Fault(_)) if attempt < round_retries => {
-                        attempt += 1;
-                        retry_gate(iter as usize, attempt)?;
-                    }
-                    Err(e) => return Err(e),
-                }
-            }
-        };
-        let mut fresh: Rows = Vec::new();
-        for row in produced {
-            if acc.insert(row.clone()) {
-                fresh.push(row);
-            }
-        }
-        rsp.field("delta_rows", fresh.len() as u64);
-        rsp.field("acc_rows", acc.len() as u64);
-        let round_us = start.elapsed().as_micros() as u64;
-        hist.record(round_us);
-        if round_us > round_watchdog_us {
-            kernels::note_watchdog("exec.fixpoint_round", round_us, round_watchdog_us);
-        }
-        if fresh.is_empty() {
-            return Ok((acc.into_iter().collect(), iter + 1));
-        }
-        delta = fresh;
-    }
-    Err(ExecError::Budget {
-        resource: genpar_guard::Resource::Depth,
-        limit: bound,
-        used: bound,
-        op: "fixpoint",
-        partial: ExecStats::default(),
-    })
 }
 
 /// The combiner route: evaluate the (certified distributive) aggregate
@@ -870,7 +634,7 @@ pub fn note_fallback(op: &str, reason: &str) {
     );
 }
 
-fn fallback(
+pub(crate) fn fallback(
     q: &Query,
     catalog: &Catalog,
     op: &'static str,

@@ -2,13 +2,14 @@
 //! inline on the caller's thread) and at four (the morsel pool): work
 //! counters, budget stops, panic containment and the obs span tree.
 //! The counters are sums over tasks, so they do not depend on the
-//! worker count.
+//! worker count. The fixpoint cases check the prepared round plan
+//! (loop-invariant inputs hoisted and indexed once) against the walker.
 
 use genpar_algebra::{Pred, Query, ValueFn};
 use genpar_engine::plan::{lower, ExecError, ExecStats, PhysicalPlan};
 use genpar_engine::schema::{Catalog, Schema};
 use genpar_engine::table::Table;
-use genpar_exec::{db_from_catalog, EvalParallel, ExecConfig};
+use genpar_exec::{db_from_catalog, eval_query, EvalParallel, ExecConfig, ExecRoute};
 use genpar_value::{rows_to_value, CvType, Value};
 
 const WORKERS: [usize; 2] = [1, 4];
@@ -235,4 +236,146 @@ fn plan_spans_nest_under_the_run_span() {
         assert_eq!(snap.counters["exec.cells_processed"], 20);
         assert_eq!(snap.counters["exec.executions"], 1);
     }
+}
+
+/// An edge relation for the fixpoint cases: a 12-node chain plus two
+/// chords, so closures take several rounds and joins fan out.
+fn edges() -> Catalog {
+    let mut e = Table::new("E", Schema::uniform(CvType::int(), 2));
+    for i in 0..12 {
+        e.insert(vec![Value::Int(i), Value::Int(i + 1)]);
+    }
+    e.insert(vec![Value::Int(2), Value::Int(9)]);
+    e.insert(vec![Value::Int(5), Value::Int(1)]);
+    Catalog::new().with(e)
+}
+
+/// Run a fixpoint on its prepared-round route and compare it with the
+/// walker at 1, 2 and 4 workers, with default morsels and with one-row
+/// morsels (so a round's probe rows fan out on the pool).
+fn assert_rounds_match_walker(q: &Query, c: &Catalog) {
+    let truth = genpar_algebra::eval::eval(q, &db_from_catalog(c)).unwrap();
+    for w in [1, 2, 4] {
+        for cfg in [
+            ExecConfig::serial().with_workers(w),
+            ExecConfig::serial().with_workers(w).with_morsel_rows(1),
+        ] {
+            let (v, _, route) = eval_query(q, c, &cfg).unwrap();
+            assert!(
+                matches!(route, ExecRoute::Parallel { .. }),
+                "{q} left the fixpoint route at {cfg:?}: {route:?}"
+            );
+            assert_eq!(v, truth, "{q} diverged from the walker at {cfg:?}");
+        }
+    }
+}
+
+/// `π[$1,$4](X ⋈[$2=$1] E)`, the transitive-closure step.
+fn closure_step(e: Query) -> Query {
+    Query::rel("X").join_on(e, [(1, 0)]).project(vec![0, 3])
+}
+
+#[test]
+fn prepared_rounds_probe_either_join_side() {
+    let c = edges();
+    // loop variable on the left: E is the build side on the right
+    let left = Query::fixpoint("X", Query::rel("E"), closure_step(Query::rel("E")));
+    // loop variable on the right: E is the build side on the left, and
+    // joined rows keep E's columns first
+    let right = Query::fixpoint(
+        "X",
+        Query::rel("E"),
+        Query::rel("E")
+            .join_on(Query::rel("X"), [(1, 0)])
+            .project(vec![0, 3]),
+    );
+    for q in [left, right] {
+        assert_rounds_match_walker(&q, &c);
+    }
+}
+
+#[test]
+fn prepared_rounds_hoist_invariant_subtrees() {
+    let c = edges();
+    let e = || Query::rel("E");
+    let cases = [
+        // an invariant σ over E, hoisted under the join's build side
+        closure_step(e().select(Pred::eq_cols(0, 0))),
+        // invariant operands of a set operation
+        closure_step(e()).union(e()),
+        closure_step(e()).difference(e().select(Pred::eq_const(0, Value::Int(2)))),
+        // a product with an invariant side
+        Query::rel("X")
+            .product(e().select(Pred::eq_const(0, Value::Int(3))))
+            .project(vec![0, 3]),
+    ];
+    for step in cases {
+        assert_rounds_match_walker(&Query::fixpoint("X", e(), step), &c);
+    }
+}
+
+#[test]
+fn prepared_rounds_run_a_nonlinear_body_on_the_accumulator() {
+    // X ⋈ X hoists nothing: each round joins the whole accumulator
+    let step = Query::rel("X")
+        .join_on(Query::rel("X"), [(1, 0)])
+        .project(vec![0, 3]);
+    assert_rounds_match_walker(&Query::fixpoint("X", Query::rel("E"), step), &edges());
+}
+
+#[test]
+fn the_loop_variable_shadows_a_catalog_relation_of_its_name() {
+    // a stored X must never be read by the rounds: the walker binds the
+    // loop variable over it, and so must the prepared body
+    let mut x = Table::new("X", Schema::uniform(CvType::int(), 2));
+    x.insert(vec![Value::Int(100), Value::Int(0)]);
+    x.insert(vec![Value::Int(7), Value::Int(200)]);
+    let c = edges().with(x);
+    let q = Query::fixpoint("X", Query::rel("E"), closure_step(Query::rel("E")));
+    assert_rounds_match_walker(&q, &c);
+    let (v, _, _) = eval_query(&q, &c, &ExecConfig::serial()).unwrap();
+    let rows = v.as_set().unwrap();
+    assert!(
+        rows.iter()
+            .all(|t| t.as_tuple().is_some_and(|t| t[0] != Value::Int(100))),
+        "the stored X leaked into the closure: {v}"
+    );
+}
+
+#[test]
+fn invariant_inputs_are_evaluated_once_per_query() {
+    let c = edges();
+    let q = Query::fixpoint("X", Query::rel("E"), closure_step(Query::rel("E")));
+    let scope = genpar_obs::Scope::anonymous();
+    let guard = scope.enter();
+    eval_query(&q, &c, &ExecConfig::serial()).unwrap();
+    drop(guard);
+    let snap = scope.snapshot();
+    let fix = snap
+        .spans
+        .iter()
+        .find(|s| s.name == "exec.fixpoint")
+        .expect("exec.fixpoint span recorded");
+    assert_eq!(fix.fields["invariant_rows"], 14, "E is evaluated once");
+    assert!(fix.fields["rounds"] > 2);
+    // the seed and the build side are the only catalog scans; rounds
+    // probe the index and never rescan E
+    let scans: u64 = fix
+        .children
+        .iter()
+        .filter(|s| s.name == "plan.Scan")
+        .map(|s| s.calls)
+        .sum();
+    assert_eq!(scans, 2, "{fix:?}");
+    let round = fix
+        .children
+        .iter()
+        .find(|s| s.name == "exec.fixpoint_round")
+        .expect("round spans recorded");
+    assert!(round.children.iter().all(|s| s.name != "plan.Scan"));
+    // the join's only per-round input is the delta: E sits in an index
+    let project = &round.children[0];
+    let join = &project.children[0];
+    assert_eq!(join.name, "plan.HashJoin");
+    assert_eq!(join.fields["rows_in"], round.fields["input_rows"]);
 }

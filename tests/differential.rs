@@ -26,7 +26,7 @@ use rand::{Rng, SeedableRng};
 
 /// Worker counts and pinned morsel sizes every query is checked at.
 const WORKERS: [usize; 3] = [1, 2, 4];
-const MORSELS: [usize; 3] = [16, 64, 256];
+const MORSELS: [usize; 4] = [1, 16, 64, 256];
 
 /// Assert the differential contract for one query: every executor
 /// configuration reproduces the walker's value, bytewise.
@@ -127,12 +127,32 @@ fn random_flat_catalog(rng: &mut StdRng) -> Catalog {
 }
 
 /// A random fixpoint step body over loop variable `X` and edges `E`.
-/// Mixes delta-linear bodies (semi-naive rounds) with nonlinear and
-/// union-shaped ones (full-accumulator rounds).
+/// Mixes delta-linear bodies (semi-naive rounds) with nonlinear ones
+/// (full-accumulator rounds), and places loop-invariant subtrees where
+/// the prepared round plan hoists them: a join's build side on either
+/// side, a σ under it, set-operation operands and a product side.
 fn random_step(rng: &mut StdRng) -> Query {
     let x = || Query::rel("X");
     let e = || Query::rel("E");
-    match rng.gen_range(0..5) {
+    let k = Value::Int(rng.gen_range(0..8));
+    match rng.gen_range(0..9) {
+        // an invariant σ over E, hoisted into the join's build side
+        5 => x()
+            .join_on(e().select(Pred::Named("even".into(), vec![0])), [(1, 0)])
+            .project(vec![0, 3]),
+        6 => x()
+            .join_on(e(), [(1, 0)])
+            .project(vec![0, 3])
+            .difference(e().select(Pred::eq_const(0, k))),
+        // a product with an invariant side
+        7 => x()
+            .product(e().select(Pred::eq_const(0, k)))
+            .project(vec![0, 3]),
+        // build side on the left, with an invariant σ
+        8 => e()
+            .select(Pred::eq_cols(0, 0))
+            .join_on(x(), [(1, 0)])
+            .project(vec![0, 3]),
         // transitive closure, delta on the left
         0 => x().join_on(e(), [(1, 0)]).project(vec![0, 3]),
         // delta on the right
@@ -161,7 +181,12 @@ proptest! {
         let chain = rng.gen_bool(0.5);
         let degree = rng.gen_range(0.0..2.0);
         let e = generate_edges(&mut rng, "E", nodes, degree, chain);
-        let cat = Catalog::new().with(e);
+        let mut cat = Catalog::new().with(e);
+        // a stored relation named like the loop variable, which the
+        // rounds must never read
+        if rng.gen_bool(0.3) {
+            cat.add(generate_edges(&mut rng, "X", nodes + 3, 1.0, false));
+        }
         let q = Query::fixpoint("X", Query::rel("E"), random_step(&mut rng));
         assert_differential(&q, &cat)?;
     }
