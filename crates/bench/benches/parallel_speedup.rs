@@ -26,7 +26,7 @@ use genpar_engine::workload::{generate_edges, generate_keyed_pair, generate_tabl
 use genpar_engine::{lower, Catalog};
 use genpar_exec::{db_from_catalog, eval_query, EvalParallel, ExecConfig};
 use genpar_obs::Json;
-use genpar_optimizer::{route_costs, Calibration};
+use genpar_optimizer::{route_costs_with_stats, Calibration};
 use genpar_value::rows_to_value;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -329,7 +329,9 @@ fn verify_speedup_and_report() {
         ),
     ] {
         let shape_base = shape_medians[0].1.as_secs_f64();
-        let serial_cells = route_costs(query, catalog, 1, &cal).serial.cost;
+        let serial_cells = route_costs_with_stats(query, catalog, 1, &cal, None)
+            .serial
+            .cost;
         for (((w, m), h), d) in shape_medians.iter().zip(hists).zip(degrades) {
             results.push(Json::obj([
                 ("workers", Json::Int(*w as i128)),

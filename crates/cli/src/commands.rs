@@ -1,22 +1,18 @@
 //! Command implementations. Each returns the text to print, so the
 //! commands are directly testable.
 
-use crate::{dbfile, CliError, Command, USAGE};
+use crate::session::{ProfileOpts, Session};
+use crate::{CliError, Command, USAGE};
 use genpar_algebra::parse::parse_query;
 use genpar_algebra::Query;
 use genpar_core::check::{check_invariance, AlgebraQuery, CheckConfig};
 use genpar_core::hierarchy::equality_usage;
 use genpar_core::infer_requirements;
 use genpar_core::probe::probe_tightest;
-use genpar_core::{partition_safety, PartitionSafety};
 use genpar_engine::{Catalog, Schema, Table};
 use genpar_exec::ExecConfig;
 use genpar_mapping::{ExtensionMode, MappingClass};
-use genpar_optimizer::Constraints;
-use genpar_optimizer::{
-    estimate_nodes, estimate_nodes_with_sources, optimize_costed,
-    optimize_costed_parallel_with_stats, route_costs_with_stats, Calibration, RuleSet, StatsStore,
-};
+use genpar_optimizer::{Calibration, Constraints, RuleSet, StatsStore};
 use genpar_value::{BaseType, CvType, DomainId};
 use std::fmt::Write as _;
 
@@ -107,115 +103,6 @@ pub fn execute(cmd: &Command) -> Result<String, CliError> {
         Command::Chaos { seed, cases } => chaos_cmd(*seed, *cases),
         Command::Audit => audit(),
     }
-}
-
-/// The key a database contributes its observed statistics under: the
-/// `.gdb` path when given, else the shared nominal synthetic catalog.
-/// Stats from one database never steer estimates for another.
-pub(crate) fn stats_catalog_key(db_path: Option<&str>) -> &str {
-    db_path.unwrap_or("nominal")
-}
-
-/// Load an observed-statistics store (`--stats FILE`) through the
-/// robustness ladder's persistence rung: a missing file is an empty
-/// store (first run bootstraps it); a corrupt file — torn write, failed
-/// checksum, JSON damage, wrong schema — is quarantined to
-/// `<path>.corrupt` and the store regenerates empty, with the warning
-/// returned so the command surfaces it. Never an error, never a panic,
-/// never a *silent* fresh start.
-pub(crate) fn load_stats(path: Option<&str>) -> (Option<StatsStore>, Option<String>) {
-    match path {
-        Some(p) => {
-            let (store, warning) = StatsStore::load_or_quarantine(p);
-            (Some(store), warning)
-        }
-        None => (None, None),
-    }
-}
-
-/// Load a calibration file, or the built-in default when none is given.
-/// A persisted `morsel_rows` key (written by `profile --calibration`)
-/// preseeds the global morsel tuner — unless `GENPAR_MORSEL` overrides.
-/// A **missing** file is an error (the user named it); a **corrupt** one
-/// is quarantined to `<path>.corrupt` and the default calibration rides
-/// in its place, with the warning returned for the command to print.
-pub(crate) fn load_calibration(
-    path: Option<&str>,
-) -> Result<(Calibration, Option<String>), CliError> {
-    let Some(p) = path else {
-        return Ok((Calibration::default(), None));
-    };
-    let attempt = (|| -> Result<Calibration, String> {
-        let text = match genpar_optimizer::persist::read_payload(p) {
-            Ok(Some(t)) => t,
-            Ok(None) => return Err(format!("cannot read calibration file {p}: file not found")),
-            Err(e) => return Err(e),
-        };
-        let j = genpar_obs::Json::parse(&text).map_err(|e| format!("calibration file {p}: {e}"))?;
-        if let Some(rows) = j.get("morsel_rows").and_then(|v| v.as_int()) {
-            if rows > 0 {
-                genpar_exec::tune::preseed(rows as usize);
-            }
-        }
-        Calibration::from_json(&j)
-    })();
-    match attempt {
-        Ok(cal) => Ok((cal, None)),
-        // missing: a named calibration that does not exist is a real
-        // error — defaults would silently misprice every route
-        Err(reason) if !std::path::Path::new(p).exists() => Err(CliError::runtime(reason)),
-        // corrupt: quarantine, regenerate from the default, warn loudly
-        Err(reason) => {
-            let warning = match genpar_optimizer::persist::quarantine_file(p, &reason) {
-                Ok(corrupt) => format!(
-                    "calibration file {p} is corrupt ({reason}); \
-                     quarantined to {corrupt}, using the default calibration"
-                ),
-                Err(e) => format!(
-                    "calibration file {p} is corrupt ({reason}); \
-                     quarantine failed ({e}), using the default calibration"
-                ),
-            };
-            Ok((Calibration::default(), Some(warning)))
-        }
-    }
-}
-
-/// Write the tuner's converged morsel size into a calibration file's
-/// `morsel_rows` key, preserving every other key (inverse of the
-/// preseed in [`load_calibration`]). The write goes through the
-/// crash-safe temp-file + fsync + rename protocol.
-pub(crate) fn persist_morsel_rows(path: &str) -> Result<usize, CliError> {
-    let text = match genpar_optimizer::persist::read_payload(path) {
-        Ok(Some(t)) => t,
-        // the file was quarantined (or never existed): restart it from
-        // the default calibration so the tuner seed still persists
-        Ok(None) => format!("{}\n", Calibration::default().to_json()),
-        Err(e) => return Err(CliError::runtime(e)),
-    };
-    let mut j = genpar_obs::Json::parse(&text)
-        .map_err(|e| CliError::runtime(format!("calibration file {path}: {e}")))?;
-    let rows = genpar_exec::tune::tuner().rows();
-    if let genpar_obs::Json::Obj(fields) = &mut j {
-        match fields.iter_mut().find(|(k, _)| k == "morsel_rows") {
-            Some((_, v)) => *v = genpar_obs::Json::Int(rows as i128),
-            None => fields.push((
-                "morsel_rows".to_string(),
-                genpar_obs::Json::Int(rows as i128),
-            )),
-        }
-    }
-    genpar_optimizer::persist::save_atomic(path, &format!("{j}\n")).map_err(CliError::runtime)?;
-    Ok(rows)
-}
-
-/// Render collected load warnings as the `warning:`-prefixed lines the
-/// text commands prepend to their output.
-fn warning_lines(warnings: &[String]) -> String {
-    warnings
-        .iter()
-        .map(|w| format!("warning: {w}\n"))
-        .collect::<String>()
 }
 
 /// Classify the built-in catalog of paper queries.
@@ -368,99 +255,12 @@ fn run(
     // breach surfaces as a structured budget error — exit 4, wall_ms
     let _wall =
         timeout_ms.map(|ms| genpar_guard::arm_wall_deadline(std::time::Duration::from_millis(ms)));
-    let db = dbfile::load_db(db_path)?;
-    let catalog = catalog_from_db(&db)?;
-    run_with(query, &db, &catalog, workers)
-}
-
-/// The `run` body over preloaded data: the one-shot path above loads the
-/// `.gdb` from disk first; `genpar serve` calls this directly with its
-/// resident database and catalog, which is what makes served `run`
-/// output byte-identical to the one-shot CLI *by construction*.
-pub(crate) fn run_with(
-    query: &str,
-    db: &genpar_algebra::Db,
-    catalog: &Catalog,
-    workers: Option<usize>,
-) -> Result<String, CliError> {
-    let q = parse_q(query)?;
-    let w = resolve_workers(workers);
-    // The partition-safety gate: queries the genericity checker
-    // certifies run on the executor — plainly partitioned, as per-round
-    // fixpoint evaluation, or through a combiner. At one worker only a
-    // certified fixpoint does (its prepared rounds beat the walker's
-    // naive loop), so the gate runs there only for a root fixpoint.
-    // Everything else takes the serial interpreter below, with a
-    // recorded fallback when more workers were asked for.
-    if w > 1 || matches!(q, Query::Fixpoint { .. }) {
-        let verdict = partition_safety(&q);
-        let fixpoint = matches!(verdict, PartitionSafety::FixpointRoundSafe { .. });
-        if fixpoint || (w > 1 && verdict.parallel_eligible()) {
-            let cfg = ExecConfig::serial().with_workers(w);
-            let (v, _stats, _route) =
-                genpar_exec::eval_verdict(&q, verdict, catalog, &cfg).map_err(CliError::from)?;
-            return Ok(format!("{v}\n"));
-        }
-        if let PartitionSafety::Unsafe { op, reason } = verdict {
-            if w > 1 {
-                genpar_exec::note_fallback(op, reason);
-            }
-        }
-    }
-    let v = genpar_algebra::eval::eval(&q, db).map_err(CliError::from)?;
-    Ok(format!("{v}\n"))
-}
-
-/// Build an execution/costing catalog from a loaded database (real
-/// cardinalities, one table per relation).
-pub(crate) fn catalog_from_db(db: &genpar_algebra::Db) -> Result<Catalog, CliError> {
-    let mut cat = Catalog::new();
-    for (name, v) in db.relations() {
-        let arity = v
-            .as_set()
-            .and_then(|s| s.iter().next())
-            .and_then(|t| t.as_tuple())
-            .map(|t| t.len())
-            .unwrap_or(2);
-        let table = Table::try_from_value(
-            name.clone(),
-            Schema::uniform(CvType::domain(0), arity),
-            &normalize_rel(v, arity),
-        )
-        .map_err(CliError::runtime)?;
-        cat.add(table);
-    }
-    Ok(cat)
-}
-
-/// Build an execution/costing catalog: from a `.gdb` file (real
-/// cardinalities) when given, else nominal 1000-row binary tables for
-/// every relation the query mentions.
-fn build_catalog(q: &Query, db_path: Option<&str>) -> Result<Catalog, CliError> {
-    match db_path {
-        Some(p) => {
-            let db = dbfile::load_db(p)?;
-            catalog_from_db(&db)
-        }
-        None => {
-            let mut cat = Catalog::new();
-            for name in q.rel_names() {
-                let mut t = Table::new(name, Schema::uniform(CvType::int(), 2));
-                for i in 0..1000 {
-                    t.insert(vec![
-                        genpar_value::Value::Int(i),
-                        genpar_value::Value::Int(i % 37),
-                    ]);
-                }
-                cat.add(t);
-            }
-            Ok(cat)
-        }
-    }
+    let session = Session::open(Some(db_path), None, RuleSet::standard(), None, None)?;
+    session.run(&parse_q(query)?, Some(resolve_workers(workers)))
 }
 
 /// Parse an `R,S:$N` union-key assertion into rewrite constraints.
-pub(crate) fn build_rules(union_key: Option<&str>) -> Result<RuleSet, CliError> {
+fn build_rules(union_key: Option<&str>) -> Result<RuleSet, CliError> {
     let mut constraints = Constraints::none();
     if let Some(spec) = union_key {
         // "R,S:$1"
@@ -484,38 +284,12 @@ fn optimize_cmd(
     union_key: Option<&str>,
 ) -> Result<String, CliError> {
     let q = parse_q(query)?;
-    let catalog = build_catalog(&q, db_path)?;
-    let rules = build_rules(union_key)?;
-    let (chosen, trace, base_est, new_est) = optimize_costed(&q, &rules, &catalog);
-    let mut out = String::new();
-    let _ = writeln!(out, "original:  {q}");
-    let _ = writeln!(out, "optimized: {chosen}");
-    if trace.steps.is_empty() {
-        let _ = writeln!(out, "(no profitable rewrite)");
-    } else {
-        let _ = write!(out, "{trace}");
-    }
-    let _ = writeln!(
-        out,
-        "estimated cost: {:.0} → {:.0} cells",
-        base_est.cost, new_est.cost
-    );
-    Ok(out)
+    let session = Session::open(db_path, Some(&q), build_rules(union_key)?, None, None)?;
+    Ok(session.optimize(&q))
 }
 
-/// Look up a field of an obs event by key, rendered as text.
-fn event_field(e: &genpar_obs::Event, key: &str) -> String {
-    e.fields
-        .iter()
-        .find(|(k, _)| k == key)
-        .map(|(_, v)| v.to_string())
-        .unwrap_or_default()
-}
-
-/// `explain`: the full optimizer story for one query — which Section 4.4
-/// rewrites fired (with their genericity justifications), which matched
-/// but were blocked by a side condition, what the cost model decided, and
-/// the physical plan that would run.
+/// `explain`: the optimizer story and the route `run` takes — see
+/// [`Session::explain`].
 fn explain_cmd(
     query: &str,
     db_path: Option<&str>,
@@ -525,318 +299,17 @@ fn explain_cmd(
     stats_path: Option<&str>,
 ) -> Result<String, CliError> {
     let q = parse_q(query)?;
-    let w = resolve_workers(workers);
-    let catalog = build_catalog(&q, db_path)?;
     let rules = build_rules(union_key)?;
-    let (cal, cal_warning) = load_calibration(calibration)?;
-    let (store, stats_warning) = load_stats(stats_path);
-    let warnings: Vec<String> = [cal_warning, stats_warning].into_iter().flatten().collect();
-    let stats_key = stats_catalog_key(db_path);
-    let obs_stats = store.as_ref().and_then(|s| s.catalog(stats_key));
-    let stats_note = stats_path.map(|p| (p, stats_key));
-    explain_with(
-        &q, &catalog, w, &cal, obs_stats, stats_note, &warnings, &rules,
-    )
+    let session = Session::open(db_path, Some(&q), rules, calibration, stats_path)?;
+    session.explain(&q, Some(resolve_workers(workers)))
 }
 
-/// The `explain` body over preloaded data (catalog, calibration,
-/// statistics). The one-shot wrapper above loads everything from disk;
-/// `genpar serve` calls this with its resident copies. Rewrite/plan
-/// events are attributed to this query through a private obs scope —
-/// nothing global is reset, so a resident server's cumulative counters
-/// survive every `explain`.
-/// One `explain` line for a σ/map expression: either the compiled
-/// program (with the partition certificate it carries at run time) or
-/// the paper-citing refusal explaining why the AST walker keeps it —
-/// ineligibility is reported in the same voice as the partition gate,
-/// never silently.
-fn vm_line(
-    expr: String,
-    compiled: Result<genpar_algebra::vm::Program, genpar_algebra::vm::Ineligible>,
-    cert: Option<&genpar_core::SafetyCert>,
-) -> String {
-    match compiled {
-        Ok(prog) => match cert {
-            Some(c) => {
-                let prog = prog.with_cert(&c.to_string());
-                format!("  {expr}: program of {} [cert: {c}]", prog.describe())
-            }
-            None => format!(
-                "  {expr}: program of {} [uncertified route]",
-                prog.describe()
-            ),
-        },
-        Err(inel) => format!("  {expr}: AST walker — {inel}"),
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn explain_with(
-    q: &Query,
-    catalog: &Catalog,
-    w: usize,
-    cal: &Calibration,
-    obs_stats: Option<&genpar_optimizer::CatalogStats>,
-    stats_note: Option<(&str, &str)>,
-    warnings: &[String],
-    rules: &RuleSet,
-) -> Result<String, CliError> {
-    let obs_scope = genpar_obs::Scope::anonymous();
-    let (chosen, trace, base_est, new_est) = {
-        let _g = obs_scope.enter();
-        optimize_costed_parallel_with_stats(q, rules, catalog, w, cal, obs_stats)
-    };
-    let snap = obs_scope.snapshot();
-
-    let mut out = warning_lines(warnings);
-    let _ = writeln!(out, "query:     {q}");
-    let _ = writeln!(out, "optimized: {chosen}");
-    if let Some((p, key)) = stats_note {
-        let entries = obs_stats.map(|c| c.entries.len()).unwrap_or(0);
-        let _ = writeln!(
-            out,
-            "stats:     {p} (catalog '{key}', {entries} observed entries)"
-        );
-    }
-    let _ = writeln!(out);
-    if trace.steps.is_empty() {
-        // distinguish "nothing matched" from "matched but cost-rejected"
-        let rejected = snap.events.iter().any(|e| {
-            e.kind == "optimizer.plan_choice"
-                && event_field(e, "chosen") == "original"
-                && event_field(e, "steps") != "0"
-        });
-        if rejected {
-            let _ = writeln!(
-                out,
-                "rewrites fired but the cost model kept the original plan."
-            );
-        } else {
-            let _ = writeln!(out, "no rewrite fired.");
-        }
-    } else {
-        let _ = writeln!(out, "rewrite trace:");
-        let _ = write!(out, "{trace}");
-    }
-    // blocked rewrites: pattern matched, genericity side condition failed
-    let mut blocked: Vec<String> = Vec::new();
-    for e in snap
-        .events
-        .iter()
-        .filter(|e| e.kind == "optimizer.rewrite" && event_field(e, "fired") == "false")
-    {
-        let line = format!(
-            "  ✗ {}  blocked: {}\n      on {}",
-            event_field(e, "rule"),
-            event_field(e, "blocked_by"),
-            event_field(e, "expr"),
-        );
-        if !blocked.contains(&line) {
-            blocked.push(line);
-        }
-    }
-    if !blocked.is_empty() {
-        let _ = writeln!(out, "blocked rewrites:");
-        for line in &blocked {
-            let _ = writeln!(out, "{line}");
-        }
-    }
-    let _ = writeln!(
-        out,
-        "estimated cost: {:.0} → {:.0} cells",
-        base_est.cost, new_est.cost
-    );
-    let _ = writeln!(out, "\nparallel execution ({w} workers):");
-    let serial_hint = |out: &mut String, w: usize| {
-        if w > 1 {
-            let _ = writeln!(out, "  would run on {w} worker threads");
-        } else {
-            let _ = writeln!(out, "  (serial: pass --parallel N or set GENPAR_PARALLEL)");
-        }
-    };
-    let safety = partition_safety(&chosen);
-    match &safety {
-        PartitionSafety::Safe(cert) => {
-            let _ = writeln!(out, "  partition-safe: {cert}");
-            serial_hint(&mut out, w);
-        }
-        PartitionSafety::FixpointRoundSafe { body_cert } => {
-            let _ = writeln!(
-                out,
-                "  fixpoint round-safe: per-round body certified: {body_cert}"
-            );
-            let _ = writeln!(
-                out,
-                "  each round's body runs on the morsel pool; deltas are canonically merged (semi-naive when the body is delta-linear)"
-            );
-            let _ = writeln!(
-                out,
-                "  the body is lowered once; its loop-invariant inputs are evaluated and indexed once, before round 1"
-            );
-            serial_hint(&mut out, w);
-        }
-        PartitionSafety::Combiner { op, cert } => {
-            let _ = writeln!(
-                out,
-                "  combiner '{op}': partition-local accumulators + serial combine (cf. Lemma 2.12 — the aggregate itself is not partition-distributive, its partial sums are)"
-            );
-            let _ = writeln!(out, "  input {cert}");
-            serial_hint(&mut out, w);
-        }
-        PartitionSafety::Unsafe { op, reason } => {
-            let _ = writeln!(out, "  falls back to serial: '{op}' — {reason}");
-        }
-    }
-    let _ = writeln!(out, "\nbytecode vm:");
-    if !genpar_algebra::vm::enabled() {
-        let _ = writeln!(
-            out,
-            "  disabled ({}=0): the AST walker evaluates every expression",
-            genpar_algebra::vm::VM_ENV
-        );
-    } else {
-        let cert = safety.certificate();
-        let mut vm_lines: Vec<String> = Vec::new();
-        chosen.visit(&mut |n| match n {
-            Query::Select(p, _) => vm_lines.push(vm_line(
-                format!("σ[{p:?}]"),
-                genpar_algebra::vm::compile_pred(p),
-                cert,
-            )),
-            Query::Map(f, _) => vm_lines.push(vm_line(
-                format!("map({f:?})"),
-                genpar_algebra::vm::compile_fn(f),
-                cert,
-            )),
-            _ => {}
-        });
-        if vm_lines.is_empty() {
-            let _ = writeln!(
-                out,
-                "  no compiled programs (plan has no σ/map expressions)"
-            );
-        }
-        for line in vm_lines {
-            let _ = writeln!(out, "{line}");
-        }
-    }
-    // both routes, costed under the (possibly measured) calibration and
-    // any observed statistics — stats can flip this choice, never the
-    // answer
-    let rc = route_costs_with_stats(&chosen, catalog, w, cal, obs_stats);
-    let _ = writeln!(
-        out,
-        "\nroute costs (calibration: {:.3}/worker overhead, {:.0} cells startup):",
-        cal.overhead_per_worker, cal.startup_cost_cells
-    );
-    let _ = writeln!(out, "  serial route:   {:.0} cells", rc.serial.cost);
-    if w > 1 && rc.safe {
-        let _ = writeln!(
-            out,
-            "  parallel route: {:.0} cells ({} workers)",
-            rc.parallel.cost, rc.workers
-        );
-        let route = if rc.choose_parallel {
-            "parallel"
-        } else {
-            "serial"
-        };
-        let _ = writeln!(
-            out,
-            "  chosen route:   {route} (margin {:.0} cells)",
-            rc.margin_cells.abs()
-        );
-        match rc.crossover_cost_cells {
-            Some(c) => {
-                let _ = writeln!(
-                    out,
-                    "  crossover:      parallel pays above {c:.0} cells of serial cost"
-                );
-            }
-            None => {
-                let _ = writeln!(
-                    out,
-                    "  crossover:      none — coordination overhead exceeds the ideal speedup at this width"
-                );
-            }
-        }
-    } else {
-        let reason = if w <= 1 {
-            "serial requested"
-        } else {
-            "gate refused the parallel route"
-        };
-        let _ = writeln!(out, "  parallel route: unavailable ({reason})");
-        let _ = writeln!(out, "  chosen route:   serial");
-    }
-    let _ = writeln!(out, "\nchosen plan:");
-    match genpar_engine::lower(&chosen) {
-        Some(plan) => {
-            for line in plan.to_string().lines() {
-                let _ = writeln!(out, "  {line}");
-            }
-            let _ = writeln!(out, "\nestimated rows per operator:");
-            for (op, est, src) in estimate_nodes_with_sources(&chosen, catalog, obs_stats) {
-                let _ = writeln!(out, "  {op:<18} ~{:.0} rows  [{src}]", est.rows);
-            }
-        }
-        None => {
-            let _ = writeln!(
-                out,
-                "  (not lowerable to the row executor: complex values or a bare-valued map)"
-            );
-        }
-    }
-    Ok(out)
-}
-
-/// Sum the `rows_out` recorded by `plan.*` spans, per operator name.
-fn span_rows_by_op(
-    nodes: &[genpar_obs::SpanNode],
-    acc: &mut std::collections::BTreeMap<String, u64>,
-) {
-    for n in nodes {
-        if n.name.starts_with("plan.") {
-            if let Some(r) = n.fields.get("rows_out") {
-                *acc.entry(n.name.clone()).or_insert(0) += r;
-            }
-        }
-        span_rows_by_op(&n.children, acc);
-    }
-}
-
-/// Per-operator actual-vs-estimated rows: the optimizer's per-node
-/// cardinality predictions paired against the `rows_out` the executor's
-/// spans recorded. Only operators present on both sides are reported.
-fn misestimate_rows(
-    chosen: &Query,
-    catalog: &Catalog,
-    snap: &genpar_obs::Snapshot,
-) -> Vec<(String, f64, u64, f64)> {
-    let mut est: std::collections::BTreeMap<&'static str, f64> = std::collections::BTreeMap::new();
-    for (op, e) in estimate_nodes(chosen, catalog) {
-        *est.entry(op).or_insert(0.0) += e.rows;
-    }
-    let mut actual = std::collections::BTreeMap::new();
-    span_rows_by_op(&snap.spans, &mut actual);
-    actual
-        .into_iter()
-        .filter_map(|(op, rows)| {
-            let e = *est.get(op.as_str())?;
-            let ratio = rows as f64 / e.max(1.0);
-            Some((op, e, rows, ratio))
-        })
-        .collect()
-}
-
-/// `profile`: optimize and execute the query with a fresh obs registry,
-/// then dump the metrics snapshot (span tree, counters, events,
-/// histograms, per-operator misestimates) as an ASCII tree or JSON.
+/// `profile`: an instrumented run — see [`Session::profile`].
 /// `--trace FILE` additionally exports the run as Chrome `trace_event`
 /// JSON (or JSONL for a `.jsonl` path) — with the timeline recorder on
 /// (`--timeline`, implied by `--trace`) that is a true timeline of real
 /// begin/end instants on per-worker lanes. `--stats FILE` consults the
-/// observed-statistics store for routing and harvests this run's
+/// observed-statistics store for costing and harvests this run's
 /// `plan.node_stats` events back into it.
 #[allow(clippy::too_many_arguments)]
 fn profile_cmd(
@@ -854,255 +327,15 @@ fn profile_cmd(
     let q = parse_q(query)?;
     let _wall =
         timeout_ms.map(|ms| genpar_guard::arm_wall_deadline(std::time::Duration::from_millis(ms)));
-    let w = resolve_workers(workers);
-    let catalog = build_catalog(&q, db_path)?;
     let rules = build_rules(union_key)?;
-    let (cal, cal_warning) = load_calibration(calibration)?;
-    let (store, stats_warning) = load_stats(stats_path);
-    let warnings: Vec<String> = [cal_warning, stats_warning].into_iter().flatten().collect();
-    let outcome = profile_with(
-        &q,
-        &catalog,
-        &rules,
+    let session = Session::open(db_path, Some(&q), rules, calibration, stats_path)?;
+    let opts = ProfileOpts {
         json,
-        w,
         trace_path,
         timeline,
-        &cal,
-        store.as_ref(),
-        stats_path,
-        stats_catalog_key(db_path),
-        calibration,
-        &warnings,
-    )?;
-    Ok(outcome.output)
-}
-
-/// What a profile run produced: the rendered report, plus the
-/// statistics store as written to disk after the harvest (so a resident
-/// caller — `genpar serve` — can refresh its in-memory copy).
-pub(crate) struct ProfileOutcome {
-    /// The rendered report (tree or JSON).
-    pub output: String,
-    /// The store state written by the harvest, when one happened.
-    pub written_store: Option<StatsStore>,
-}
-
-/// The `profile` body over preloaded data. The one-shot wrapper above
-/// loads catalog/calibration/statistics from disk; `genpar serve` calls
-/// this with its resident copies. The harvest goes through
-/// [`StatsStore::harvest_into`], which re-reads the on-disk store under
-/// the process persistence lock before folding — concurrent profilers
-/// (two serve sessions, or serve plus a one-shot CLI) cannot lose each
-/// other's samples. Resets the process obs registry so the snapshot
-/// attributes events to this query alone.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn profile_with(
-    q: &Query,
-    catalog: &Catalog,
-    rules: &RuleSet,
-    json: bool,
-    w: usize,
-    trace_path: Option<&str>,
-    timeline: bool,
-    cal: &Calibration,
-    consult: Option<&StatsStore>,
-    stats_path: Option<&str>,
-    stats_key: &str,
-    morsel_out: Option<&str>,
-    warnings: &[String],
-) -> Result<ProfileOutcome, CliError> {
-    let obs_stats_owned = consult.and_then(|s| s.catalog(stats_key)).cloned();
-    let obs_stats = obs_stats_owned.as_ref();
-    // a trace export without the recorder would fall back to the
-    // synthetic layout, so --trace implies --timeline for this run; the
-    // previous flag state (e.g. GENPAR_TIMELINE) is restored afterwards
-    let prev_timeline = genpar_obs::timeline::enabled();
-    // an ambient GENPAR_TIMELINE=1 gets the same reporting as --timeline
-    let want_timeline = timeline || trace_path.is_some() || prev_timeline;
-    if want_timeline {
-        genpar_obs::timeline::set_enabled(true);
-    }
-    // attribute this run's instrumentation to a private obs scope instead
-    // of resetting the process registry: the snapshot below sees exactly
-    // this query, concurrent profiles see theirs, and on drop the scope
-    // rolls up into the parent so cumulative totals are preserved
-    let obs_scope = genpar_obs::Scope::anonymous();
-    let scope_guard = obs_scope.enter();
-    let (chosen, _trace, _base, new_est) =
-        optimize_costed_parallel_with_stats(q, rules, catalog, w, cal, obs_stats);
-    // one call at the requested worker count: the gate picks the route
-    // (executor, per-round fixpoint, combiner, or the walker fallback)
-    let cfg = ExecConfig::default().with_workers(w);
-    let (_, mut stats, _route) =
-        genpar_exec::eval_query(&chosen, catalog, &cfg).map_err(CliError::from)?;
-    // pair the model's prediction with the observed result size
-    stats.est_rows_out = new_est.rows.round().max(0.0) as u64;
-    drop(scope_guard);
-    let snap = obs_scope.snapshot();
-    let mut tl = genpar_obs::timeline::snapshot();
-    if obs_scope.query_id() != 0 {
-        // served request: the process timeline is shared with concurrent
-        // queries — keep only the records stamped with this query's id
-        tl = tl.for_query(obs_scope.query_id());
-    }
-    if want_timeline {
-        genpar_obs::timeline::set_enabled(prev_timeline);
-    }
-    let mis = misestimate_rows(&chosen, catalog, &snap);
-
-    if let Some(path) = trace_path {
-        let text = if path.ends_with(".jsonl") {
-            genpar_obs::trace::jsonl(&snap, &tl)
-        } else {
-            genpar_obs::trace::chrome_trace_string(&snap, &tl)
-        };
-        std::fs::write(path, text)
-            .map_err(|e| CliError::runtime(format!("cannot write trace file {path}: {e}")))?;
-    }
-
-    // fold this run's per-node row counts back into the store, so the
-    // next run's estimates are observed rather than guessed; the
-    // read-fold-write cycle runs under the persistence lock, so a
-    // concurrent harvester's samples are folded in, never overwritten
-    let mut written_store = None;
-    let harvested = match stats_path {
-        Some(p) => {
-            let (folded, written) =
-                StatsStore::harvest_into(p, stats_key, &snap).map_err(CliError::runtime)?;
-            written_store = Some(written);
-            Some(folded)
-        }
-        None => None,
+        persist_morsel: true,
     };
-
-    // persist the converged morsel size so the next run starts tuned
-    let persisted_morsel = match morsel_out {
-        Some(p) => Some(persist_morsel_rows(p)?),
-        None => None,
-    };
-
-    if json {
-        let mut j = snap.to_json();
-        if let genpar_obs::Json::Obj(fields) = &mut j {
-            fields.insert(
-                0,
-                (
-                    "schema_version".to_string(),
-                    genpar_obs::Json::Int(PROFILE_SCHEMA_VERSION as i128),
-                ),
-            );
-            let mis_json = genpar_obs::Json::Obj(
-                mis.iter()
-                    .map(|(op, est, actual, ratio)| {
-                        (
-                            op.clone(),
-                            genpar_obs::Json::obj([
-                                ("est_rows", genpar_obs::Json::Num(*est)),
-                                ("actual_rows", genpar_obs::Json::Int(*actual as i128)),
-                                ("ratio", genpar_obs::Json::Num(*ratio)),
-                            ]),
-                        )
-                    })
-                    .collect(),
-            );
-            fields.push(("misestimate".to_string(), mis_json));
-            fields.push((
-                "result".to_string(),
-                genpar_obs::Json::obj([
-                    ("rows_out", genpar_obs::Json::Int(stats.rows_out as i128)),
-                    (
-                        "est_rows_out",
-                        genpar_obs::Json::Int(stats.est_rows_out as i128),
-                    ),
-                ]),
-            ));
-            if let Some(path) = trace_path {
-                fields.push(("trace_file".to_string(), genpar_obs::Json::str(path)));
-            }
-            if want_timeline {
-                fields.push((
-                    "timeline".to_string(),
-                    genpar_obs::Json::obj([
-                        ("events", genpar_obs::Json::Int(tl.events.len() as i128)),
-                        ("written", genpar_obs::Json::Int(tl.written as i128)),
-                        ("dropped", genpar_obs::Json::Int(tl.dropped as i128)),
-                        (
-                            "capacity_per_thread",
-                            genpar_obs::Json::Int(tl.capacity_per_thread as i128),
-                        ),
-                    ]),
-                ));
-            }
-            if let (Some(p), Some(folded)) = (stats_path, harvested) {
-                fields.push((
-                    "stats".to_string(),
-                    genpar_obs::Json::obj([
-                        ("file", genpar_obs::Json::str(p)),
-                        ("catalog", genpar_obs::Json::str(stats_key)),
-                        ("harvested", genpar_obs::Json::Int(folded as i128)),
-                    ]),
-                ));
-            }
-            if let Some(rows) = persisted_morsel {
-                fields.push((
-                    "morsel_rows_persisted".to_string(),
-                    genpar_obs::Json::Int(rows as i128),
-                ));
-            }
-            if !warnings.is_empty() {
-                fields.push((
-                    "warnings".to_string(),
-                    genpar_obs::Json::Arr(
-                        warnings
-                            .iter()
-                            .map(|w| genpar_obs::Json::str(w.as_str()))
-                            .collect(),
-                    ),
-                ));
-            }
-        }
-        Ok(ProfileOutcome {
-            output: format!("{j}\n"),
-            written_store,
-        })
-    } else {
-        let mut out = format!(
-            "{}query: {q}\n\n{}",
-            warning_lines(warnings),
-            snap.render_tree()
-        );
-        if !mis.is_empty() {
-            let _ = writeln!(out, "misestimate (actual / estimated rows):");
-            for (op, est, actual, ratio) in &mis {
-                let _ = writeln!(out, "  {op:<18} {actual} / ~{est:.0}  (x{ratio:.2})");
-            }
-        }
-        if want_timeline {
-            let _ = writeln!(
-                out,
-                "timeline: {} events recorded ({} dropped by the per-thread rings)",
-                tl.events.len(),
-                tl.dropped
-            );
-        }
-        if let Some(path) = trace_path {
-            let _ = writeln!(out, "trace written to {path}");
-        }
-        if let (Some(p), Some(folded)) = (stats_path, harvested) {
-            let _ = writeln!(
-                out,
-                "stats: harvested {folded} node observations into {p} (catalog '{stats_key}')"
-            );
-        }
-        if let (Some(rows), Some(p)) = (persisted_morsel, morsel_out) {
-            let _ = writeln!(out, "morsel size {rows} persisted to {p}");
-        }
-        Ok(ProfileOutcome {
-            output: out,
-            written_store,
-        })
-    }
+    session.profile(&q, Some(resolve_workers(workers)), &opts)
 }
 
 /// `calibrate`: fit the parallel cost model from a `BENCH_parallel.json`
@@ -1391,22 +624,10 @@ fn chaos_cmd(seed: u64, cases: u32) -> Result<String, CliError> {
     Ok(out)
 }
 
-/// Coerce a relation value to uniform-arity tuples (pad/skip oddballs) so
-/// it can be loaded into a schema'd table.
-fn normalize_rel(v: &genpar_value::Value, arity: usize) -> genpar_value::Value {
-    match v.as_set() {
-        Some(s) => genpar_value::Value::set(
-            s.iter()
-                .filter(|t| t.as_tuple().is_some_and(|tt| tt.len() == arity))
-                .cloned(),
-        ),
-        None => genpar_value::Value::empty_set(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::session::{event_field, load_calibration, vm_line};
 
     /// The obs registry is process-global; tests that reset + snapshot it
     /// serialize here so a concurrent reset cannot wipe their events.
@@ -1417,6 +638,48 @@ mod tests {
             Ok(g) => g,
             Err(p) => p.into_inner(),
         }
+    }
+
+    /// One-shot text or JSON `profile` at `workers`, with optional
+    /// `--db`, `--calibration` and `--stats` files.
+    fn profile_files(
+        query: &str,
+        db: Option<&str>,
+        workers: usize,
+        cal: Option<&str>,
+        stats: Option<&str>,
+        json: bool,
+    ) -> String {
+        profile_cmd(
+            query,
+            db,
+            None,
+            json,
+            Some(workers),
+            None,
+            false,
+            cal,
+            stats,
+            None,
+        )
+        .unwrap()
+    }
+
+    /// One-shot `profile` on the nominal catalog at `workers`.
+    fn profile(query: &str, workers: usize, json: bool, trace: Option<&str>, tl: bool) -> String {
+        profile_cmd(
+            query,
+            None,
+            None,
+            json,
+            Some(workers),
+            trace,
+            tl,
+            None,
+            None,
+            None,
+        )
+        .unwrap()
     }
 
     #[test]
@@ -1585,12 +848,15 @@ mod tests {
         let _g = obs_guard();
         let out = explain_cmd("pi[$1](union(R, S))", None, None, Some(4), None, None).unwrap();
         assert!(out.contains("parallel execution (4 workers)"), "{out}");
-        assert!(out.contains("would run on 4 worker threads"), "{out}");
+        assert!(
+            out.contains("run route:      executor on 4 worker threads"),
+            "{out}"
+        );
         // both route costs are printed with the calibrated model
         assert!(out.contains("route costs"), "{out}");
         assert!(out.contains("serial route:"), "{out}");
         assert!(out.contains("parallel route:"), "{out}");
-        assert!(out.contains("chosen route:"), "{out}");
+        assert!(out.contains("model prefers:"), "{out}");
         assert!(out.contains("crossover"), "{out}");
         // per-operator cardinality estimates back the misestimate report
         assert!(out.contains("estimated rows per operator:"), "{out}");
@@ -1615,7 +881,7 @@ mod tests {
         assert!(!out.contains("gate refused"), "{out}");
         assert!(out.contains("serial route:"), "{out}");
         assert!(out.contains("parallel route:"), "{out}");
-        assert!(out.contains("chosen route:"), "{out}");
+        assert!(out.contains("model prefers:"), "{out}");
         let out = explain_cmd("count(pi[$1](R))", None, None, Some(4), None, None).unwrap();
         assert!(out.contains("combiner 'count'"), "{out}");
     }
@@ -1702,19 +968,7 @@ mod tests {
     #[test]
     fn profile_renders_tree_and_json() {
         let _g = obs_guard();
-        let out = profile_cmd(
-            "pi[$1](union(R, S))",
-            None,
-            None,
-            false,
-            Some(1),
-            None,
-            false,
-            None,
-            None,
-            None,
-        )
-        .unwrap();
+        let out = profile("pi[$1](union(R, S))", 1, false, None, false);
         assert!(out.contains("spans:"), "{out}");
         assert!(out.contains("exec.parallel"), "{out}");
         assert!(out.contains("counters:"), "{out}");
@@ -1722,19 +976,7 @@ mod tests {
             out.contains("misestimate (actual / estimated rows):"),
             "{out}"
         );
-        let out = profile_cmd(
-            "pi[$1](union(R, S))",
-            None,
-            None,
-            true,
-            Some(1),
-            None,
-            false,
-            None,
-            None,
-            None,
-        )
-        .unwrap();
+        let out = profile("pi[$1](union(R, S))", 1, true, None, false);
         let parsed = genpar_obs::Json::parse(&out).expect("profile --json emits valid JSON");
         assert!(parsed.get("counters").is_some(), "{out}");
         assert!(parsed.get("spans").is_some(), "{out}");
@@ -1768,19 +1010,7 @@ mod tests {
     #[test]
     fn profile_parallel_uses_the_executor() {
         let _g = obs_guard();
-        let out = profile_cmd(
-            "pi[$1](union(R, S))",
-            None,
-            None,
-            false,
-            Some(4),
-            None,
-            false,
-            None,
-            None,
-            None,
-        )
-        .unwrap();
+        let out = profile("pi[$1](union(R, S))", 4, false, None, false);
         assert!(out.contains("exec.parallel"), "{out}");
         assert!(out.contains("exec.worker"), "{out}");
         // every morsel is timed into the latency histogram
@@ -1795,19 +1025,7 @@ mod tests {
         let path = dir.join("trace.json");
         let p = path.to_str().unwrap();
         let _g = obs_guard();
-        let out = profile_cmd(
-            "pi[$1](union(R, S))",
-            None,
-            None,
-            false,
-            Some(4),
-            Some(p),
-            false,
-            None,
-            None,
-            None,
-        )
-        .unwrap();
+        let out = profile("pi[$1](union(R, S))", 4, false, Some(p), false);
         assert!(out.contains(&format!("trace written to {p}")), "{out}");
         let text = std::fs::read_to_string(&path).unwrap();
         let trace = genpar_obs::Json::parse(&text).expect("trace file is valid JSON");
@@ -1824,19 +1042,7 @@ mod tests {
             "exec.parallel span exported: {text}"
         );
         // the JSON form also points at the trace file
-        let out = profile_cmd(
-            "pi[$1](union(R, S))",
-            None,
-            None,
-            true,
-            Some(4),
-            Some(p),
-            false,
-            None,
-            None,
-            None,
-        )
-        .unwrap();
+        let out = profile("pi[$1](union(R, S))", 4, true, Some(p), false);
         let parsed = genpar_obs::Json::parse(&out).unwrap();
         assert_eq!(
             parsed.get("trace_file").and_then(|v| v.as_str()),
@@ -1852,19 +1058,7 @@ mod tests {
         let path = dir.join("trace.jsonl");
         let p = path.to_str().unwrap();
         let _g = obs_guard();
-        profile_cmd(
-            "pi[$1](union(R, S))",
-            None,
-            None,
-            false,
-            Some(1),
-            Some(p),
-            false,
-            None,
-            None,
-            None,
-        )
-        .unwrap();
+        profile("pi[$1](union(R, S))", 1, false, Some(p), false);
         let text = std::fs::read_to_string(&path).unwrap();
         let mut lines = 0;
         for line in text.lines() {
@@ -1983,19 +1177,7 @@ mod tests {
         let _g = obs_guard();
         // three profiled runs harvest plan.node_stats past MIN_SAMPLES
         for i in 0..3 {
-            let out = profile_cmd(
-                "select[$1=$2](R)",
-                None,
-                None,
-                false,
-                Some(1),
-                None,
-                false,
-                None,
-                Some(f),
-                None,
-            )
-            .unwrap();
+            let out = profile_files("select[$1=$2](R)", None, 1, None, Some(f), false);
             assert!(
                 out.contains("node observations into"),
                 "run {i} harvested: {out}"
@@ -2017,19 +1199,7 @@ mod tests {
         assert!(!out.contains("observed(n="), "{out}");
         assert!(out.contains("[static]"), "{out}");
         // the JSON profile reports the harvest block
-        let out = profile_cmd(
-            "select[$1=$2](R)",
-            None,
-            None,
-            true,
-            Some(1),
-            None,
-            false,
-            None,
-            Some(f),
-            None,
-        )
-        .unwrap();
+        let out = profile_files("select[$1=$2](R)", None, 1, None, Some(f), true);
         let parsed = genpar_obs::Json::parse(&out).unwrap();
         let stats = parsed.get("stats").expect("stats block present");
         assert_eq!(
@@ -2044,35 +1214,11 @@ mod tests {
         let _g = obs_guard();
         let prev = genpar_obs::timeline::enabled();
         // --timeline alone (no trace) records and reports, then restores
-        let out = profile_cmd(
-            "pi[$1](union(R, S))",
-            None,
-            None,
-            false,
-            Some(4),
-            None,
-            true,
-            None,
-            None,
-            None,
-        )
-        .unwrap();
+        let out = profile("pi[$1](union(R, S))", 4, false, None, true);
         assert!(out.contains("timeline:"), "{out}");
         assert_eq!(genpar_obs::timeline::enabled(), prev, "flag restored");
         // JSON form carries the timeline block
-        let out = profile_cmd(
-            "pi[$1](union(R, S))",
-            None,
-            None,
-            true,
-            Some(4),
-            None,
-            true,
-            None,
-            None,
-            None,
-        )
-        .unwrap();
+        let out = profile("pi[$1](union(R, S))", 4, true, None, true);
         let parsed = genpar_obs::Json::parse(&out).unwrap();
         let tl = parsed.get("timeline").expect("timeline block present");
         assert!(
@@ -2094,19 +1240,7 @@ mod tests {
         let _g = obs_guard();
         // --trace implies --timeline: the export must be real B/E pairs,
         // not the synthetic flame layout of complete (ph: X) events
-        profile_cmd(
-            "pi[$1](union(R, S))",
-            None,
-            None,
-            false,
-            Some(4),
-            Some(p),
-            false,
-            None,
-            None,
-            None,
-        )
-        .unwrap();
+        profile("pi[$1](union(R, S))", 4, false, Some(p), false);
         let text = std::fs::read_to_string(&path).unwrap();
         let trace = genpar_obs::Json::parse(&text).unwrap();
         let events = trace
@@ -2146,34 +1280,10 @@ mod tests {
     fn profile_falls_back_to_the_interpreter() {
         let _g = obs_guard();
         // adom is complex-valued — not lowerable to the flat engine
-        let out = profile_cmd(
-            "adom(R)",
-            None,
-            None,
-            false,
-            Some(1),
-            None,
-            false,
-            None,
-            None,
-            None,
-        )
-        .unwrap();
+        let out = profile("adom(R)", 1, false, None, false);
         assert!(out.contains("counters:"), "{out}");
         // at 4 workers the gate refuses it and records the fallback
-        let out = profile_cmd(
-            "adom(R)",
-            None,
-            None,
-            false,
-            Some(4),
-            None,
-            false,
-            None,
-            None,
-            None,
-        )
-        .unwrap();
+        let out = profile("adom(R)", 4, false, None, false);
         assert!(out.contains("exec.fallback"), "{out}");
     }
 
@@ -2182,19 +1292,7 @@ mod tests {
         let _g = obs_guard();
         // at 4 workers `even` takes the combiner route: combine span and
         // histogram in the profile, no fallback anywhere
-        let out = profile_cmd(
-            "even(R)",
-            None,
-            None,
-            false,
-            Some(4),
-            None,
-            false,
-            None,
-            None,
-            None,
-        )
-        .unwrap();
+        let out = profile("even(R)", 4, false, None, false);
         assert!(out.contains("exec.combine"), "{out}");
         assert!(!out.contains("exec.fallback"), "{out}");
         // a fixpoint profile shows the per-round spans and histogram
@@ -2202,19 +1300,14 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("fix.gdb");
         std::fs::write(&path, "E = {(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)}\n").unwrap();
-        let out = profile_cmd(
+        let out = profile_files(
             "fix[X](E, pi[$1,$4](join[$2=$1](X, E)))",
             Some(path.to_str().unwrap()),
+            4,
+            None,
             None,
             false,
-            Some(4),
-            None,
-            false,
-            None,
-            None,
-            None,
-        )
-        .unwrap();
+        );
         assert!(out.contains("exec.fixpoint"), "{out}");
         assert!(out.contains("exec.fixpoint_round_us"), "{out}");
         assert!(!out.contains("exec.fallback"), "{out}");
@@ -2232,19 +1325,7 @@ mod tests {
         .unwrap();
         let c = cal_path.to_str().unwrap();
         let _g = obs_guard();
-        let out = profile_cmd(
-            "pi[$1](union(R, S))",
-            None,
-            None,
-            false,
-            Some(4),
-            None,
-            false,
-            Some(c),
-            None,
-            None,
-        )
-        .unwrap();
+        let out = profile_files("pi[$1](union(R, S))", None, 4, Some(c), None, false);
         assert!(out.contains(&format!("persisted to {c}")), "{out}");
         // round trip: the file gained morsel_rows and kept every other key
         let text = genpar_optimizer::persist::read_payload(c).unwrap().unwrap();
@@ -2261,19 +1342,7 @@ mod tests {
         assert!((cal.overhead_per_worker - 0.04).abs() < 1e-9, "{text}");
         assert!((cal.startup_cost_cells - 10.0).abs() < 1e-9, "{text}");
         // persisting again overwrites in place rather than duplicating
-        let out2 = profile_cmd(
-            "pi[$1](union(R, S))",
-            None,
-            None,
-            false,
-            Some(4),
-            None,
-            false,
-            Some(c),
-            None,
-            None,
-        )
-        .unwrap();
+        let out2 = profile_files("pi[$1](union(R, S))", None, 4, Some(c), None, false);
         assert!(out2.contains("persisted to"), "{out2}");
         let text2 = std::fs::read_to_string(&cal_path).unwrap();
         assert_eq!(
@@ -2360,6 +1429,127 @@ mod tests {
         let missing = dir.join("nope.json");
         let err = load_calibration(Some(missing.to_str().unwrap())).unwrap_err();
         assert!(err.message.contains("cannot read"), "{}", err.message);
+    }
+
+    #[test]
+    fn run_executes_the_plan_explain_prints() {
+        let db = concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../examples/data/example_2_2.gdb"
+        );
+        let q = parse_q("pi[$1](union(r1, r3))").unwrap();
+        let session = Session::open(Some(db), None, RuleSet::standard(), None, None).unwrap();
+        let prepared = session.prepare(&q, 1);
+        assert_eq!(prepared.plan.to_string(), "(π[$1](r1) ∪ π[$1](r3))");
+        let explained = session.explain(&q, Some(1)).unwrap();
+        assert!(
+            explained.contains("optimized: (π[$1](r1) ∪ π[$1](r3))"),
+            "{explained}"
+        );
+        // the rewritten plan answers with the original query's bytes
+        let (v, _) = session.evaluate(prepared).unwrap();
+        let written = genpar_algebra::eval::eval(&q, &crate::dbfile::load_db(db).unwrap()).unwrap();
+        assert_eq!(v, written);
+        let out = run("pi[$1](union(r1, r3))", db, Some(1), None).unwrap();
+        assert_eq!(out, format!("{written}\n"));
+    }
+
+    #[test]
+    fn explain_names_the_route_run_takes() {
+        let _g = obs_guard();
+        let dir = std::env::temp_dir().join("genpar_cli_test_routes");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("routes.gdb");
+        // W and T differ in width; M and C are relations no table schema
+        // describes, so only the walker reads them
+        let relations = "R = {(1, 1), (2, 3)}\nE = {(0, 1), (1, 2)}\nW = {(1, 2, 3)}\n\
+                         T = {(4, 5)}\nS = {(6)}\nM = {(1, 2, 3), (4, 5)}\nC = {1, 2, 3}\n";
+        std::fs::write(&path, relations).unwrap();
+        let db = crate::dbfile::load_db(path.to_str().unwrap()).unwrap();
+        let session = Session::open(path.to_str(), None, RuleSet::standard(), None, None).unwrap();
+        for (query, at_one, at_two) in [
+            ("pi[$1](select[$1=$2](R))", "walker", "executor"),
+            ("count(R)", "walker", "executor"),
+            (
+                "fix[X](E, pi[$1,$4](join[$2=$1](X, E)))",
+                "executor",
+                "executor",
+            ),
+            ("adom(R)", "walker", "walker"),
+            // σ reads $3, which T's rows only have after the ×
+            (
+                "select[$3=$3](product(union(W, T), S))",
+                "walker",
+                "executor",
+            ),
+            ("select[$3=$3](product(M, S))", "walker", "walker"),
+            ("pi[$1](M)", "walker", "walker"),
+            ("count(C)", "walker", "walker"),
+        ] {
+            let q = parse_q(query).unwrap();
+            for (w, expected) in [(1, at_one), (2, at_two)] {
+                let out = session.explain(&q, Some(w)).unwrap();
+                let named = out
+                    .lines()
+                    .find_map(|l| l.trim_start().strip_prefix("run route:"))
+                    .and_then(|rest| rest.split([' ', ',']).find(|t| !t.is_empty()))
+                    .unwrap_or_else(|| panic!("no run route line for {query}: {out}"));
+                let (v, taken) = session.evaluate(session.prepare(&q, w)).unwrap();
+                assert_eq!(named, taken.to_string(), "{query} at {w} worker(s): {out}");
+                // and it answers as the query as written does
+                let written = genpar_algebra::eval::eval(&q, &db).unwrap();
+                assert_eq!(v, written, "{query} at {w} worker(s)");
+                assert_eq!(named, expected, "{query} at {w} worker(s)");
+            }
+        }
+    }
+
+    #[test]
+    fn profile_misestimates_use_the_observed_stats_explain_uses() {
+        let dir = std::env::temp_dir().join("genpar_cli_test_mis_observed");
+        std::fs::create_dir_all(&dir).unwrap();
+        let db = dir.join("stats.gdb");
+        std::fs::write(
+            &db,
+            "R = {(1, 1), (1, 2), (2, 2), (3, 4), (4, 4), (5, 6)}\n",
+        )
+        .unwrap();
+        let stats = dir.join("STATS.json");
+        let _ = std::fs::remove_file(&stats);
+        let (d, f) = (db.to_str(), stats.to_str());
+        let _g = obs_guard();
+        let profile = |json| profile_files("select[$1=$2](R)", d, 1, None, f, json);
+        for _ in 0..3 {
+            profile(false);
+        }
+        let out = explain_cmd("select[$1=$2](R)", d, None, Some(1), None, f).unwrap();
+        assert!(
+            out.contains("plan.Filter        ~3 rows  [observed(n="),
+            "{out}"
+        );
+        let out = profile(true);
+        let parsed = genpar_obs::Json::parse(&out).unwrap();
+        let filter = parsed
+            .get("misestimate")
+            .and_then(|m| m.get("plan.Filter"))
+            .unwrap_or_else(|| panic!("no plan.Filter misestimate: {out}"));
+        let est = match filter.get("est_rows") {
+            Some(genpar_obs::Json::Num(x)) => *x,
+            Some(genpar_obs::Json::Int(i)) => *i as f64,
+            other => panic!("est_rows is not a number: {other:?}"),
+        };
+        assert!(
+            (est - 3.0).abs() < 1e-9,
+            "observed estimate, not static: {out}"
+        );
+        assert_eq!(
+            parsed
+                .get("result")
+                .and_then(|r| r.get("est_rows_out"))
+                .and_then(|v| v.as_int()),
+            Some(3),
+            "{out}"
+        );
     }
 
     #[test]

@@ -32,6 +32,7 @@
 pub mod commands;
 pub mod dbfile;
 pub mod serve_cmd;
+pub mod session;
 
 use std::fmt;
 

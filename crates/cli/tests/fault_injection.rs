@@ -93,33 +93,31 @@ fn probe_reports_checker_fault() {
 }
 
 #[test]
-fn optimizer_rewrite_fault_degrades_to_success() {
-    // Graceful degradation: the optimizer falls back to the original
-    // plan, so the command still succeeds (exit 0) and the trace is
-    // empty rather than the process failing.
-    let out = genpar()
-        .env("GENPAR_FAULTS", "optimizer.rewrite:1")
-        .args(["optimize", "pi[$1](union(R, S))"])
-        .output()
-        .unwrap();
-    assert_no_panic(&out);
-    assert_eq!(
-        out.status.code(),
-        Some(0),
-        "degraded optimizer should still succeed; stderr: {}",
-        stderr_of(&out)
-    );
-}
-
-#[test]
-fn optimizer_cost_fault_degrades_to_success() {
-    let out = genpar()
-        .env("GENPAR_FAULTS", "optimizer.cost:1")
-        .args(["optimize", "pi[$1](union(R, S))"])
-        .output()
-        .unwrap();
-    assert_no_panic(&out);
-    assert_eq!(out.status.code(), Some(0), "stderr: {}", stderr_of(&out));
+fn optimizer_faults_degrade_to_success() {
+    // Graceful degradation: at either optimizer site the pipeline falls
+    // back to the original plan, so `optimize` and `run` still succeed
+    // (exit 0), and `run` answers with the clean run's bytes.
+    let db = small_db();
+    let genpar_at = |faults: &str, verb: &str| {
+        let args = [verb, "pi[$1](union(R, S))", "--db", db.to_str().unwrap()];
+        let mut cmd = genpar();
+        cmd.env("GENPAR_FAULTS", faults)
+            .args(args)
+            .output()
+            .unwrap()
+    };
+    let clean = genpar_at("", "run");
+    assert!(clean.status.success(), "stderr: {}", stderr_of(&clean));
+    for spec in ["optimizer.rewrite:1", "optimizer.cost:1"] {
+        for verb in ["optimize", "run"] {
+            let out = genpar_at(spec, verb);
+            assert_no_panic(&out);
+            assert!(out.status.success(), "{spec} {verb}: {}", stderr_of(&out));
+            if verb == "run" {
+                assert_eq!(out.stdout, clean.stdout, "{spec}");
+            }
+        }
+    }
 }
 
 #[test]

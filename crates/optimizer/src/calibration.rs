@@ -320,17 +320,15 @@ pub struct RouteCosts {
 /// a refused query's "parallel" cost is its serial cost and the choice
 /// is serial, while the per-round fixpoint and combiner verdicts get the
 /// same route-specific pricing as
-/// [`estimate_parallel_with`](crate::estimate_parallel_with).
-pub fn route_costs(q: &Query, catalog: &Catalog, workers: usize, cal: &Calibration) -> RouteCosts {
-    route_costs_with_stats(q, catalog, workers, cal, None)
-}
-
-/// [`route_costs`] with a catalog's **observed statistics** in the loop
-/// (see [`crate::estimate_with_stats`]): both routes are costed under
-/// the observed cardinality overrides, so harvested feedback can move a
-/// query across the crossover and flip the route `explain` recommends.
-/// The answer cannot change — both routes compute the same `Value` by
-/// the partition-safety guarantee; only the choice does.
+/// [`estimate_parallel_with_stats`](crate::estimate_parallel_with_stats).
+///
+/// With a catalog's **observed statistics** (see
+/// [`crate::estimate_with_stats`]; `None` is the static model) both
+/// routes are costed under the observed cardinality overrides, so
+/// harvested feedback can move a query across the crossover and flip the
+/// route `explain` recommends. The answer cannot change — both routes
+/// compute the same `Value` by the partition-safety guarantee; only the
+/// choice does.
 pub fn route_costs_with_stats(
     q: &Query,
     catalog: &Catalog,
@@ -587,20 +585,20 @@ mod tests {
         let safe = Query::rel("R")
             .join_on(Query::rel("S"), [(0, 0)])
             .project([0]);
-        let rc = route_costs(&safe, &cat, 4, &cal);
+        let rc = route_costs_with_stats(&safe, &cat, 4, &cal, None);
         assert!(rc.safe && rc.choose_parallel);
         assert!(rc.parallel.cost < rc.serial.cost);
         assert!(rc.margin_cells > 0.0);
         assert_eq!(rc.crossover_cost_cells, Some(0.0));
 
         let unsafe_q = Query::Powerset(Box::new(Query::rel("R")));
-        let rc = route_costs(&unsafe_q, &cat, 4, &cal);
+        let rc = route_costs_with_stats(&unsafe_q, &cat, 4, &cal, None);
         assert!(!rc.safe && !rc.choose_parallel);
         assert_eq!(rc.serial, rc.parallel);
         assert_eq!(rc.margin_cells, 0.0);
         assert_eq!(rc.crossover_cost_cells, None);
 
-        let rc = route_costs(&safe, &cat, 1, &cal);
+        let rc = route_costs_with_stats(&safe, &cat, 1, &cal, None);
         assert!(!rc.choose_parallel, "serial request never picks parallel");
     }
 
@@ -615,10 +613,10 @@ mod tests {
         // combiner verdict: eligible, discounted, crossover shifted up by
         // the combine constant relative to the plain route
         let even = Query::Even(Box::new(Query::rel("R")));
-        let rc = route_costs(&even, &cat, 4, &cal);
+        let rc = route_costs_with_stats(&even, &cat, 4, &cal, None);
         assert!(rc.safe, "root `even` is combiner-eligible now");
         assert!(rc.choose_parallel && rc.parallel.cost < rc.serial.cost);
-        let plain = route_costs(&Query::rel("R"), &cat, 4, &cal);
+        let plain = route_costs_with_stats(&Query::rel("R"), &cat, 4, &cal, None);
         let (even_cross, plain_cross) = (
             rc.crossover_cost_cells.expect("combiner crossover"),
             plain.crossover_cost_cells.expect("plain crossover"),
@@ -635,7 +633,7 @@ mod tests {
             .join_on(Query::rel("R"), [(1, 0)])
             .project([0, 3]);
         let fix = Query::fixpoint("X", Query::rel("R"), step);
-        let rc = route_costs(&fix, &cat, 4, &cal);
+        let rc = route_costs_with_stats(&fix, &cat, 4, &cal, None);
         assert!(rc.safe, "distributive-body fixpoint is round-safe");
         assert!(
             rc.crossover_cost_cells.expect("fixpoint crossover") > plain_cross,

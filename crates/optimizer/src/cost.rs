@@ -211,31 +211,21 @@ fn estimate_static_node(q: &Query, catalog: &Catalog, obs: Option<&CatalogStats>
 /// Estimate a query as executed by `workers` workers on the partitioned
 /// executor, under the **default** (uncalibrated) cost model — the
 /// historical 3%/worker coordination guess. See
-/// [`estimate_parallel_with`] for the calibrated form.
+/// [`estimate_parallel_with_stats`] for the calibrated form.
 pub fn estimate_parallel(q: &Query, catalog: &Catalog, workers: usize) -> Estimate {
-    estimate_parallel_with(q, catalog, workers, &crate::Calibration::default())
+    estimate_parallel_with_stats(q, catalog, workers, &crate::Calibration::default(), None)
 }
 
 /// Estimate a query as executed by `workers` workers on the partitioned
 /// executor, pricing coordination with a measured
-/// [`Calibration`](crate::Calibration). The parallelism factor applies
-/// **only** when the partition-safety gate certifies the query — the
-/// cost model consults the same genericity checker the executor does, so
-/// it never predicts a speedup the executor would refuse to attempt.
-/// Cardinalities are unchanged (parallelism moves work, it does not
-/// create rows); only `cost` is scaled.
-pub fn estimate_parallel_with(
-    q: &Query,
-    catalog: &Catalog,
-    workers: usize,
-    cal: &crate::Calibration,
-) -> Estimate {
-    estimate_parallel_with_stats(q, catalog, workers, cal, None)
-}
-
-/// [`estimate_parallel_with`] with observed statistics in the loop (see
-/// [`estimate_with_stats`]). `None` is byte-identical to the static
-/// model.
+/// [`Calibration`](crate::Calibration) and cardinalities with a catalog's
+/// observed statistics (see [`estimate_with_stats`]; `None` is the static
+/// model). The parallelism factor applies **only** when the
+/// partition-safety gate certifies the query — the cost model consults
+/// the same genericity checker the executor does, so it never predicts a
+/// speedup the executor would refuse to attempt. Cardinalities are
+/// unchanged (parallelism moves work, it does not create rows); only
+/// `cost` is scaled.
 pub fn estimate_parallel_with_stats(
     q: &Query,
     catalog: &Catalog,
@@ -273,21 +263,12 @@ pub fn estimate_parallel_with_stats(
 
 /// Per-node estimates for the subtrees of `q`, preorder, each labelled
 /// with the physical operator the node lowers to (`plan.Scan`,
-/// `plan.Filter`, …). Pairing these against the `rows_out` fields the
-/// executor records in its `plan.*` spans gives the per-operator
+/// `plan.Filter`, …) and with where its cardinality came from —
+/// [`EstimateSource::Static`] or [`EstimateSource::Observed`]. `explain`
+/// prints them per operator; pairing them against the `rows_out` fields
+/// the executor records in its `plan.*` spans gives the per-operator
 /// misestimate ratio that `profile` reports. Complex-value nodes that do
 /// not lower get the label `plan.Other` and are not descended into.
-pub fn estimate_nodes(q: &Query, catalog: &Catalog) -> Vec<(&'static str, Estimate)> {
-    estimate_nodes_with_sources(q, catalog, None)
-        .into_iter()
-        .map(|(name, est, _)| (name, est))
-        .collect()
-}
-
-/// [`estimate_nodes`] with observed statistics in the loop, each node
-/// additionally labelled with where its cardinality came from —
-/// [`EstimateSource::Static`] or [`EstimateSource::Observed`] (what
-/// `explain` prints per operator).
 pub fn estimate_nodes_with_sources(
     q: &Query,
     catalog: &Catalog,
@@ -357,45 +338,41 @@ pub fn optimize_costed(
     rules: &RuleSet,
     catalog: &Catalog,
 ) -> (Query, RewriteTrace, Estimate, Estimate) {
-    optimize_costed_parallel(q, rules, catalog, 1)
+    optimize_costed_parallel_with_stats(q, rules, catalog, 1, &crate::Calibration::default(), None)
 }
 
 /// [`optimize_costed`] with the plans costed for a `workers`-wide
-/// parallel executor ([`estimate_parallel`]). Because the parallelism
-/// factor applies only to partition-safe plans, a rewrite that moves a
-/// query *into* the certified fragment is rewarded with the full
-/// parallel discount — genericity pays twice, once logically and once
-/// physically.
-pub fn optimize_costed_parallel(
-    q: &Query,
-    rules: &RuleSet,
-    catalog: &Catalog,
-    workers: usize,
-) -> (Query, RewriteTrace, Estimate, Estimate) {
-    optimize_costed_parallel_with(q, rules, catalog, workers, &crate::Calibration::default())
-}
-
-/// [`optimize_costed_parallel`] under a measured
-/// [`Calibration`](crate::Calibration) instead of the default constants.
-pub fn optimize_costed_parallel_with(
+/// executor under a measured [`Calibration`](crate::Calibration) and a
+/// catalog's observed statistics: the rewrite pass, then
+/// [`keep_cheaper`].
+pub fn optimize_costed_parallel_with_stats(
     q: &Query,
     rules: &RuleSet,
     catalog: &Catalog,
     workers: usize,
     cal: &crate::Calibration,
+    obs: Option<&CatalogStats>,
 ) -> (Query, RewriteTrace, Estimate, Estimate) {
-    optimize_costed_parallel_with_stats(q, rules, catalog, workers, cal, None)
+    let (rewritten, trace) = optimize(q, rules, catalog);
+    keep_cheaper(q, rewritten, trace, catalog, workers, cal, obs)
 }
 
-/// [`optimize_costed_parallel_with`] with observed statistics in the
-/// loop: both candidate plans are costed under the catalog's observed
-/// cardinality overrides (see [`estimate_with_stats`]), so harvested
-/// feedback can change which plan wins — and *only* that. The rewritten
-/// and original queries stay value-equivalent by the rewrite rules'
-/// soundness, so feedback never changes an answer.
-pub fn optimize_costed_parallel_with_stats(
+/// Cost `q` and its rewrite `rewritten` (with the rewrite pass's
+/// `trace`) for a `workers`-wide executor ([`estimate_parallel_with_stats`])
+/// and keep the cheaper: the rewrite with its trace, or `q` with an
+/// empty one. Returns the chosen query, its trace and both estimates.
+///
+/// Because the parallelism factor applies only to partition-safe plans,
+/// a rewrite that moves a query *into* the certified fragment is
+/// rewarded with the full parallel discount — genericity pays twice,
+/// once logically and once physically. Observed statistics can change
+/// which plan wins, and *only* that: the two queries stay
+/// value-equivalent by the rewrite rules' soundness, so feedback never
+/// changes an answer.
+pub fn keep_cheaper(
     q: &Query,
-    rules: &RuleSet,
+    rewritten: Query,
+    trace: RewriteTrace,
     catalog: &Catalog,
     workers: usize,
     cal: &crate::Calibration,
@@ -408,13 +385,13 @@ pub fn optimize_costed_parallel_with_stats(
         .map_err(|f| f.to_string())
         .and_then(|()| {
             genpar_guard::catch_panics(|| {
-                let base_est = estimate_parallel_with_stats(q, catalog, workers, cal, obs);
-                let (rewritten, trace) = optimize(q, rules, catalog);
-                let new_est = estimate_parallel_with_stats(&rewritten, catalog, workers, cal, obs);
-                (base_est, rewritten, trace, new_est)
+                (
+                    estimate_parallel_with_stats(q, catalog, workers, cal, obs),
+                    estimate_parallel_with_stats(&rewritten, catalog, workers, cal, obs),
+                )
             })
         });
-    let (base_est, rewritten, trace, new_est) = match attempted {
+    let (base_est, new_est) = match attempted {
         Ok(out) => out,
         Err(reason) => {
             crate::rewrite::degrade("cost", &reason);
@@ -607,8 +584,8 @@ mod tests {
         // startup term — a single one for a plain query, one per
         // expected round for the fixpoint
         let plain = Query::rel("R").project([0]);
-        let plain_par = estimate_parallel_with(&plain, &cat, 4, &startup_heavy);
-        let fix_par = estimate_parallel_with(&fix, &cat, 4, &startup_heavy);
+        let plain_par = estimate_parallel_with_stats(&plain, &cat, 4, &startup_heavy, None);
+        let fix_par = estimate_parallel_with_stats(&fix, &cat, 4, &startup_heavy, None);
         let plain_startup = plain_par.cost - estimate(&plain, &cat).cost / 4.0;
         let fix_startup = fix_par.cost - estimate(&fix, &cat).cost / 4.0;
         assert!(
@@ -627,8 +604,14 @@ mod tests {
     fn parallel_costed_optimizer_matches_serial_choice_shape() {
         let cat = keyed_catalog(8);
         let q = Query::rel("R").difference(Query::rel("S")).project([0]);
-        let (chosen, trace, base_est, new_est) =
-            optimize_costed_parallel(&q, &keyed_rules(), &cat, 4);
+        let (chosen, trace, base_est, new_est) = optimize_costed_parallel_with_stats(
+            &q,
+            &keyed_rules(),
+            &cat,
+            4,
+            &crate::Calibration::default(),
+            None,
+        );
         // both candidates are partition-safe, so the discount cancels and
         // the wide-row rewrite decision is preserved
         assert!(!trace.steps.is_empty());

@@ -32,12 +32,11 @@ pub mod rules;
 pub mod stats;
 
 pub use calibration::{
-    route_costs, route_costs_with_stats, Calibration, RouteCosts, CALIBRATION_SCHEMA_VERSION,
+    route_costs_with_stats, Calibration, RouteCosts, CALIBRATION_SCHEMA_VERSION,
 };
 pub use cost::{
-    estimate, estimate_nodes, estimate_nodes_with_sources, estimate_parallel,
-    estimate_parallel_with, estimate_parallel_with_stats, estimate_with_stats, optimize_costed,
-    optimize_costed_parallel, optimize_costed_parallel_with, optimize_costed_parallel_with_stats,
+    estimate, estimate_nodes_with_sources, estimate_parallel, estimate_parallel_with_stats,
+    estimate_with_stats, keep_cheaper, optimize_costed, optimize_costed_parallel_with_stats,
     Estimate,
 };
 pub use rewrite::{optimize, RewriteTrace};

@@ -153,16 +153,18 @@ impl RuleSet {
 }
 
 /// The arity (tuple width) of a query's output relation, when derivable
-/// from the catalog. Needed by column-sensitive side conditions.
+/// from the catalog. Needed by column-sensitive side conditions, so it is
+/// a width *every* row has: `None` whenever rows of another width (or no
+/// tuple at all) could appear.
 pub fn arity_of(q: &Query, catalog: &Catalog) -> Option<usize> {
     match q {
         Query::Rel(n) => catalog.schema_of(n).map(|s| s.arity()),
         Query::Empty => None,
-        Query::Lit(v) => v
-            .as_set()
-            .and_then(|s| s.iter().next())
-            .and_then(|t| t.as_tuple())
-            .map(|t| t.len()),
+        Query::Lit(v) => {
+            let mut widths = v.as_set()?.iter().map(|t| t.as_tuple().map(|t| t.len()));
+            let first = widths.next()??;
+            widths.all(|w| w == Some(first)).then_some(first)
+        }
         Query::Project(cols, _) => Some(cols.len()),
         Query::Select(_, inner) => arity_of(inner, catalog),
         Query::SelectHat(_, _, inner) => arity_of(inner, catalog).map(|a| a.saturating_sub(1)),
@@ -170,7 +172,8 @@ pub fn arity_of(q: &Query, catalog: &Catalog) -> Option<usize> {
             Some(arity_of(a, catalog)? + arity_of(b, catalog)?)
         }
         Query::Union(a, b) | Query::Intersect(a, b) | Query::Difference(a, b) => {
-            arity_of(a, catalog).or_else(|| arity_of(b, catalog))
+            let (a, b) = (arity_of(a, catalog)?, arity_of(b, catalog)?);
+            (a == b).then_some(a)
         }
         _ => None,
     }
@@ -210,7 +213,7 @@ pub fn pred_columns(p: &Pred) -> Vec<usize> {
 mod tests {
     use super::*;
     use genpar_engine::{Schema, Table};
-    use genpar_value::CvType;
+    use genpar_value::{CvType, Value};
 
     #[test]
     fn constraints_union_key_lookup() {
@@ -235,6 +238,16 @@ mod tests {
         assert_eq!(arity_of(&Query::rel("R").project([0]), &cat), Some(1));
         assert_eq!(arity_of(&Query::rel("R").select_hat(0, 1), &cat), Some(1));
         assert_eq!(arity_of(&Query::rel("Z"), &cat), None);
+        let r = || Query::rel("R");
+        assert_eq!(arity_of(&r().union(r()), &cat), Some(2));
+        // operands of different widths have no one width
+        assert_eq!(arity_of(&r().union(Query::rel("S")), &cat), None);
+        assert_eq!(arity_of(&r().difference(Query::rel("S")), &cat), None);
+        assert_eq!(arity_of(&r().intersect(Query::rel("Z")), &cat), None);
+        let tuple = |from: i64, w: i64| Value::tuple((from..from + w).map(Value::Int));
+        let lit = |rows: [Value; 2]| Query::Lit(Value::set(rows));
+        assert_eq!(arity_of(&lit([tuple(0, 2), tuple(5, 2)]), &cat), Some(2));
+        assert_eq!(arity_of(&lit([tuple(0, 2), tuple(5, 3)]), &cat), None);
     }
 
     #[test]

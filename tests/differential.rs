@@ -15,8 +15,11 @@
 //! the `GENPAR_PARALLEL`/`GENPAR_MORSEL` environment (same code paths,
 //! but hermetic under any ambient CI environment).
 
+use genpar::optimizer::{
+    optimize, optimize_costed_parallel_with_stats, Calibration, Constraints, RuleSet,
+};
 use genpar_algebra::{Pred, Query, ValueFn};
-use genpar_engine::workload::{generate_edges, generate_table, WorkloadSpec};
+use genpar_engine::workload::{generate_edges, generate_keyed_pair, generate_table, WorkloadSpec};
 use genpar_engine::Catalog;
 use genpar_exec::{db_from_catalog, eval_query, ExecConfig};
 use genpar_value::Value;
@@ -31,10 +34,25 @@ const MORSELS: [usize; 4] = [1, 16, 64, 256];
 /// Assert the differential contract for one query: every executor
 /// configuration reproduces the walker's value, bytewise.
 fn assert_differential(q: &Query, cat: &Catalog) -> Result<(), TestCaseError> {
-    let truth = genpar_algebra::eval::eval(q, &db_from_catalog(cat))
-        .map_err(|e| TestCaseError::Fail(format!("walker eval failed on {q}: {e}")))?;
+    assert_routes_match(q, &walker(q, cat)?, cat, &WORKERS)
+}
+
+/// The serial truth: the algebra walker's value for `q`.
+fn walker(q: &Query, cat: &Catalog) -> Result<Value, TestCaseError> {
+    genpar_algebra::eval::eval(q, &db_from_catalog(cat))
+        .map_err(|e| TestCaseError::Fail(format!("walker eval failed on {q}: {e}")))
+}
+
+/// `eval_query` reproduces `truth` bytewise on `q` at each of `workers`
+/// and every pinned morsel size.
+fn assert_routes_match(
+    q: &Query,
+    truth: &Value,
+    cat: &Catalog,
+    workers: &[usize],
+) -> Result<(), TestCaseError> {
     let truth_bytes = truth.to_string();
-    for w in WORKERS {
+    for &w in workers {
         for m in MORSELS {
             let cfg = ExecConfig::serial().with_workers(w).with_morsel_rows(m);
             let (v, _, route) = eval_query(q, cat, &cfg).map_err(|e| {
@@ -42,7 +60,7 @@ fn assert_differential(q: &Query, cat: &Catalog) -> Result<(), TestCaseError> {
             })?;
             prop_assert_eq!(
                 &v,
-                &truth,
+                truth,
                 "value diverged on {} (w={}, m={}, route={:?})",
                 q,
                 w,
@@ -104,6 +122,36 @@ fn random_inner(rng: &mut StdRng) -> (Query, usize) {
             )),
             1,
         ),
+    }
+}
+
+/// A random inner plan some Section 4.4 rule rewrites: π, σ or map over
+/// ∪, π∘π, σ∘σ and σ over ×; with `keyed` (a catalog where `$1` is a key
+/// for R ∪ S) also π and a column map over −.
+fn rewritable_inner(rng: &mut StdRng, keyed: bool) -> Query {
+    fn pred(rng: &mut StdRng) -> Pred {
+        match rng.gen_range(0..3) {
+            0 => Pred::eq_cols(0, 1),
+            1 => Pred::eq_const(rng.gen_range(0..2), Value::Int(rng.gen_range(0..12))),
+            _ => Pred::Named("even".into(), vec![rng.gen_range(0..2)]),
+        }
+    }
+    let r = Query::rel("R");
+    let s = Query::rel("S");
+    match rng.gen_range(0..if keyed { 9 } else { 7 }) {
+        0 => r.union(s).project(vec![rng.gen_range(0..2usize)]),
+        1 => r.union(s).select(pred(rng)),
+        2 => r.union(s).map(ValueFn::Cols(vec![1, 0])),
+        3 => r
+            .project(vec![1, 0])
+            .project(vec![rng.gen_range(0..2usize)]),
+        4 => r.select(pred(rng)).select(pred(rng)),
+        // the predicate reads left columns only, so it moves under ×
+        5 => r.product(s).select(pred(rng)),
+        // several rules in one plan
+        6 => r.union(s).select(pred(rng)).project(vec![0]),
+        7 => r.difference(s).project(vec![0]),
+        _ => r.difference(s).map(ValueFn::Cols(vec![0, 1])),
     }
 }
 
@@ -309,5 +357,99 @@ proptest! {
             _ => Query::Singleton(Box::new(random_inner(&mut rng).0.count())),
         };
         assert_differential(&q, &cat)?;
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Shape 6 — optimized ≡ unoptimized: the Section 4.4 rewrites are
+    /// equivalences that genericity licenses (Cor 4.15 for π through ∪,
+    /// Prop 3.1 for the σ and π cascades, Prop 3.4 for π through − under
+    /// a key), so the rewrite and the plan the costed optimizer chooses
+    /// at each worker count answer exactly as the query as written —
+    /// through the walker and on every route, worker count and morsel
+    /// size.
+    #[test]
+    fn differential_optimized(seed in 0u64..1_000_000) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        // the union-key rules only where the generator makes $1 a key
+        // for R ∪ S
+        let keyed = rng.gen_bool(0.5);
+        let (cat, rules) = if keyed {
+            let rows = rng.gen_range(0..60);
+            let overlap = rng.gen_range(0.0..1.0);
+            let (r, s) = generate_keyed_pair(&mut rng, rows, 2, overlap);
+            let key = Constraints::none().with_union_key(["R".to_string(), "S".to_string()], [0]);
+            (Catalog::new().with(r).with(s), RuleSet::with_constraints(key))
+        } else {
+            (random_flat_catalog(&mut rng), RuleSet::standard())
+        };
+        let inner = rewritable_inner(&mut rng, keyed);
+        let q = if rng.gen_bool(0.25) { inner.count() } else { inner };
+        let truth = walker(&q, &cat)?;
+        let (rewritten, trace) = optimize(&q, &rules, &cat);
+        prop_assert!(!trace.steps.is_empty(), "no rule fired on {}", q);
+        prop_assert_eq!(&walker(&rewritten, &cat)?, &truth, "rewrite {} of {}", rewritten, q);
+        assert_routes_match(&rewritten, &truth, &cat, &WORKERS)?;
+        for w in WORKERS {
+            let (chosen, ..) = optimize_costed_parallel_with_stats(
+                &q, &rules, &cat, w, &Calibration::default(), None,
+            );
+            prop_assert_eq!(&walker(&chosen, &cat)?, &truth, "chosen {} of {}", chosen, q);
+            assert_routes_match(&chosen, &truth, &cat, &[w])?;
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Shape 7 — optimized ≡ unoptimized over operands of different
+    /// widths: a column-sensitive rule needs one width for every row it
+    /// moves past, so a σ over `(R op T) × S` whose predicate only the
+    /// product's rows all reach stays above the × when R and T differ in
+    /// width, and every plan answers as the query as written.
+    #[test]
+    fn differential_optimized_mixed_widths(seed in 0u64..1_000_000) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let spec = |rows, arity| WorkloadSpec {
+            rows,
+            arity,
+            value_range: 4,
+            key_on_first: false,
+        };
+        let widths: [usize; 3] = [rng.gen_range(1..=3), rng.gen_range(1..=3), rng.gen_range(1..=2)];
+        let mut cat = Catalog::new();
+        for (name, arity) in ["R", "T", "S"].into_iter().zip(widths) {
+            let rows = rng.gen_range(1..30);
+            cat.add(generate_table(&mut rng, name, spec(rows, arity)));
+        }
+        let (r, t) = (Query::rel("R"), Query::rel("T"));
+        let operands = match rng.gen_range(0..3) {
+            0 => r.union(t),
+            1 => r.intersect(t),
+            _ => r.difference(t),
+        };
+        // a column every row of the product has
+        let col = rng.gen_range(0..widths[0].min(widths[1]) + widths[2]);
+        let pred = if rng.gen_bool(0.5) {
+            Pred::eq_cols(col, col)
+        } else {
+            Pred::eq_const(col, Value::Int(rng.gen_range(0..4)))
+        };
+        let inner = operands.product(Query::rel("S")).select(pred);
+        let q = if rng.gen_bool(0.25) { inner.count() } else { inner };
+        let truth = walker(&q, &cat)?;
+        let rules = RuleSet::standard();
+        let (rewritten, _) = optimize(&q, &rules, &cat);
+        prop_assert_eq!(&walker(&rewritten, &cat)?, &truth, "rewrite {} of {}", rewritten, q);
+        for w in WORKERS {
+            let (chosen, ..) = optimize_costed_parallel_with_stats(
+                &q, &rules, &cat, w, &Calibration::default(), None,
+            );
+            prop_assert_eq!(&walker(&chosen, &cat)?, &truth, "chosen {} of {}", chosen, q);
+            assert_routes_match(&chosen, &truth, &cat, &[w])?;
+        }
     }
 }
