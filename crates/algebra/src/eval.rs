@@ -15,6 +15,10 @@ pub struct Db {
     /// Universe for full-domain semantics (Section 3.3). `None` disables
     /// `Complement`.
     pub universe: Option<(Universe, CvType)>,
+    /// Evaluate σ/map sets on the bytecode VM where eligible (the
+    /// default); off keeps every expression on the AST walker. Both
+    /// settings give the same answers.
+    pub vm: bool,
 }
 
 impl Db {
@@ -24,6 +28,7 @@ impl Db {
             relations: BTreeMap::new(),
             signature: Signature::new(),
             universe: None,
+            vm: true,
         }
     }
 
@@ -33,6 +38,7 @@ impl Db {
             relations: BTreeMap::new(),
             signature: Signature::standard_int(),
             universe: None,
+            vm: true,
         }
     }
 
@@ -65,6 +71,12 @@ impl Db {
     /// Mutable signature access (to register interpreted symbols).
     pub fn signature_mut(&mut self) -> &mut Signature {
         &mut self.signature
+    }
+
+    /// Turn the bytecode VM on or off (builder style).
+    pub fn with_vm(mut self, on: bool) -> Self {
+        self.vm = on;
+        self
     }
 
     /// Enable full-domain semantics: complements are taken w.r.t. all
@@ -654,7 +666,7 @@ fn concat_tuples(a: &Value, b: &Value) -> Result<Value, EvalError> {
 }
 
 /// One set through `σ_p`, on the compiled-program path when the VM is
-/// engaged (kill switch on, `vm.exec` fault site clean) and `p` is
+/// engaged (on for `db`, `vm.exec` fault site clean) and `p` is
 /// eligible, otherwise the AST walker. The two paths are
 /// observationally identical — verdicts, errors and the per-tuple stat
 /// counts all match — which is exactly the parametricity fact the
@@ -666,7 +678,7 @@ fn select_set(
     stats: &mut EvalStats,
 ) -> Result<BTreeSet<Value>, EvalError> {
     let mut out = BTreeSet::new();
-    let prog = if crate::vm::engage() {
+    let prog = if db.vm && crate::vm::engage() {
         crate::vm::compile_pred(p).ok()
     } else {
         None
@@ -703,7 +715,7 @@ fn map_set(
     stats: &mut EvalStats,
 ) -> Result<BTreeSet<Value>, EvalError> {
     let mut out = BTreeSet::new();
-    let prog = if crate::vm::engage() {
+    let prog = if db.vm && crate::vm::engage() {
         crate::vm::compile_fn(f).ok()
     } else {
         None

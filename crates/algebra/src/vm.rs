@@ -40,20 +40,16 @@
 //! [`Ineligible`] reason; callers keep the AST walker for those, and
 //! `explain` prints the refusal.
 //!
-//! `GENPAR_VM=0` (or [`set_enabled`]`(false)`) is the kill switch: the
-//! walker remains the fallback implementation everywhere. The
+//! The VM is switched per evaluation, never process-wide: the walker's
+//! [`Db::with_vm`] and the executor's `ExecConfig::vm` turn it off, and
+//! the walker remains the fallback implementation everywhere. The
 //! `vm.exec` fault site lets the chaos harness force that degradation
 //! per evaluation unit and assert the answer is unchanged.
 
 use crate::eval::{Db, EvalError};
 use crate::expr::{Pred, ValueFn};
 use genpar_value::Value;
-use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::Arc;
-
-/// Environment variable for the kill switch: `GENPAR_VM=0` (or `false`
-/// / `off`) keeps every evaluation on the AST walker.
-pub const VM_ENV: &str = "GENPAR_VM";
 
 /// The VM's deterministic fault site: injected faults here degrade one
 /// evaluation unit (a set in the serial evaluator, a morsel in a
@@ -223,43 +219,14 @@ impl Ineligible {
 }
 
 // ---------------------------------------------------------------------
-// Kill switch
-
-/// `0` = uninitialised (consult the environment), `1` = on, `2` = off.
-static VM_STATE: AtomicU8 = AtomicU8::new(0);
-
-/// Is compiled execution enabled? Defaults to on; `GENPAR_VM=0` (or
-/// `false`/`off`) disables it process-wide. The first call caches the
-/// environment's verdict; [`set_enabled`] overrides it.
-pub fn enabled() -> bool {
-    match VM_STATE.load(Ordering::Relaxed) {
-        1 => true,
-        2 => false,
-        _ => {
-            let on = !matches!(
-                std::env::var(VM_ENV).as_deref().map(str::trim),
-                Ok("0") | Ok("false") | Ok("off")
-            );
-            VM_STATE.store(if on { 1 } else { 2 }, Ordering::Relaxed);
-            on
-        }
-    }
-}
-
-/// Force the kill switch on or off (tests and benchmarks; process-wide).
-pub fn set_enabled(on: bool) {
-    VM_STATE.store(if on { 1 } else { 2 }, Ordering::Relaxed);
-}
+// Engage gate
 
 /// Gate one unit of compiled execution (a set in the serial evaluator,
-/// a morsel in a kernel): the kill switch plus the `vm.exec` fault
+/// a morsel in a kernel) with the VM switched on: the `vm.exec` fault
 /// site. An injected fault degrades the unit to the AST walker —
 /// recorded as a `vm.degrade` counter and event — and the answer is
 /// unchanged by construction.
 pub fn engage() -> bool {
-    if !enabled() {
-        return false;
-    }
     match genpar_guard::faultpoint(FAULT_SITE) {
         Ok(()) => true,
         Err(f) => {
@@ -1059,17 +1026,5 @@ mod tests {
         assert!(prog.describe().contains("1 ops"));
         let clone = prog.clone();
         assert_eq!(clone.cert(), prog.cert());
-    }
-
-    #[test]
-    fn kill_switch_toggles() {
-        // identical answers on both paths make a concurrent toggle
-        // harmless; this test only checks the switch itself
-        set_enabled(false);
-        assert!(!enabled());
-        assert!(!engage());
-        set_enabled(true);
-        assert!(enabled());
-        assert!(engage());
     }
 }

@@ -241,23 +241,23 @@ fn verify_speedup_and_report() {
     let vm_workers = 2usize;
     let vm_cat = vm_filter_catalog();
     let vm_plan = lower(&vm_filter_workload()).expect("vm workload lowers");
-    let vm_cfg = ExecConfig::serial().with_workers(vm_workers);
-    genpar_algebra::vm::set_enabled(false);
-    let ast_rows = vm_plan.eval_parallel(&vm_cat, &vm_cfg).expect("ast run").0;
-    genpar_algebra::vm::set_enabled(true);
-    let vm_rows = vm_plan.eval_parallel(&vm_cat, &vm_cfg).expect("vm run").0;
+    let vm_cfg = |vm_on: bool| ExecConfig::serial().with_workers(vm_workers).with_vm(vm_on);
+    let ast_rows = vm_plan
+        .eval_parallel(&vm_cat, &vm_cfg(false))
+        .expect("ast run")
+        .0;
+    let vm_rows = vm_plan
+        .eval_parallel(&vm_cat, &vm_cfg(true))
+        .expect("vm run")
+        .0;
     assert_eq!(vm_rows, ast_rows, "VM mode changed the filter result");
     let time_mode = |vm_on: bool| {
-        genpar_algebra::vm::set_enabled(vm_on);
+        let cfg = vm_cfg(vm_on);
         genpar_obs::reset();
         let mut samples = Vec::with_capacity(ROUNDS);
         for _ in 0..ROUNDS {
             let t = Instant::now();
-            black_box(
-                vm_plan
-                    .eval_parallel(&vm_cat, &vm_cfg)
-                    .expect("vm-mode run"),
-            );
+            black_box(vm_plan.eval_parallel(&vm_cat, &cfg).expect("vm-mode run"));
             samples.push(t.elapsed());
         }
         let snap = genpar_obs::snapshot();
@@ -270,7 +270,6 @@ fn verify_speedup_and_report() {
     };
     let (ast_median, ast_hist, ast_deg) = time_mode(false);
     let (vm_median, vm_hist, vm_deg) = time_mode(true);
-    genpar_algebra::vm::set_enabled(true);
     let vm_speedup = ast_median.as_secs_f64() / vm_median.as_secs_f64();
     println!(
         "exec/parallel: vm_speedup={vm_speedup:.2}x at {vm_workers} workers \

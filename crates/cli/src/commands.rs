@@ -1,6 +1,7 @@
 //! Command implementations. Each returns the text to print, so the
 //! commands are directly testable.
 
+use crate::config::RunConfig;
 use crate::session::{ProfileOpts, Session};
 use crate::{CliError, Command, USAGE};
 use genpar_algebra::parse::parse_query;
@@ -9,8 +10,6 @@ use genpar_core::check::{check_invariance, AlgebraQuery, CheckConfig};
 use genpar_core::hierarchy::equality_usage;
 use genpar_core::infer_requirements;
 use genpar_core::probe::probe_tightest;
-use genpar_engine::{Catalog, Schema, Table};
-use genpar_exec::ExecConfig;
 use genpar_mapping::{ExtensionMode, MappingClass};
 use genpar_optimizer::{Calibration, Constraints, RuleSet, StatsStore};
 use genpar_value::{BaseType, CvType, DomainId};
@@ -21,8 +20,8 @@ use std::fmt::Write as _;
 /// adds the `timeline` and `stats` blocks — see DESIGN.md §10, §12).
 pub const PROFILE_SCHEMA_VERSION: i64 = 3;
 
-/// Execute a parsed command.
-pub fn execute(cmd: &Command) -> Result<String, CliError> {
+/// Execute a parsed command under the process's `GENPAR_*` settings.
+pub fn execute(cmd: &Command, env: &RunConfig) -> Result<String, CliError> {
     match cmd {
         Command::Help => Ok(USAGE.to_string()),
         Command::Classify { query } => classify(query),
@@ -33,12 +32,12 @@ pub fn execute(cmd: &Command) -> Result<String, CliError> {
             db,
             workers,
             timeout_ms,
-        } => run(query, db, *workers, *timeout_ms),
+        } => run(query, db, *workers, *timeout_ms, env),
         Command::Optimize {
             query,
             db,
             union_key,
-        } => optimize_cmd(query, db.as_deref(), union_key.as_deref()),
+        } => optimize_cmd(query, db.as_deref(), union_key.as_deref(), env),
         Command::Explain {
             query,
             db,
@@ -53,6 +52,7 @@ pub fn execute(cmd: &Command) -> Result<String, CliError> {
             *workers,
             calibration.as_deref(),
             stats.as_deref(),
+            env,
         ),
         Command::Profile {
             query,
@@ -76,6 +76,7 @@ pub fn execute(cmd: &Command) -> Result<String, CliError> {
             calibration.as_deref(),
             stats.as_deref(),
             *timeout_ms,
+            env,
         ),
         Command::Calibrate { bench, out } => calibrate_cmd(bench, out),
         Command::Serve {
@@ -98,9 +99,9 @@ pub fn execute(cmd: &Command) -> Result<String, CliError> {
             calibration.as_deref(),
             stats.as_deref(),
             *timeout_ms,
+            env,
         ),
         Command::Stats { action, file } => stats_cmd(action, file),
-        Command::Chaos { seed, cases } => chaos_cmd(*seed, *cases),
         Command::Audit => audit(),
     }
 }
@@ -236,27 +237,20 @@ fn probe(query: &str, mode: &str, arity: usize) -> Result<String, CliError> {
     Ok(out)
 }
 
-/// Resolve the worker count: explicit `--parallel` wins, then the
-/// `GENPAR_PARALLEL` environment variable, then serial.
-pub(crate) fn resolve_workers(workers: Option<usize>) -> usize {
-    workers
-        .unwrap_or_else(|| ExecConfig::from_env().workers)
-        .max(1)
-}
-
 fn run(
     query: &str,
     db_path: &str,
     workers: Option<usize>,
     timeout_ms: Option<u64>,
+    env: &RunConfig,
 ) -> Result<String, CliError> {
     // the wall deadline rides the budget machinery: every charge_* call
     // (serial interpreter and parallel meter alike) checks it, so a
     // breach surfaces as a structured budget error — exit 4, wall_ms
     let _wall =
         timeout_ms.map(|ms| genpar_guard::arm_wall_deadline(std::time::Duration::from_millis(ms)));
-    let session = Session::open(Some(db_path), None, RuleSet::standard(), None, None)?;
-    session.run(&parse_q(query)?, Some(resolve_workers(workers)))
+    let session = Session::open(Some(db_path), None, RuleSet::standard(), None, None, env)?;
+    session.run(&parse_q(query)?, Some(env.workers(workers)))
 }
 
 /// Parse an `R,S:$N` union-key assertion into rewrite constraints.
@@ -282,9 +276,10 @@ fn optimize_cmd(
     query: &str,
     db_path: Option<&str>,
     union_key: Option<&str>,
+    env: &RunConfig,
 ) -> Result<String, CliError> {
     let q = parse_q(query)?;
-    let session = Session::open(db_path, Some(&q), build_rules(union_key)?, None, None)?;
+    let session = Session::open(db_path, Some(&q), build_rules(union_key)?, None, None, env)?;
     Ok(session.optimize(&q))
 }
 
@@ -297,11 +292,12 @@ fn explain_cmd(
     workers: Option<usize>,
     calibration: Option<&str>,
     stats_path: Option<&str>,
+    env: &RunConfig,
 ) -> Result<String, CliError> {
     let q = parse_q(query)?;
     let rules = build_rules(union_key)?;
-    let session = Session::open(db_path, Some(&q), rules, calibration, stats_path)?;
-    session.explain(&q, Some(resolve_workers(workers)))
+    let session = Session::open(db_path, Some(&q), rules, calibration, stats_path, env)?;
+    session.explain(&q, Some(env.workers(workers)))
 }
 
 /// `profile`: an instrumented run — see [`Session::profile`].
@@ -310,7 +306,9 @@ fn explain_cmd(
 /// (`--timeline`, implied by `--trace`) that is a true timeline of real
 /// begin/end instants on per-worker lanes. `--stats FILE` consults the
 /// observed-statistics store for costing and harvests this run's
-/// `plan.node_stats` events back into it.
+/// `plan.node_stats` events back into it. Tracing records into the
+/// observability layer, so `--trace` and `--timeline` with it off
+/// (`--quiet`, `GENPAR_OBS=off`) are a usage error.
 #[allow(clippy::too_many_arguments)]
 fn profile_cmd(
     query: &str,
@@ -323,19 +321,26 @@ fn profile_cmd(
     calibration: Option<&str>,
     stats_path: Option<&str>,
     timeout_ms: Option<u64>,
+    env: &RunConfig,
 ) -> Result<String, CliError> {
+    if !env.obs && (trace_path.is_some() || timeline) {
+        return Err(CliError::usage(
+            "profile --trace and --timeline need observability, \
+             which --quiet or GENPAR_OBS=off turns off",
+        ));
+    }
     let q = parse_q(query)?;
     let _wall =
         timeout_ms.map(|ms| genpar_guard::arm_wall_deadline(std::time::Duration::from_millis(ms)));
     let rules = build_rules(union_key)?;
-    let session = Session::open(db_path, Some(&q), rules, calibration, stats_path)?;
+    let session = Session::open(db_path, Some(&q), rules, calibration, stats_path, env)?;
     let opts = ProfileOpts {
         json,
         trace_path,
         timeline,
         persist_morsel: true,
     };
-    session.profile(&q, Some(resolve_workers(workers)), &opts)
+    session.profile(&q, Some(env.workers(workers)), &opts)
 }
 
 /// `calibrate`: fit the parallel cost model from a `BENCH_parallel.json`
@@ -440,194 +445,20 @@ fn stats_cmd(action: &str, file: &str) -> Result<String, CliError> {
     }
 }
 
-/// The fault sites a chaos storm may arm. All of them sit on the
-/// recovery ladder: nth-hit faults are retried in place, persistent
-/// faults quarantine workers and ultimately degrade the query to the
-/// serial interpreter — never a wrong answer, never a panic.
-const CHAOS_SITES: &[&str] = &[
-    "exec.morsel",
-    "exec.merge",
-    "exec.fixpoint_round",
-    "exec.combine",
-    "exec.retry",
-];
-
-/// The query pool a chaos case draws from: plain partitioned shapes,
-/// every combiner, and a per-round fixpoint — one of each route the
-/// parallel executor can take.
-const CHAOS_QUERIES: &[&str] = &[
-    "pi[$1](R)",
-    "select[$1=$2](R)",
-    "union(R, S)",
-    "diff(R, S)",
-    "pi[$1,$4](join[$2=$1](R, S))",
-    "count(R)",
-    "sum[$2](R)",
-    "even(R)",
-    "fix[X](E, pi[$1,$4](join[$2=$1](X, E)))",
-];
-
-/// `genpar chaos [--seed N] [--cases M]`: the chaos oracle as a
-/// subcommand. Each case deterministically derives a random catalog,
-/// query, worker width and multi-site fault storm from the seed,
-/// computes the walker's answer, replays the query under the
-/// storm, and fails loudly (exit 5, with the repro seed) if the
-/// recovered answer differs — plus a torn-write drill proving corrupt
-/// state files are quarantined and regenerated. Exit 0 means every
-/// recovery rung preserved byte-identical answers.
-fn chaos_cmd(seed: u64, cases: u32) -> Result<String, CliError> {
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
-
-    let queries: Vec<Query> = CHAOS_QUERIES
-        .iter()
-        .map(|q| parse_q(q))
-        .collect::<Result<_, _>>()?;
-    // the storm owns the process-global fault table for the whole loop
-    genpar_guard::disarm_faults();
-    let (mut recovered, mut degraded) = (0u32, 0u32);
-    for case in 0..cases {
-        let mut rng = StdRng::seed_from_u64(
-            seed ^ (case as u64)
-                .wrapping_mul(0x9e37_79b9_7f4a_7c15)
-                .wrapping_add(1),
-        );
-        // a small random catalog: R/S binary tables and a chain E
-        let mut catalog = Catalog::new();
-        for name in ["R", "S"] {
-            let rows = rng.gen_range(10..120i64);
-            let modulus = rng.gen_range(2..9i64);
-            let mut t = Table::new(name, Schema::uniform(CvType::int(), 2));
-            for i in 0..rows {
-                t.insert(vec![
-                    genpar_value::Value::Int(i),
-                    genpar_value::Value::Int(i % modulus),
-                ]);
-            }
-            catalog.add(t);
-        }
-        let mut e = Table::new("E", Schema::uniform(CvType::int(), 2));
-        for i in 0..rng.gen_range(3..12) {
-            e.insert(vec![
-                genpar_value::Value::Int(i),
-                genpar_value::Value::Int(i + 1),
-            ]);
-        }
-        catalog.add(e);
-        let q = &queries[rng.gen_range(0..queries.len())];
-        // the serial truth for this case: the walker, which passes no
-        // exec.* fault site
-        let truth = genpar_algebra::eval::eval(q, &genpar_exec::db_from_catalog(&catalog))
-            .map_err(|e| {
-                CliError::internal(format!("chaos case {case}: walker run failed: {e}"))
-            })?;
-        // a storm: one to three sites, each nth-hit or persistent
-        let storm: Vec<String> = (0..rng.gen_range(1..4usize))
-            .map(|_| {
-                let site = CHAOS_SITES[rng.gen_range(0..CHAOS_SITES.len())];
-                if rng.gen_bool(0.3) {
-                    format!("{site}:*")
-                } else {
-                    format!("{site}:{}", rng.gen_range(1..6))
-                }
-            })
-            .collect();
-        let spec = storm.join(",");
-        genpar_guard::arm_faults(&spec)
-            .map_err(|e| CliError::internal(format!("chaos case {case}: bad storm spec: {e}")))?;
-        let cfg = ExecConfig::serial()
-            .with_workers(if rng.gen_bool(0.5) { 2 } else { 4 })
-            .with_morsel_rows(rng.gen_range(4..48));
-        let result = genpar_exec::eval_query(q, &catalog, &cfg);
-        genpar_guard::disarm_faults();
-        let repro = format!("repro: genpar chaos --seed {seed} --cases {}", case + 1);
-        match result {
-            Ok((v, _, route)) => {
-                if v != truth {
-                    return Err(CliError::internal(format!(
-                        "chaos case {case}: answer diverged under storm \"{spec}\" on {q}\n  \
-                         got:      {v}\n  expected: {truth}\n  {repro}"
-                    )));
-                }
-                match route {
-                    genpar_exec::ExecRoute::Fallback { .. } => degraded += 1,
-                    _ => recovered += 1,
-                }
-            }
-            Err(e) => {
-                return Err(CliError::internal(format!(
-                    "chaos case {case}: the ladder must degrade, never error — \
-                     storm \"{spec}\" on {q} returned: {e}\n  {repro}"
-                )))
-            }
-        }
-    }
-
-    // torn-write drill: injected persistence faults must leave the old
-    // file intact, and a torn file must quarantine + regenerate
-    let dir = std::env::temp_dir().join(format!("genpar-chaos-{}-{seed}", std::process::id()));
-    std::fs::create_dir_all(&dir)
-        .map_err(|e| CliError::runtime(format!("cannot create {}: {e}", dir.display())))?;
-    let state = dir.join("STATS.json");
-    let state_path = state.to_string_lossy().into_owned();
-    let mut store = StatsStore::new();
-    for _ in 0..3 {
-        store
-            .catalog_mut("chaos")
-            .observe(7, "plan.Filter", 100, 10);
-    }
-    store.save(&state_path).map_err(CliError::runtime)?;
-    genpar_guard::arm_faults("io.persist:1").map_err(|e| CliError::internal(e.to_string()))?;
-    let fault_write = store.save(&state_path);
-    genpar_guard::disarm_faults();
-    if fault_write.is_ok() {
-        return Err(CliError::internal(
-            "chaos: injected io.persist fault did not surface from save".to_string(),
-        ));
-    }
-    let (reloaded, warning) = StatsStore::load_or_quarantine(&state_path);
-    if warning.is_some() || reloaded.catalogs.is_empty() {
-        return Err(CliError::internal(
-            "chaos: a failed save must leave the previous state file intact".to_string(),
-        ));
-    }
-    // now tear the file mid-payload and prove the load quarantines it
-    let text = std::fs::read_to_string(&state)
-        .map_err(|e| CliError::runtime(format!("cannot read {state_path}: {e}")))?;
-    std::fs::write(&state, &text[..text.len() / 2])
-        .map_err(|e| CliError::runtime(format!("cannot tear {state_path}: {e}")))?;
-    let (regenerated, warning) = StatsStore::load_or_quarantine(&state_path);
-    let corrupt = format!("{state_path}.corrupt");
-    if warning.is_none()
-        || !regenerated.catalogs.is_empty()
-        || !std::path::Path::new(&corrupt).exists()
-    {
-        return Err(CliError::internal(format!(
-            "chaos: torn {state_path} was not quarantined and regenerated"
-        )));
-    }
-    let _ = std::fs::remove_dir_all(&dir);
-
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "chaos: {cases} case(s) with seed {seed} — every answer byte-identical to serial"
-    );
-    let _ = writeln!(
-        out,
-        "  routes: {recovered} recovered on the parallel path, {degraded} degraded to serial"
-    );
-    let _ = writeln!(
-        out,
-        "  persistence: torn-write drill quarantined and regenerated the state file"
-    );
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::session::{event_field, load_calibration, vm_line};
+
+    /// The settings with every `GENPAR_*` variable unset.
+    fn unset() -> RunConfig {
+        RunConfig::default()
+    }
+
+    /// One-shot `explain` on the nominal catalog at `workers`.
+    fn explain(query: &str, workers: usize) -> String {
+        explain_cmd(query, None, None, Some(workers), None, None, &unset()).unwrap()
+    }
 
     /// The obs registry is process-global; tests that reset + snapshot it
     /// serialize here so a concurrent reset cannot wipe their events.
@@ -661,6 +492,7 @@ mod tests {
             cal,
             stats,
             None,
+            &unset(),
         )
         .unwrap()
     }
@@ -678,6 +510,7 @@ mod tests {
             None,
             None,
             None,
+            &unset(),
         )
         .unwrap()
     }
@@ -728,6 +561,7 @@ mod tests {
             path.to_str().unwrap(),
             Some(1),
             None,
+            &unset(),
         )
         .unwrap();
         assert_eq!(out.trim(), "{(e, g)}");
@@ -756,8 +590,8 @@ mod tests {
             "diff(R, S)",
             "pi[$1,$4](join[$2=$1](R, S))",
         ] {
-            let serial = run(q, p, Some(1), None).unwrap();
-            let parallel = run(q, p, Some(4), None).unwrap();
+            let serial = run(q, p, Some(1), None, &unset()).unwrap();
+            let parallel = run(q, p, Some(4), None, &unset()).unwrap();
             assert_eq!(serial, parallel, "parity broke on {q}");
         }
     }
@@ -771,7 +605,7 @@ mod tests {
         let p = path.to_str().unwrap();
         let _g = obs_guard();
         genpar_obs::reset();
-        let out = run("powerset(R)", p, Some(4), None).unwrap();
+        let out = run("powerset(R)", p, Some(4), None, &unset()).unwrap();
         assert!(out.contains("{(1, 2)}"), "{out}");
         let snap = genpar_obs::snapshot();
         let ev = snap
@@ -804,13 +638,24 @@ mod tests {
         genpar_obs::reset();
         // root-level aggregates take the combiner route at 4 workers —
         // `even(R)` no longer degrades to serial (the acceptance bar)
-        assert_eq!(run("even(R)", p, Some(4), None).unwrap().trim(), "true");
-        assert_eq!(run("count(R)", p, Some(4), None).unwrap().trim(), "2");
-        assert_eq!(run("sum[$1](R)", p, Some(4), None).unwrap().trim(), "3");
+        assert_eq!(
+            run("even(R)", p, Some(4), None, &unset()).unwrap().trim(),
+            "true"
+        );
+        assert_eq!(
+            run("count(R)", p, Some(4), None, &unset()).unwrap().trim(),
+            "2"
+        );
+        assert_eq!(
+            run("sum[$1](R)", p, Some(4), None, &unset())
+                .unwrap()
+                .trim(),
+            "3"
+        );
         // a distributive-body fixpoint runs per-round on the pool
         let fix = "fix[X](E, pi[$1,$4](join[$2=$1](X, E)))";
-        let serial = run(fix, p, Some(1), None).unwrap();
-        let parallel = run(fix, p, Some(4), None).unwrap();
+        let serial = run(fix, p, Some(1), None, &unset()).unwrap();
+        let parallel = run(fix, p, Some(4), None, &unset()).unwrap();
         assert_eq!(serial, parallel, "fixpoint parity broke");
         let snap = genpar_obs::snapshot();
         assert!(
@@ -822,18 +667,18 @@ mod tests {
 
     #[test]
     fn optimize_traces_rewrites() {
-        let out = optimize_cmd("pi[$1](union(R, S))", None, None).unwrap();
+        let out = optimize_cmd("pi[$1](union(R, S))", None, None, &unset()).unwrap();
         assert!(out.contains("ProjectThroughUnion"), "{out}");
         assert!(out.contains("estimated cost"), "{out}");
         // difference push only with the key flag
-        let out = optimize_cmd("pi[$1](diff(R, S))", None, None).unwrap();
+        let out = optimize_cmd("pi[$1](diff(R, S))", None, None, &unset()).unwrap();
         assert!(out.contains("no profitable rewrite"), "{out}");
     }
 
     #[test]
     fn explain_shows_trace_and_plan() {
         let _g = obs_guard();
-        let out = explain_cmd("pi[$1](union(R, S))", None, None, Some(1), None, None).unwrap();
+        let out = explain("pi[$1](union(R, S))", 1);
         assert!(out.contains("ProjectThroughUnion"), "{out}");
         assert!(out.contains("Cor 4.15"), "{out}");
         assert!(out.contains("chosen plan:"), "{out}");
@@ -846,7 +691,7 @@ mod tests {
     #[test]
     fn explain_reports_parallel_route_and_fallback() {
         let _g = obs_guard();
-        let out = explain_cmd("pi[$1](union(R, S))", None, None, Some(4), None, None).unwrap();
+        let out = explain("pi[$1](union(R, S))", 4);
         assert!(out.contains("parallel execution (4 workers)"), "{out}");
         assert!(
             out.contains("run route:      executor on 4 worker threads"),
@@ -861,7 +706,7 @@ mod tests {
         // per-operator cardinality estimates back the misestimate report
         assert!(out.contains("estimated rows per operator:"), "{out}");
         assert!(out.contains("plan.Scan"), "{out}");
-        let out = explain_cmd("powerset(R)", None, None, Some(4), None, None).unwrap();
+        let out = explain("powerset(R)", 4);
         assert!(out.contains("falls back to serial: 'powerset'"), "{out}");
         assert!(out.contains("straddle"), "{out}");
         assert!(out.contains("gate refused the parallel route"), "{out}");
@@ -873,7 +718,7 @@ mod tests {
         // `even` used to be refused with the Lemma 2.12 *pitfall*; now the
         // same lemma backs its combiner certificate — explain must cite
         // the certificate, print both route costs, and show no fallback
-        let out = explain_cmd("even(R)", None, None, Some(4), None, None).unwrap();
+        let out = explain("even(R)", 4);
         assert!(out.contains("combiner 'even'"), "{out}");
         assert!(out.contains("Lemma 2.12"), "{out}");
         assert!(out.contains("partition-local accumulators"), "{out}");
@@ -882,7 +727,7 @@ mod tests {
         assert!(out.contains("serial route:"), "{out}");
         assert!(out.contains("parallel route:"), "{out}");
         assert!(out.contains("model prefers:"), "{out}");
-        let out = explain_cmd("count(pi[$1](R))", None, None, Some(4), None, None).unwrap();
+        let out = explain("count(pi[$1](R))", 4);
         assert!(out.contains("combiner 'count'"), "{out}");
     }
 
@@ -890,7 +735,7 @@ mod tests {
     fn explain_reports_the_per_round_fixpoint_certificate() {
         let _g = obs_guard();
         let q = "fix[X](E, pi[$1,$4](join[$2=$1](X, E)))";
-        let out = explain_cmd(q, None, None, Some(4), None, None).unwrap();
+        let out = explain(q, 4);
         assert!(out.contains("fixpoint round-safe"), "{out}");
         assert!(out.contains("per-round body certified"), "{out}");
         assert!(out.contains("morsel pool"), "{out}");
@@ -903,7 +748,7 @@ mod tests {
         assert!(out.contains("serial route:"), "{out}");
         assert!(out.contains("parallel route:"), "{out}");
         // a fixpoint whose body uses a whole-set operator is refused
-        let out = explain_cmd("fix[X](E, powerset(X))", None, None, Some(4), None, None).unwrap();
+        let out = explain("fix[X](E, powerset(X))", 4);
         assert!(out.contains("falls back to serial"), "{out}");
     }
 
@@ -912,7 +757,7 @@ mod tests {
         let _g = obs_guard();
         // without the union-key assertion the Prop 3.4 side condition
         // fails: the rule must show up as blocked, not fired
-        let out = explain_cmd("pi[$1](diff(R, S))", None, None, Some(1), None, None).unwrap();
+        let out = explain("pi[$1](diff(R, S))", 1);
         assert!(out.contains("blocked rewrites:"), "{out}");
         assert!(out.contains("ProjectThroughDifference"), "{out}");
         assert!(out.contains("Prop 3.4"), "{out}");
@@ -926,6 +771,7 @@ mod tests {
             Some(1),
             None,
             None,
+            &unset(),
         )
         .unwrap();
         assert!(out.contains("cost model kept the original"), "{out}");
@@ -935,18 +781,14 @@ mod tests {
     #[test]
     fn explain_reports_vm_programs_and_refusals() {
         let _g = obs_guard();
-        // pin the switch regardless of the GENPAR_VM the test process
-        // inherited (the CI vm job runs the whole workspace with it off)
-        let vm_was = genpar_algebra::vm::enabled();
-        genpar_algebra::vm::set_enabled(true);
         // an eligible σ compiles; the line carries the certificate the
         // program is stamped with at run time
-        let out = explain_cmd("select[even($1)](R)", None, None, Some(2), None, None).unwrap();
+        let out = explain("select[even($1)](R)", 2);
         assert!(out.contains("bytecode vm:"), "{out}");
         assert!(out.contains("program of"), "{out}");
         assert!(out.contains("[cert:"), "{out}");
         // a plan with no σ/map expressions says so instead of going quiet
-        let out = explain_cmd("pi[$1](R)", None, None, Some(2), None, None).unwrap();
+        let out = explain("pi[$1](R)", 2);
         assert!(out.contains("no compiled programs"), "{out}");
         // an ineligible expression gets the paper-citing refusal — the
         // same voice as the partition gate, never a silent AST path
@@ -958,9 +800,19 @@ mod tests {
         assert!(line.contains("AST walker"), "{line}");
         assert!(line.contains("Section 4.4"), "{line}");
         // the kill switch is reported loudly, not inferred from absence
-        genpar_algebra::vm::set_enabled(false);
-        let out = explain_cmd("select[even($1)](R)", None, None, Some(2), None, None);
-        genpar_algebra::vm::set_enabled(vm_was);
+        let vm_off = RunConfig {
+            vm: false,
+            ..unset()
+        };
+        let out = explain_cmd(
+            "select[even($1)](R)",
+            None,
+            None,
+            Some(2),
+            None,
+            None,
+            &vm_off,
+        );
         let out = out.unwrap();
         assert!(out.contains("disabled (GENPAR_VM=0)"), "{out}");
     }
@@ -1101,7 +953,16 @@ mod tests {
         );
         // explain picks the fitted calibration up via --calibration
         let _g = obs_guard();
-        let out = explain_cmd("pi[$1](union(R, S))", None, None, Some(4), Some(o), None).unwrap();
+        let out = explain_cmd(
+            "pi[$1](union(R, S))",
+            None,
+            None,
+            Some(4),
+            Some(o),
+            None,
+            &unset(),
+        )
+        .unwrap();
         assert!(
             out.contains("route costs (calibration: 0.050/worker"),
             "{out}"
@@ -1192,10 +1053,19 @@ mod tests {
         );
         // explain now marks matured nodes observed — and keeps static for
         // plan shapes the store has never seen (disjoint relation S)
-        let out = explain_cmd("select[$1=$2](R)", None, None, Some(1), None, Some(f)).unwrap();
+        let out = explain_cmd(
+            "select[$1=$2](R)",
+            None,
+            None,
+            Some(1),
+            None,
+            Some(f),
+            &unset(),
+        )
+        .unwrap();
         assert!(out.contains("observed(n="), "{out}");
         assert!(out.contains(&format!("stats:     {f}")), "{out}");
-        let out = explain_cmd("pi[$1](S)", None, None, Some(1), None, Some(f)).unwrap();
+        let out = explain_cmd("pi[$1](S)", None, None, Some(1), None, Some(f), &unset()).unwrap();
         assert!(!out.contains("observed(n="), "{out}");
         assert!(out.contains("[static]"), "{out}");
         // the JSON profile reports the harvest block
@@ -1357,9 +1227,9 @@ mod tests {
         assert!(classify("pi[$0](R)").is_err());
         assert!(check("R", "sideways", "all").is_err());
         assert!(check("R", "rel", "weird").is_err());
-        assert!(run("R", "/nonexistent/path.gdb", Some(1), None).is_err());
-        assert!(optimize_cmd("diff(R,S)", None, Some("R,S")).is_err());
-        assert!(optimize_cmd("diff(R,S)", None, Some("R,S:$0")).is_err());
+        assert!(run("R", "/nonexistent/path.gdb", Some(1), None, &unset()).is_err());
+        assert!(optimize_cmd("diff(R,S)", None, Some("R,S"), &unset()).is_err());
+        assert!(optimize_cmd("diff(R,S)", None, Some("R,S:$0"), &unset()).is_err());
     }
 
     #[test]
@@ -1372,9 +1242,9 @@ mod tests {
 
     #[test]
     fn execute_dispatches() {
-        let out = execute(&Command::Help).unwrap();
+        let out = execute(&Command::Help, &unset()).unwrap();
         assert!(out.contains("USAGE"));
-        let out = execute(&Command::Classify { query: "R".into() }).unwrap();
+        let out = execute(&Command::Classify { query: "R".into() }, &unset()).unwrap();
         assert!(out.contains("fully generic"));
     }
 
@@ -1392,7 +1262,16 @@ mod tests {
         let text = std::fs::read_to_string(&path).unwrap();
         std::fs::write(&path, &text[..text.len() - 8]).unwrap();
         let _ = std::fs::remove_file(dir.join("STATS.json.corrupt"));
-        let out = explain_cmd("pi[$1](union(R, S))", None, None, None, None, Some(s)).unwrap();
+        let out = explain_cmd(
+            "pi[$1](union(R, S))",
+            None,
+            None,
+            None,
+            None,
+            Some(s),
+            &unset(),
+        )
+        .unwrap();
         assert!(out.starts_with("warning: "), "{out}");
         assert!(out.contains("corrupt"), "{out}");
         assert!(out.contains("quarantined"), "{out}");
@@ -1438,7 +1317,8 @@ mod tests {
             "/../../examples/data/example_2_2.gdb"
         );
         let q = parse_q("pi[$1](union(r1, r3))").unwrap();
-        let session = Session::open(Some(db), None, RuleSet::standard(), None, None).unwrap();
+        let session =
+            Session::open(Some(db), None, RuleSet::standard(), None, None, &unset()).unwrap();
         let prepared = session.prepare(&q, 1);
         assert_eq!(prepared.plan.to_string(), "(π[$1](r1) ∪ π[$1](r3))");
         let explained = session.explain(&q, Some(1)).unwrap();
@@ -1450,7 +1330,7 @@ mod tests {
         let (v, _) = session.evaluate(prepared).unwrap();
         let written = genpar_algebra::eval::eval(&q, &crate::dbfile::load_db(db).unwrap()).unwrap();
         assert_eq!(v, written);
-        let out = run("pi[$1](union(r1, r3))", db, Some(1), None).unwrap();
+        let out = run("pi[$1](union(r1, r3))", db, Some(1), None, &unset()).unwrap();
         assert_eq!(out, format!("{written}\n"));
     }
 
@@ -1466,7 +1346,15 @@ mod tests {
                          T = {(4, 5)}\nS = {(6)}\nM = {(1, 2, 3), (4, 5)}\nC = {1, 2, 3}\n";
         std::fs::write(&path, relations).unwrap();
         let db = crate::dbfile::load_db(path.to_str().unwrap()).unwrap();
-        let session = Session::open(path.to_str(), None, RuleSet::standard(), None, None).unwrap();
+        let session = Session::open(
+            path.to_str(),
+            None,
+            RuleSet::standard(),
+            None,
+            None,
+            &unset(),
+        )
+        .unwrap();
         for (query, at_one, at_two) in [
             ("pi[$1](select[$1=$2](R))", "walker", "executor"),
             ("count(R)", "walker", "executor"),
@@ -1522,7 +1410,7 @@ mod tests {
         for _ in 0..3 {
             profile(false);
         }
-        let out = explain_cmd("select[$1=$2](R)", d, None, Some(1), None, f).unwrap();
+        let out = explain_cmd("select[$1=$2](R)", d, None, Some(1), None, f, &unset()).unwrap();
         assert!(
             out.contains("plan.Filter        ~3 rows  [observed(n="),
             "{out}"
@@ -1550,14 +1438,5 @@ mod tests {
             Some(3),
             "{out}"
         );
-    }
-
-    #[test]
-    fn chaos_smoke_runs_a_few_cases_clean() {
-        let _g = obs_guard();
-        let out = chaos_cmd(42, 6).unwrap();
-        assert!(out.contains("6 case(s) with seed 42"), "{out}");
-        assert!(out.contains("byte-identical"), "{out}");
-        assert!(out.contains("torn-write drill"), "{out}");
     }
 }

@@ -30,6 +30,7 @@
 //! ```
 
 pub mod commands;
+pub mod config;
 pub mod dbfile;
 pub mod serve_cmd;
 pub mod session;
@@ -185,12 +186,12 @@ USAGE:
                   [--trace FILE] [--timeline] [--calibration FILE] [--stats FILE] [--timeout MS]
   genpar calibrate [--bench FILE] [--out FILE]
   genpar stats    show|reset [--file FILE]
-  genpar chaos    [--seed N] [--cases M]
   genpar serve    <db.gdb> --port P [--parallel N] [--tenant-budget SPEC] [--max-inflight N]
                   [--queue N] [--calibration FILE] [--stats FILE] [--timeout MS]
   genpar audit
 
-  --quiet (any command) or GENPAR_OBS=off disables observability.
+  --quiet (any command) or GENPAR_OBS=off disables observability;
+  profile --trace and --timeline need it on.
   --parallel N (or GENPAR_PARALLEL=N) runs partition-safe queries on N
   worker threads; root-level count/sum/even run as partition-local
   accumulators with a serial combine, and root-level fix runs each
@@ -213,17 +214,11 @@ USAGE:
   run over run. Stats only ever change the chosen *route* — answers
   are identical with stats on or off. `genpar stats show|reset`
   inspects or clears the store (default STATS.json).
-  GENPAR_MORSEL=fixed:N pins the auto-tuned morsel size. `profile
-  --calibration FILE` writes the converged morsel size back into the
-  file (key `morsel_rows`); later runs preseed the tuner from it
+  `profile --calibration FILE` writes the converged morsel size back
+  into the file (key `morsel_rows`); later runs seed the tuner from it
   (GENPAR_MORSEL always wins over the persisted seed).
   --timeout MS (run/profile) arms a wall-clock deadline; crossing it
   ends the command as a budget breach (exit 4, resource wall_ms).
-  GENPAR_RETRY=N caps in-place re-runs of faulted morsels and fixpoint
-  rounds (default 2, 0 disables); repeated faults quarantine the
-  worker, and only an exhausted ladder degrades the query to serial.
-  GENPAR_FAULTS=site:nth|* arms deterministic fault injection at a
-  known site (unknown sites are usage errors naming the bad token).
   `genpar serve` keeps the database, calibration and statistics store
   resident and answers a line-oriented JSON protocol on 127.0.0.1:PORT
   (one request per line: {\"op\": \"run\"|\"explain\"|\"profile\"|\"stats\"|
@@ -239,10 +234,22 @@ USAGE:
   filtering over the per-tenant obs roll-ups retained by the scoped
   registry (each request records into its own scope, rolled up into
   the process totals on completion).
-  `genpar chaos` replays --cases seeded fault storms (morsel, merge,
-  fixpoint-round, combine, retry and persistence faults) and fails
-  loudly if any recovered answer differs from fault-free serial
-  evaluation.
+
+ENVIRONMENT (read once at startup; empty means unset; a malformed
+value is a usage error, exit 2, naming the variable):
+  GENPAR_OBS=1|0        observability (default on; on/off, true/false too)
+  GENPAR_TIMELINE=1|0   timeline recording (default off)
+  GENPAR_VM=1|0         bytecode VM for σ/map (default on; answers agree)
+  GENPAR_MORSEL=N       starting morsel size; fixed:N pins it (N >= 1)
+  GENPAR_PARALLEL=N     worker count when --parallel is absent
+  GENPAR_RETRY=N        in-place retries of a faulted morsel or fixpoint
+                        round (0..=16, default 2, 0 disables); repeated
+                        faults quarantine the worker, and only an
+                        exhausted ladder degrades the query to serial
+  GENPAR_FAULTS=site:nth|*[,...]  deterministic fault injection at
+                        known sites
+  GENPAR_BUDGET=rows=N,cells=N,steps=N,depth=N,powerset=N  an
+                        execution budget for the whole command
 
 QUERY SYNTAX (columns are 1-based):
   R | empty | lit[{(a,b)}]
@@ -365,15 +372,6 @@ pub enum Command {
         action: String,
         /// Store file (default `STATS.json`).
         file: String,
-    },
-    /// `chaos` — the built-in chaos oracle: replay deterministic fault
-    /// storms over random queries and assert the recovered answers stay
-    /// byte-identical to fault-free serial evaluation.
-    Chaos {
-        /// Deterministic seed for the storm generator.
-        seed: u64,
-        /// Number of cases to run (default 64).
-        cases: u32,
     },
     /// `serve <db.gdb> --port P` — the resident multi-tenant query
     /// service (line-oriented JSON over TCP).
@@ -583,31 +581,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
             }
             Ok(Command::Calibrate { bench, out })
         }
-        "chaos" => {
-            let seed = take_flag(&mut rest, "--seed")
-                .map(|s| {
-                    s.parse::<u64>()
-                        .map_err(|e| CliError::usage(format!("bad --seed {s:?}: {e}")))
-                })
-                .transpose()?
-                .unwrap_or(0);
-            let cases = take_flag(&mut rest, "--cases")
-                .map(|s| {
-                    s.parse::<u32>()
-                        .map_err(|e| CliError::usage(format!("bad --cases {s:?}: {e}")))
-                })
-                .transpose()?
-                .unwrap_or(64);
-            if cases == 0 {
-                return Err(CliError::usage("--cases must be at least 1"));
-            }
-            if let Some(stray) = rest.first() {
-                return Err(CliError::usage(format!(
-                    "chaos takes no positional arguments (got {stray:?})"
-                )));
-            }
-            Ok(Command::Chaos { seed, cases })
-        }
         "serve" => {
             fn take_parsed<T: std::str::FromStr>(
                 rest: &mut Vec<&String>,
@@ -728,14 +701,6 @@ mod tests {
                 workers: None,
                 timeout_ms: Some(2500)
             }
-        );
-        assert_eq!(
-            parse_args(&argv(&["chaos"])).unwrap(),
-            Command::Chaos { seed: 0, cases: 64 }
-        );
-        assert_eq!(
-            parse_args(&argv(&["chaos", "--seed", "7", "--cases", "16"])).unwrap(),
-            Command::Chaos { seed: 7, cases: 16 }
         );
         assert_eq!(
             parse_args(&argv(&["optimize", "--union-key", "R,S:$1", "diff(R,S)"])).unwrap(),
@@ -895,9 +860,6 @@ mod tests {
         assert!(err.message.contains("-5"), "{}", err.message);
         assert_eq!(err.kind, ErrorKind::Usage);
         assert!(parse_args(&argv(&["run", "--db", "x.gdb", "R", "--timeout"])).is_err());
-        assert!(parse_args(&argv(&["chaos", "--seed", "NaN"])).is_err());
-        assert!(parse_args(&argv(&["chaos", "--cases", "0"])).is_err());
-        assert!(parse_args(&argv(&["chaos", "stray"])).is_err());
         // serve requires a port and a database; both omissions are usage
         // errors naming what is missing
         assert!(parse_args(&argv(&["serve", "x.gdb"])).is_err());

@@ -7,7 +7,7 @@
 //! served response's `output` is byte-identical to the one-shot command
 //! because both paths use the same object.
 
-use crate::commands::resolve_workers;
+use crate::config::RunConfig;
 use crate::session::Session;
 use crate::CliError;
 use genpar_serve::server::ServeConfig;
@@ -30,15 +30,16 @@ pub fn serve_cmd(
     calibration: Option<&str>,
     stats: Option<&str>,
     timeout_ms: Option<u64>,
+    env: &RunConfig,
 ) -> Result<String, CliError> {
-    let w = resolve_workers(workers);
+    let w = env.workers(workers);
     let budget = tenant_budget
         .map(|spec| {
             genpar_guard::ExecBudget::parse(spec)
                 .map_err(|e| CliError::usage(format!("bad --tenant-budget: {e}")))
         })
         .transpose()?;
-    let (session, warnings) = Session::load(db, calibration, stats, w)?;
+    let (session, warnings) = Session::load_with(db, calibration, stats, w, env)?;
     for warning in &warnings {
         eprintln!("genpar serve: warning: {warning}");
     }

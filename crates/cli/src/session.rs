@@ -12,6 +12,7 @@
 //! command because both paths use the same object.
 
 use crate::commands::{parse_q, PROFILE_SCHEMA_VERSION};
+use crate::config::{RunConfig, VM_ENV};
 use crate::{dbfile, CliError};
 use genpar_algebra::{Db, Query};
 use genpar_core::{partition_safety, PartitionSafety};
@@ -115,6 +116,9 @@ pub struct Session {
     /// This database's entry of `stats`, shared with every prepared plan.
     observed: RwLock<Option<Arc<CatalogStats>>>,
     default_workers: usize,
+    /// The executor settings every run starts from: the VM switch and
+    /// the retry policy. `db` carries the same VM switch.
+    exec: ExecConfig,
     /// Load warnings a one-shot report prints ahead of itself; a server
     /// logs them once instead ([`Session::load`]).
     warnings: Vec<String>,
@@ -122,36 +126,49 @@ pub struct Session {
 
 impl Session {
     /// Load a resident session over the `.gdb` at `db_path`, with its
-    /// calibration and statistics store; returns the session plus any
-    /// load warnings (corrupt-file quarantines), which the caller logs —
-    /// served responses never repeat them.
+    /// calibration and statistics store and the default settings; returns
+    /// the session plus any load warnings (corrupt-file quarantines),
+    /// which the caller logs — served responses never repeat them.
     pub fn load(
         db_path: &str,
         calibration: Option<&str>,
         stats_path: Option<&str>,
         default_workers: usize,
     ) -> Result<(Session, Vec<String>), CliError> {
+        let env = RunConfig::default();
+        Session::load_with(db_path, calibration, stats_path, default_workers, &env)
+    }
+
+    /// [`Session::load`] under the process's `GENPAR_*` settings.
+    pub(crate) fn load_with(
+        db_path: &str,
+        calibration: Option<&str>,
+        stats_path: Option<&str>,
+        default_workers: usize,
+        env: &RunConfig,
+    ) -> Result<(Session, Vec<String>), CliError> {
         let rules = RuleSet::standard();
-        let mut session = Session::open(Some(db_path), None, rules, calibration, stats_path)?;
+        let mut session = Session::open(Some(db_path), None, rules, calibration, stats_path, env)?;
         session.default_workers = default_workers.max(1);
         let warnings = std::mem::take(&mut session.warnings);
         Ok((session, warnings))
     }
 
-    /// Load a session for one command, rewriting under `rules`. Without
-    /// a `.gdb`, the catalog is nominal: a 1000-row binary table for every
-    /// relation `q` mentions. Load warnings stay in the session and head
-    /// its reports.
+    /// Load a session for one command, rewriting under `rules` and
+    /// running under `env`. Without a `.gdb`, the catalog is nominal: a
+    /// 1000-row binary table for every relation `q` mentions. Load
+    /// warnings stay in the session and head its reports.
     pub(crate) fn open(
         db_path: Option<&str>,
         q: Option<&Query>,
         rules: RuleSet,
         calibration: Option<&str>,
         stats_path: Option<&str>,
+        env: &RunConfig,
     ) -> Result<Session, CliError> {
         let (db, catalog, ragged) = match db_path {
             Some(p) => {
-                let db = dbfile::load_db(p)?;
+                let db = dbfile::load_db(p)?.with_vm(env.vm);
                 let (catalog, ragged) = catalog_from_db(&db)?;
                 (Some(db), catalog, ragged)
             }
@@ -186,6 +203,7 @@ impl Session {
             stats: RwLock::new(store),
             observed: RwLock::new(observed),
             default_workers: 1,
+            exec: env.exec(),
             warnings: [cal_warning, stats_warning].into_iter().flatten().collect(),
         })
     }
@@ -252,7 +270,7 @@ impl Session {
     pub(crate) fn evaluate(&self, p: Prepared) -> Result<(Value, Route), CliError> {
         match p.route {
             Route::Executor => {
-                let cfg = ExecConfig::serial().with_workers(p.workers);
+                let cfg = self.exec.clone().with_workers(p.workers);
                 let (v, _stats, route) =
                     genpar_exec::eval_verdict(&p.plan, p.verdict, &self.catalog, &cfg)?;
                 Ok((v, Route::taken(&route)))
@@ -428,11 +446,10 @@ impl Session {
         }
         let _ = writeln!(out, "  run route:      {}", route_detail(&p));
         let _ = writeln!(out, "\nbytecode vm:");
-        if !genpar_algebra::vm::enabled() {
+        if !self.exec.vm {
             let _ = writeln!(
                 out,
-                "  disabled ({}=0): the AST walker evaluates every expression",
-                genpar_algebra::vm::VM_ENV
+                "  disabled ({VM_ENV}=0): the AST walker evaluates every expression"
             );
         } else {
             let cert = p.verdict.certificate();
@@ -558,7 +575,7 @@ impl Session {
         let w = self.workers(workers);
         // a trace export without the recorder would fall back to the
         // synthetic layout, so --trace implies --timeline for this run; the
-        // previous flag state (e.g. GENPAR_TIMELINE) is restored afterwards
+        // previous flag state (e.g. GENPAR_TIMELINE=1) is restored afterwards
         let prev_timeline = genpar_obs::timeline::enabled();
         // an ambient GENPAR_TIMELINE=1 gets the same reporting as --timeline
         let want_timeline = opts.timeline || opts.trace_path.is_some() || prev_timeline;
@@ -577,7 +594,7 @@ impl Session {
             // a relation the catalog leaves out is read from the database
             self.walk(&p).map(|_| ExecStats::default())
         } else {
-            let cfg = ExecConfig::default().with_workers(w);
+            let cfg = self.exec.clone().with_workers(w);
             let v = genpar_exec::eval_verdict(&p.plan, p.verdict.clone(), &self.catalog, &cfg);
             v.map(|(_, stats, _)| stats).map_err(CliError::from)
         };
@@ -795,7 +812,7 @@ fn route_detail(p: &Prepared) -> String {
 
 /// Load a calibration file, or the built-in default when none is given.
 /// A persisted `morsel_rows` key (written by `profile --calibration`)
-/// preseeds the global morsel tuner — unless `GENPAR_MORSEL` overrides.
+/// seeds the global morsel tuner, unless `GENPAR_MORSEL` set it first.
 /// A **missing** file is an error (the user named it); a **corrupt** one
 /// is quarantined to `<path>.corrupt` and the default calibration rides
 /// in its place, with the warning returned for the command to print.
@@ -814,7 +831,7 @@ pub(crate) fn load_calibration(
         let j = Json::parse(&text).map_err(|e| format!("calibration file {p}: {e}"))?;
         if let Some(rows) = j.get("morsel_rows").and_then(|v| v.as_int()) {
             if rows > 0 {
-                genpar_exec::tune::preseed(rows as usize);
+                genpar_exec::tune::init(rows as usize, false);
             }
         }
         Calibration::from_json(&j)
@@ -843,7 +860,7 @@ pub(crate) fn load_calibration(
 
 /// Write the tuner's converged morsel size into a calibration file's
 /// `morsel_rows` key, preserving every other key (inverse of the
-/// preseed in [`load_calibration`]). The write goes through the
+/// seed in [`load_calibration`]). The write goes through the
 /// crash-safe temp-file + fsync + rename protocol.
 fn persist_morsel_rows(path: &str) -> Result<usize, CliError> {
     let text = match genpar_optimizer::persist::read_payload(path) {

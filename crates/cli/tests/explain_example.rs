@@ -2,6 +2,7 @@
 //! `profile` against the Example 2.2 database must tell the Section 4.4
 //! optimization story end to end.
 
+use genpar_cli::config::RunConfig;
 use genpar_cli::{commands, parse_args};
 
 fn example_db() -> String {
@@ -25,7 +26,7 @@ fn obs_guard() -> std::sync::MutexGuard<'static, ()> {
 fn run(args: &[&str]) -> String {
     let argv: Vec<String> = args.iter().map(|s| s.to_string()).collect();
     let cmd = parse_args(&argv).expect("args parse");
-    commands::execute(&cmd).expect("command runs")
+    commands::execute(&cmd, &RunConfig::default()).expect("command runs")
 }
 
 #[test]
@@ -55,8 +56,7 @@ fn explain_example_2_2_blocks_difference_push_without_key() {
 fn profile_example_2_2_reports_executor_counters() {
     let _g = obs_guard();
     let db = example_db();
-    // pin one worker: the executor runs inline, and the worker count
-    // must not change when CI exports GENPAR_PARALLEL
+    // pin one worker: the executor runs inline
     let out = run(&[
         "profile",
         "pi[$1](union(r1, r3))",

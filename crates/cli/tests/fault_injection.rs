@@ -10,13 +10,24 @@ use std::path::PathBuf;
 use std::process::{Command, Output};
 use std::sync::atomic::{AtomicU32, Ordering};
 
+/// Every variable the binary reads at startup.
+const GENPAR_VARS: [&str; 8] = [
+    "GENPAR_OBS",
+    "GENPAR_TIMELINE",
+    "GENPAR_VM",
+    "GENPAR_MORSEL",
+    "GENPAR_RETRY",
+    "GENPAR_PARALLEL",
+    "GENPAR_FAULTS",
+    "GENPAR_BUDGET",
+];
+
 fn genpar() -> Command {
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_genpar"));
-    // The CI parallel job exports these globally; tests pin their own.
-    cmd.env_remove("GENPAR_FAULTS")
-        .env_remove("GENPAR_BUDGET")
-        .env_remove("GENPAR_PARALLEL")
-        .env_remove("GENPAR_RETRY");
+    // CI jobs export some of these globally; tests pin their own.
+    for var in GENPAR_VARS {
+        cmd.env_remove(var);
+    }
     cmd
 }
 
@@ -254,7 +265,7 @@ fn fixpoint_depth_budget_exits_4_on_the_executor_at_every_worker_count() {
 }
 
 #[test]
-fn malformed_retry_and_parallel_env_vars_are_usage_errors() {
+fn malformed_env_vars_are_usage_errors_and_empty_means_unset() {
     let db = small_db();
     let db = db.to_str().unwrap();
     let retry_run: &[&str] = &["run", "--parallel", "2", "--db", db, "R"];
@@ -264,6 +275,13 @@ fn malformed_retry_and_parallel_env_vars_are_usage_errors() {
         ("GENPAR_RETRY", "17", retry_run),
         ("GENPAR_PARALLEL", "two", plain_run),
         ("GENPAR_PARALLEL", "-1", plain_run),
+        ("GENPAR_OBS", "nope", plain_run),
+        ("GENPAR_TIMELINE", "yes", plain_run),
+        ("GENPAR_VM", "banana", plain_run),
+        ("GENPAR_MORSEL", "abc", plain_run),
+        ("GENPAR_MORSEL", "fixed:0", plain_run),
+        ("GENPAR_FAULTS", "exec.morsel", plain_run),
+        ("GENPAR_BUDGET", "rows", plain_run),
     ] {
         let out = genpar().env(var, value).args(args).output().unwrap();
         assert_no_panic(&out);
@@ -276,10 +294,73 @@ fn malformed_retry_and_parallel_env_vars_are_usage_errors() {
         assert!(stderr_of(&out).contains(var), "{}", stderr_of(&out));
     }
     // empty means unset: CI runs `GENPAR_PARALLEL= genpar run ...`
-    for var in ["GENPAR_RETRY", "GENPAR_PARALLEL"] {
-        let out = genpar().env(var, "").args(plain_run).output().unwrap();
-        assert_eq!(out.status.code(), Some(0), "{var}=: {}", stderr_of(&out));
+    let unset = genpar().args(plain_run).output().unwrap();
+    assert_eq!(unset.status.code(), Some(0), "{}", stderr_of(&unset));
+    let mut empty = genpar();
+    for var in GENPAR_VARS {
+        empty.env(var, "");
     }
+    let out = empty.args(plain_run).output().unwrap();
+    assert_eq!(out.status.code(), Some(0), "all empty: {}", stderr_of(&out));
+    assert_eq!(out.stdout, unset.stdout);
+}
+
+#[test]
+fn vm_off_env_keeps_the_answer_and_explain_says_so() {
+    let db = small_db();
+    let db = db.to_str().unwrap();
+    let stdout = |env: &[(&str, &str)], cmd: &str| {
+        let mut c = genpar();
+        let out = c
+            .envs(env.iter().copied())
+            .args([cmd, "--db", db, "select[even($1)](R)"]);
+        let out = out.output().unwrap();
+        assert_eq!(out.status.code(), Some(0), "{}", stderr_of(&out));
+        String::from_utf8_lossy(&out.stdout).into_owned()
+    };
+    let vm_off = [("GENPAR_VM", "0")];
+    assert_eq!(stdout(&vm_off, "run"), stdout(&[], "run"));
+    let text = stdout(&vm_off, "explain");
+    assert!(text.contains("disabled (GENPAR_VM=0)"), "{text}");
+    let text = stdout(&[], "explain");
+    assert!(
+        !text.contains("disabled") && text.contains("program of"),
+        "{text}"
+    );
+}
+
+#[test]
+fn profile_tracing_without_observability_is_a_usage_error() {
+    let db = small_db();
+    let db = db.to_str().unwrap();
+    let trace = format!("{db}.trace.json");
+    let cases: [(&[&str], &str); 3] = [
+        (&["--quiet", "profile", "--trace", &trace], "on"),
+        (&["--quiet", "profile", "--timeline"], "on"),
+        (&["profile", "--timeline"], "off"),
+    ];
+    for (args, obs) in cases {
+        let mut cmd = genpar();
+        let out = cmd
+            .env("GENPAR_OBS", obs)
+            .args(args)
+            .args(["--db", db, "R"]);
+        let out = out.output().unwrap();
+        assert_no_panic(&out);
+        let err = stderr_of(&out);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {err}");
+        assert!(err.contains("observability"), "{err}");
+    }
+    assert!(
+        !std::path::Path::new(&trace).exists(),
+        "no trace is written"
+    );
+    // without tracing, a quiet profile still runs
+    let quiet = genpar()
+        .args(["--quiet", "profile", "--db", db, "R"])
+        .output();
+    let out = quiet.unwrap();
+    assert_eq!(out.status.code(), Some(0), "{}", stderr_of(&out));
 }
 
 #[test]
@@ -541,19 +622,6 @@ fn generous_timeout_leaves_the_answer_alone() {
         String::from_utf8_lossy(&plain.stdout),
         String::from_utf8_lossy(&timed.stdout)
     );
-}
-
-#[test]
-fn chaos_subcommand_passes_a_fixed_seed_storm() {
-    let out = genpar()
-        .args(["chaos", "--seed", "7", "--cases", "8"])
-        .output()
-        .unwrap();
-    assert_no_panic(&out);
-    assert_eq!(out.status.code(), Some(0), "stderr: {}", stderr_of(&out));
-    let text = String::from_utf8_lossy(&out.stdout);
-    assert!(text.contains("8 case(s) with seed 7"), "{text}");
-    assert!(text.contains("byte-identical"), "{text}");
 }
 
 #[test]

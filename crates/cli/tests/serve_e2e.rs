@@ -23,10 +23,10 @@ use std::time::{Duration, Instant};
 
 fn genpar() -> Command {
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_genpar"));
-    // The CI parallel job exports these globally; tests pin their own.
-    cmd.env_remove("GENPAR_FAULTS")
-        .env_remove("GENPAR_BUDGET")
-        .env_remove("GENPAR_PARALLEL");
+    // CI jobs export some GENPAR_* globally; tests pin their own.
+    for (var, _) in std::env::vars().filter(|(k, _)| k.starts_with("GENPAR_")) {
+        cmd.env_remove(var);
+    }
     cmd
 }
 

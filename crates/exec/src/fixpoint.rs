@@ -197,6 +197,7 @@ pub(crate) fn run_fixpoint_route(
         return fallback(
             q,
             catalog,
+            cfg,
             "fix",
             "fixpoint seed does not lower to the row engine",
         );
@@ -205,6 +206,7 @@ pub(crate) fn run_fixpoint_route(
         return fallback(
             q,
             catalog,
+            cfg,
             "fix",
             "fixpoint body does not lower to the row engine",
         );
@@ -254,6 +256,7 @@ pub(crate) fn run_fixpoint_route(
             fallback(
                 q,
                 catalog,
+                cfg,
                 "fix",
                 "injected fault in a fixpoint round: degraded to the serial interpreter",
             )
@@ -278,7 +281,7 @@ fn drive_fixpoint(
         (genpar_algebra::fixpoint::DEFAULT_FIXPOINT_ITERS as u64).min(genpar_guard::depth_limit());
     let hist = genpar_obs::histogram("exec.fixpoint_round_us");
     let round_watchdog_us = kernels::watchdog_deadline_us(hist.snapshot().p95);
-    let round_retries = recovery_retries().unwrap_or(0);
+    let round_retries = recovery_retries(ctx.cfg).unwrap_or(0);
     for iter in 0..bound {
         genpar_guard::charge_depth(iter + 1, "fixpoint").map_err(breach_to_exec)?;
         let start = std::time::Instant::now();

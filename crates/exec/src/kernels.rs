@@ -134,7 +134,7 @@ where
         }
         out
     };
-    let parts = match crate::recovery_retries() {
+    let parts = match crate::recovery_retries(ctx.cfg) {
         Some(retries) => pool::run_tasks_recovering(
             ctx.cfg.workers,
             tasks,
@@ -223,23 +223,23 @@ fn merge(
 }
 
 /// Compile one operator's expression program — **once**, before the
-/// tasks fan out; every worker then shares the immutable program and
-/// holds its own reusable [`vm::Vm`]. The route certificate (when the
-/// gate ran) is attached to the program here, and the compilation is
-/// left on the obs trail: a `vm.programs` counter and `vm.program`
-/// event on success, `vm.ineligible` (with the paper-citing reason) on
-/// refusal.
+/// tasks fan out, and only with the VM on for this run; every worker
+/// then shares the immutable program and holds its own reusable
+/// [`vm::Vm`]. The route certificate (when the gate ran) is attached to
+/// the program here, and the compilation is left on the obs trail: a
+/// `vm.programs` counter and `vm.program` event on success,
+/// `vm.ineligible` (with the paper-citing reason) on refusal.
 fn prepare_program(
-    compiled: Result<vm::Program, vm::Ineligible>,
-    cert: Option<&str>,
+    compile: impl FnOnce() -> Result<vm::Program, vm::Ineligible>,
+    ctx: &Ctx,
     op: &'static str,
 ) -> Option<vm::Program> {
-    if !vm::enabled() {
+    if !ctx.cfg.vm {
         return None;
     }
-    match compiled {
+    match compile() {
         Ok(prog) => {
-            let prog = match cert {
+            let prog = match ctx.cert {
                 Some(c) => prog.with_cert(c),
                 None => prog,
             };
@@ -275,7 +275,7 @@ fn prepare_program(
 /// compiled once; each morsel re-checks [`vm::engage`] so an armed
 /// `vm.exec` fault degrades that one morsel to the AST walker.
 pub(crate) fn par_filter(input: Rows, p: &Pred, ctx: &Ctx) -> Result<(Rows, ExecStats), ExecError> {
-    let prog = prepare_program(vm::compile_pred(p), ctx.cert, "plan.Filter");
+    let prog = prepare_program(|| vm::compile_pred(p), ctx, "plan.Filter");
     let parts = run_timed(
         ctx,
         TaskKind::Morsel,
@@ -351,7 +351,7 @@ pub(crate) fn par_project(
 /// compile-once / per-morsel-engage scheme as [`par_filter`];
 /// ineligible functions (opaque closures) keep the walker.
 pub(crate) fn par_map(input: Rows, f: &ValueFn, ctx: &Ctx) -> Result<(Rows, ExecStats), ExecError> {
-    let prog = prepare_program(vm::compile_fn(f), ctx.cert, "plan.MapRows");
+    let prog = prepare_program(|| vm::compile_fn(f), ctx, "plan.MapRows");
     let parts = run_timed(
         ctx,
         TaskKind::Morsel,

@@ -37,8 +37,9 @@
 //! * [`eval_verdict`] — the same, for a caller that already holds the
 //!   gate's verdict (so the gate runs once per query).
 //!
-//! Worker count comes from [`ExecConfig`]: explicit, or the
-//! `GENPAR_PARALLEL` environment variable via [`ExecConfig::from_env`].
+//! Every per-run setting — worker count, morsel size, the VM switch and
+//! the retry policy — comes from the caller's [`ExecConfig`]; the crate
+//! reads no environment.
 
 mod fixpoint;
 pub mod kernels;
@@ -50,7 +51,7 @@ use genpar_algebra::{eval::eval, Db, Query};
 use genpar_core::{partition_safety, PartitionSafety, SafetyCert};
 use genpar_engine::plan::{lower, ExecError, ExecStats, PhysicalPlan};
 use genpar_engine::schema::Catalog;
-use genpar_guard::SharedMeter;
+use genpar_guard::{RetryPolicy, SharedMeter};
 use genpar_obs::FieldValue;
 use genpar_value::Value;
 use kernels::{Ctx, Rows, SetOp};
@@ -59,9 +60,6 @@ pub use kernels::CombineKind;
 
 pub use morsel::DEFAULT_MORSEL_ROWS;
 
-/// Environment variable naming the default worker count.
-pub const PARALLEL_ENV: &str = "GENPAR_PARALLEL";
-
 /// In-place retries per failed task, when the recovery ladder should arm
 /// for this run; `None` keeps the plain first-error-cancels pool (and
 /// its zero-copy task hand-off).
@@ -69,21 +67,18 @@ pub const PARALLEL_ENV: &str = "GENPAR_PARALLEL";
 /// Recovery requires holding every morsel recoverable (a clone per
 /// task), so it arms only when re-running a failed task can actually
 /// happen or help: fault injection is armed (every `Fault` is a
-/// deterministic per-hit blip that a re-run rides out), or the operator
-/// set `GENPAR_RETRY` explicitly — an opt-in to panic resilience at
-/// clone cost on the clean path. `GENPAR_RETRY=0` disables the in-place
-/// rung entirely, restoring the pre-ladder all-or-nothing behaviour.
-pub(crate) fn recovery_retries() -> Option<u32> {
-    let policy = genpar_guard::RetryPolicy::from_env_lossy();
-    if policy.max_retries == 0 {
-        return None;
-    }
-    let explicit = std::env::var(genpar_guard::RETRY_ENV).is_ok();
-    if genpar_guard::fault::faults_armed() || explicit {
-        Some(policy.max_retries)
-    } else {
-        None
-    }
+/// deterministic per-hit blip that a re-run rides out, given the default
+/// policy's retries), or `cfg.retry` sets a policy explicitly — an
+/// opt-in to panic resilience at clone cost on the clean path. An
+/// explicit zero disables the in-place rung entirely, restoring the
+/// pre-ladder all-or-nothing behaviour.
+pub(crate) fn recovery_retries(cfg: &ExecConfig) -> Option<u32> {
+    let retries = match cfg.retry {
+        Some(policy) => policy.max_retries,
+        None if genpar_guard::fault::faults_armed() => RetryPolicy::default().max_retries,
+        None => 0,
+    };
+    (retries > 0).then_some(retries)
 }
 
 /// The gate every in-place re-run passes: the `exec.retry` fault site
@@ -128,8 +123,16 @@ pub struct ExecConfig {
     pub morsel_rows: usize,
     /// Let the global morsel tuner pick the effective morsel size (the
     /// default). [`ExecConfig::with_morsel_rows`] turns this off, as does
-    /// `GENPAR_MORSEL=fixed:N` (via the tuner itself).
+    /// a pinned tuner ([`tune::init`]).
     pub auto_tune: bool,
+    /// Run σ/map expressions on the bytecode VM where eligible (the
+    /// default); off keeps the kernels and the walker fallback on the
+    /// AST walker. Both settings give the same answers.
+    pub vm: bool,
+    /// The in-place retry policy. `None` (the default) arms recovery
+    /// only while faults are armed, with the default policy's retries;
+    /// `Some` is an explicit policy (see `recovery_retries`).
+    pub retry: Option<RetryPolicy>,
 }
 
 impl Default for ExecConfig {
@@ -138,6 +141,8 @@ impl Default for ExecConfig {
             workers: 1,
             morsel_rows: DEFAULT_MORSEL_ROWS,
             auto_tune: true,
+            vm: true,
+            retry: None,
         }
     }
 }
@@ -163,6 +168,12 @@ impl ExecConfig {
         self
     }
 
+    /// Turn the bytecode VM on or off (builder style).
+    pub fn with_vm(mut self, on: bool) -> ExecConfig {
+        self.vm = on;
+        self
+    }
+
     /// The morsel size kernels actually chunk with right now: the global
     /// tuner's current size when auto-tuning, the configured size
     /// otherwise.
@@ -172,16 +183,6 @@ impl ExecConfig {
         } else {
             self.morsel_rows
         }
-    }
-
-    /// Configuration from the environment: `GENPAR_PARALLEL=N` sets the
-    /// worker count (unset, empty or unparsable means serial).
-    pub fn from_env() -> ExecConfig {
-        let workers = std::env::var(PARALLEL_ENV)
-            .ok()
-            .and_then(|s| s.trim().parse::<usize>().ok())
-            .unwrap_or(1);
-        ExecConfig::default().with_workers(workers)
     }
 }
 
@@ -432,7 +433,7 @@ pub(crate) fn charge_source(ctx: &Ctx, rows: u64, op: &'static str) -> Result<()
 }
 
 /// Build an algebra database mirroring a catalog (for the walker
-/// fallback path), with the standard integer signature.
+/// fallback path), with the standard integer signature and the VM on.
 pub fn db_from_catalog(catalog: &Catalog) -> Db {
     let mut db = Db::with_standard_int();
     for t in catalog.tables() {
@@ -509,6 +510,7 @@ pub fn eval_verdict(
                         fallback(
                             q,
                             catalog,
+                            cfg,
                             "exec",
                             "recovery ladder exhausted: degraded to the serial interpreter",
                         )
@@ -516,13 +518,13 @@ pub fn eval_verdict(
                     Err(e) => Err(e),
                 }
             }
-            None => fallback(q, catalog, "lit", "literal rows are not flat tuples"),
+            None => fallback(q, catalog, cfg, "lit", "literal rows are not flat tuples"),
         },
         PartitionSafety::FixpointRoundSafe { body_cert } => {
             fixpoint::run_fixpoint_route(q, catalog, cfg, &body_cert)
         }
         PartitionSafety::Combiner { op, cert } => run_combiner_route(q, catalog, cfg, op, &cert),
-        PartitionSafety::Unsafe { op, reason } => fallback(q, catalog, op, reason),
+        PartitionSafety::Unsafe { op, reason } => fallback(q, catalog, cfg, op, reason),
     }
 }
 
@@ -563,6 +565,7 @@ fn run_combiner_route(
         return fallback(
             q,
             catalog,
+            cfg,
             agg,
             "aggregate input does not lower to the row engine",
         );
@@ -609,6 +612,7 @@ fn run_combiner_route(
             fallback(
                 q,
                 catalog,
+                cfg,
                 agg,
                 "injected fault in the combiner: degraded to the serial interpreter",
             )
@@ -637,12 +641,13 @@ pub fn note_fallback(op: &str, reason: &str) {
 pub(crate) fn fallback(
     q: &Query,
     catalog: &Catalog,
+    cfg: &ExecConfig,
     op: &'static str,
     reason: &'static str,
 ) -> Result<(Value, ExecStats, ExecRoute), ExecError> {
     note_fallback(op, reason);
     let _sp = genpar_obs::span("exec.fallback");
-    let db = db_from_catalog(catalog);
+    let db = db_from_catalog(catalog).with_vm(cfg.vm);
     let v = eval(q, &db).map_err(eval_to_exec)?;
     Ok((v, ExecStats::default(), ExecRoute::Fallback { op, reason }))
 }
@@ -657,17 +662,5 @@ mod tests {
         assert_eq!(c.workers, 1);
         assert_eq!(c.morsel_rows, 1);
         assert_eq!(ExecConfig::default().morsel_rows, DEFAULT_MORSEL_ROWS);
-    }
-
-    #[test]
-    fn config_from_env_parses_and_defaults() {
-        // set/unset around the calls; no other test in this binary reads
-        // the variable
-        std::env::set_var(PARALLEL_ENV, "6");
-        assert_eq!(ExecConfig::from_env().workers, 6);
-        std::env::set_var(PARALLEL_ENV, "not-a-number");
-        assert_eq!(ExecConfig::from_env().workers, 1);
-        std::env::remove_var(PARALLEL_ENV);
-        assert_eq!(ExecConfig::from_env().workers, 1);
     }
 }

@@ -33,8 +33,9 @@
 //!
 //! ## Control
 //!
-//! `GENPAR_MORSEL=fixed:N` pins the size (auto-tuning off), plain
-//! `GENPAR_MORSEL=N` sets the starting size but lets tuning run, and
+//! [`init`] sets the global tuner's starting size once, pinned
+//! (auto-tuning off) or not; the `genpar` binary installs `GENPAR_MORSEL`
+//! through it, and a persisted calibration seeds it the same way.
 //! [`ExecConfig::with_morsel_rows`](crate::ExecConfig::with_morsel_rows)
 //! pins per-config. Every applied step emits an `exec.retune` obs event
 //! with the old and new sizes and the batch p95 that triggered it.
@@ -43,10 +44,6 @@ use crate::morsel::DEFAULT_MORSEL_ROWS;
 use genpar_obs::FieldValue;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
-
-/// Environment variable controlling the morsel tuner: `fixed:N` pins the
-/// morsel size at `N`; a plain integer `N` sets the initial size.
-pub const MORSEL_ENV: &str = "GENPAR_MORSEL";
 
 /// Per-morsel latency the tuner steers toward, in microseconds.
 pub const TARGET_MORSEL_US: u64 = 100;
@@ -88,29 +85,6 @@ impl MorselTuner {
         MorselTuner {
             rows: AtomicUsize::new(rows),
             pinned,
-        }
-    }
-
-    /// A tuner configured from [`MORSEL_ENV`]. Unset (or unparsable)
-    /// means: start at [`DEFAULT_MORSEL_ROWS`], tuning on.
-    pub fn from_env() -> MorselTuner {
-        match std::env::var(MORSEL_ENV) {
-            Ok(v) => Self::parse_env(&v),
-            Err(_) => MorselTuner::new(DEFAULT_MORSEL_ROWS, false),
-        }
-    }
-
-    fn parse_env(v: &str) -> MorselTuner {
-        let v = v.trim();
-        if let Some(n) = v.strip_prefix("fixed:") {
-            match n.trim().parse::<usize>() {
-                Ok(n) if n > 0 => return MorselTuner::new(n, true),
-                _ => return MorselTuner::new(DEFAULT_MORSEL_ROWS, true),
-            }
-        }
-        match v.parse::<usize>() {
-            Ok(n) if n > 0 => MorselTuner::new(n, false),
-            _ => MorselTuner::new(DEFAULT_MORSEL_ROWS, false),
         }
     }
 
@@ -171,24 +145,20 @@ impl MorselTuner {
 
 static GLOBAL_TUNER: OnceLock<MorselTuner> = OnceLock::new();
 
-/// The process-wide tuner, configured from [`MORSEL_ENV`] on first use.
+/// The process-wide tuner. Unless [`init`] ran first, it starts at
+/// [`DEFAULT_MORSEL_ROWS`] with tuning on.
 pub fn tuner() -> &'static MorselTuner {
-    GLOBAL_TUNER.get_or_init(MorselTuner::from_env)
+    GLOBAL_TUNER.get_or_init(|| MorselTuner::new(DEFAULT_MORSEL_ROWS, false))
 }
 
-/// Seed the global tuner with a persisted morsel size (e.g. the
-/// converged `morsel_rows` a previous `profile` run wrote into
-/// `CALIBRATION.json`) **before** first use. The [`MORSEL_ENV`]
-/// variable always wins: when it is set, the seed is ignored so an
-/// explicit `fixed:N` pin or initial size keeps its meaning. Returns
-/// whether the seed took effect (false when the tuner was already
-/// initialized or the environment overrode it).
-pub fn preseed(rows: usize) -> bool {
-    if std::env::var(MORSEL_ENV).is_ok_and(|s| !s.trim().is_empty()) {
-        return false;
-    }
-    let clamped = rows.clamp(MIN_MORSEL_ROWS, MAX_MORSEL_ROWS);
-    GLOBAL_TUNER.set(MorselTuner::new(clamped, false)).is_ok()
+/// Install the process-wide tuner at `rows` (see [`MorselTuner::new`]),
+/// **before** first use. The first setting wins: the `genpar` binary
+/// installs an explicit `GENPAR_MORSEL` before any command runs, so a
+/// persisted seed (the converged `morsel_rows` a previous `profile` run
+/// wrote into `CALIBRATION.json`) arriving later is ignored. Returns
+/// whether this call took effect.
+pub fn init(rows: usize, pinned: bool) -> bool {
+    GLOBAL_TUNER.set(MorselTuner::new(rows, pinned)).is_ok()
 }
 
 #[cfg(test)]
@@ -285,18 +255,6 @@ mod tests {
         assert_eq!(t.observe_batch(&[0; 10]), None);
         assert_eq!(t.observe_batch(&[100_000; 10]), None);
         assert_eq!(t.rows(), 777);
-    }
-
-    #[test]
-    fn env_parsing() {
-        let t = MorselTuner::parse_env("fixed:2000");
-        assert!(t.pinned() && t.rows() == 2000);
-        let t = MorselTuner::parse_env("256");
-        assert!(!t.pinned() && t.rows() == 256);
-        let t = MorselTuner::parse_env("garbage");
-        assert!(!t.pinned() && t.rows() == DEFAULT_MORSEL_ROWS);
-        let t = MorselTuner::parse_env("fixed:zero");
-        assert!(t.pinned() && t.rows() == DEFAULT_MORSEL_ROWS);
     }
 
     #[test]

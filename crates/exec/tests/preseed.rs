@@ -1,21 +1,18 @@
-//! The persisted-morsel-size preseed must win first touch of the global
-//! tuner — and lose to an explicit `GENPAR_MORSEL`.
+//! The first [`genpar_exec::tune::init`] wins first touch of the global
+//! tuner; later settings (a persisted seed arriving after an explicit
+//! pin) are ignored.
 //!
 //! This file holds exactly one test so it owns its test binary: nothing
 //! else can initialize the process-global tuner before it runs.
 
 #[test]
 fn preseed_seeds_the_global_tuner_before_first_use() {
-    if std::env::var(genpar_exec::tune::MORSEL_ENV).is_ok() {
-        // the environment always outranks a persisted seed — under a
-        // pinned run there is nothing to assert about first touch
-        assert!(!genpar_exec::tune::preseed(2048));
-        return;
-    }
-    // first touch: the persisted size (clamped to the tuner bounds) wins
-    assert!(genpar_exec::tune::preseed(2048));
+    // first touch: the seed (clamped to the tuner bounds) wins
+    assert!(genpar_exec::tune::init(2048, false));
     assert_eq!(genpar_exec::tune::tuner().rows(), 2048);
-    // a second seed is a no-op: the tuner is already initialized
-    assert!(!genpar_exec::tune::preseed(4096));
+    assert!(!genpar_exec::tune::tuner().pinned());
+    // a second setting is a no-op: the tuner is already initialized
+    assert!(!genpar_exec::tune::init(4096, true));
     assert_eq!(genpar_exec::tune::tuner().rows(), 2048);
+    assert!(!genpar_exec::tune::tuner().pinned());
 }

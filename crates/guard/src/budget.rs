@@ -13,10 +13,6 @@ use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-/// The environment variable holding a budget spec (see
-/// [`ExecBudget::parse`]).
-pub const BUDGET_ENV: &str = "GENPAR_BUDGET";
-
 /// Number of live [`BudgetScope`]s across all threads. Zero means every
 /// `charge_*` call returns after one relaxed load.
 static ARMED_SCOPES: AtomicUsize = AtomicUsize::new(0);

@@ -1,7 +1,7 @@
 //! Deterministic fault injection.
 //!
 //! Call sites name themselves with [`faultpoint`]`("exec.morsel")`; a
-//! test (or an operator, via the `GENPAR_FAULTS` environment variable)
+//! test (or an operator, through the `genpar` binary's `GENPAR_FAULTS`)
 //! arms a spec like `exec.morsel:2` and the **second** hit of that site
 //! fails with a [`Fault`]. Since the workspace is single-source-of-truth
 //! deterministic, arming `site:nth` reproduces the identical failure
@@ -18,15 +18,12 @@
 //! site  := [a-zA-Z0-9._-]+
 //! ```
 //!
-//! Example: `GENPAR_FAULTS=exec.morsel:1,optimizer.cost:*`.
+//! Example: `exec.morsel:1,optimizer.cost:*`.
 
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, OnceLock};
-
-/// The environment variable holding the fault spec.
-pub const FAULTS_ENV: &str = "GENPAR_FAULTS";
 
 /// Fast-path switch: false means every [`faultpoint`] is one relaxed
 /// load and an immediate `Ok`.
@@ -62,7 +59,7 @@ impl fmt::Display for Fault {
 
 impl std::error::Error for Fault {}
 
-/// A malformed `GENPAR_FAULTS` spec.
+/// A malformed fault spec.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FaultSpecError(pub String);
 
@@ -70,7 +67,7 @@ impl fmt::Display for FaultSpecError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "bad {FAULTS_ENV} spec: {} (want site:nth[,site:nth...], nth a 1-based count or '*')",
+            "{} (want site:nth[,site:nth...], nth a 1-based count or '*')",
             self.0
         )
     }
@@ -78,9 +75,9 @@ impl fmt::Display for FaultSpecError {
 
 impl std::error::Error for FaultSpecError {}
 
-/// Every fault site compiled into the workspace, sorted. The env-facing
-/// [`arm_faults_strict`] validates against this registry so a typo in an
-/// operator's `GENPAR_FAULTS` is a loud usage error instead of a spec
+/// Every fault site compiled into the workspace, sorted. The
+/// operator-facing [`arm_faults_strict`] validates against this registry
+/// so a typo in an operator's spec is a loud usage error instead of a spec
 /// that silently never fires. (The programmatic [`arm_faults`] stays
 /// charset-only so tests may arm synthetic sites.)
 pub const KNOWN_SITES: &[&str] = &[
@@ -152,24 +149,16 @@ pub fn arm_faults(spec: &str) -> Result<(), FaultSpecError> {
 }
 
 /// Like [`arm_faults`] but additionally rejecting sites absent from
-/// [`KNOWN_SITES`] — the validation applied at the environment boundary,
+/// [`KNOWN_SITES`] — the validation applied at the operator boundary,
 /// where a typo would otherwise arm nothing and report nothing.
 pub fn arm_faults_strict(spec: &str) -> Result<(), FaultSpecError> {
     install(parse_spec(spec, true)?);
     Ok(())
 }
 
-/// Arm faults from the `GENPAR_FAULTS` environment variable, if set.
-/// Returns whether anything was armed. Sites are validated against
-/// [`KNOWN_SITES`]: a malformed or unknown token is an error naming it.
-pub fn arm_faults_from_env() -> Result<bool, FaultSpecError> {
-    match std::env::var(FAULTS_ENV) {
-        Ok(spec) if !spec.trim().is_empty() => {
-            arm_faults_strict(&spec)?;
-            Ok(true)
-        }
-        _ => Ok(false),
-    }
+/// The validation [`arm_faults_strict`] applies, without arming.
+pub fn check_faults_strict(spec: &str) -> Result<(), FaultSpecError> {
+    parse_spec(spec, true).map(drop)
 }
 
 /// Disarm all faults and reset hit counters.

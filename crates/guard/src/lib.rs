@@ -19,8 +19,8 @@
 //!   workers, with a documented `workers × quantum` overshoot bound.
 //! * **Deterministic fault injection** ([`faultpoint`]) — named sites in
 //!   the engine, evaluator, checker and transfer machinery that can be
-//!   armed via the `GENPAR_FAULTS=site:nth` environment spec (or
-//!   programmatically with [`arm_faults`]) to fail on the nth hit,
+//!   armed with a `site:nth` spec ([`arm_faults`]; the `genpar` binary
+//!   takes it from `GENPAR_FAULTS`) to fail on the nth hit,
 //!   proving every failure path ends in a structured error, never a
 //!   panic.
 //! * **Panic boundaries** ([`catch_panics`]) — `catch_unwind` wrappers
@@ -47,13 +47,12 @@ pub mod wall;
 pub use budget::{
     active_budget, charge_cells, charge_depth, charge_rows, charge_steps, depth_limit,
     enter_shared, powerset_cap, BudgetBreach, BudgetScope, ExecBudget, Resource, SharedBudgetScope,
-    BUDGET_ENV,
 };
 pub use fault::{
-    arm_faults, arm_faults_from_env, arm_faults_strict, armed_faults, disarm_faults, faultpoint,
-    faults_armed, Fault, FaultSpecError, FAULTS_ENV, KNOWN_SITES,
+    arm_faults, arm_faults_strict, armed_faults, check_faults_strict, disarm_faults, faultpoint,
+    faults_armed, Fault, FaultSpecError, KNOWN_SITES,
 };
-pub use retry::{RetryPolicy, RetrySpecError, RETRY_ENV};
+pub use retry::{RetryPolicy, RetrySpecError};
 pub use shared::SharedMeter;
 pub use wall::{
     arm_wall_deadline, arm_wall_deadline_local, check_wall, LocalWallScope, WallDeadline, WallScope,

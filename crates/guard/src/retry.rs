@@ -8,14 +8,11 @@
 //! to [`RetryPolicy::max_retries`] times before the failure escalates
 //! to worker quarantine and, last, the whole-query serial fallback.
 //!
-//! The default allows 2 retries (3 attempts total); the `GENPAR_RETRY`
-//! environment variable overrides it (`0` disables retries entirely and
-//! restores the pre-ladder all-or-nothing behaviour).
+//! The default allows 2 retries (3 attempts total); an explicit policy
+//! overrides it (`0` disables retries entirely and restores the
+//! pre-ladder all-or-nothing behaviour).
 
 use std::fmt;
-
-/// The environment variable overriding the retry count.
-pub const RETRY_ENV: &str = "GENPAR_RETRY";
 
 /// How many times a faulted task may be re-run in place before the
 /// failure escalates up the degradation ladder.
@@ -35,42 +32,22 @@ impl RetryPolicy {
         RetryPolicy { max_retries: 0 }
     }
 
-    /// Total attempts a task gets (first run + retries).
-    pub fn max_attempts(self) -> u32 {
-        self.max_retries.saturating_add(1)
-    }
-
-    /// Parse a `GENPAR_RETRY` value: a non-negative integer up to
+    /// Parse a retry count: a non-negative integer up to
     /// [`RetryPolicy::MAX_CONFIGURABLE`].
     pub fn parse(s: &str) -> Result<RetryPolicy, RetrySpecError> {
         let t = s.trim();
-        let n: u32 = t
-            .parse()
-            .map_err(|_| RetrySpecError(format!("bad value {t:?} (want an integer 0..=16)")))?;
+        let n: u32 = t.parse().map_err(|_| {
+            RetrySpecError(format!(
+                "{t:?} is not a retry count (want an integer 0..=16)"
+            ))
+        })?;
         if n > Self::MAX_CONFIGURABLE {
             return Err(RetrySpecError(format!(
-                "value {n} too large (max {})",
+                "retry count {n} too large (max {})",
                 Self::MAX_CONFIGURABLE
             )));
         }
         Ok(RetryPolicy { max_retries: n })
-    }
-
-    /// The policy from the `GENPAR_RETRY` environment variable, or the
-    /// default when unset/empty. A malformed value is an error — the CLI
-    /// maps it to a usage failure rather than guessing.
-    pub fn from_env() -> Result<RetryPolicy, RetrySpecError> {
-        match std::env::var(RETRY_ENV) {
-            Ok(v) if !v.trim().is_empty() => RetryPolicy::parse(&v),
-            _ => Ok(RetryPolicy::default()),
-        }
-    }
-
-    /// Like [`RetryPolicy::from_env`] but falling back to the default on
-    /// a malformed value — for library paths that must not fail on
-    /// configuration (the CLI validates the variable loudly up front).
-    pub fn from_env_lossy() -> RetryPolicy {
-        RetryPolicy::from_env().unwrap_or_default()
     }
 }
 
@@ -80,13 +57,13 @@ impl Default for RetryPolicy {
     }
 }
 
-/// A malformed `GENPAR_RETRY` value.
+/// A malformed retry count.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RetrySpecError(pub String);
 
 impl fmt::Display for RetrySpecError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "bad {RETRY_ENV} value: {}", self.0)
+        f.write_str(&self.0)
     }
 }
 
@@ -100,7 +77,6 @@ mod tests {
     fn default_allows_two_retries() {
         let p = RetryPolicy::default();
         assert_eq!(p.max_retries, 2);
-        assert_eq!(p.max_attempts(), 3);
     }
 
     #[test]
@@ -114,7 +90,6 @@ mod tests {
     fn parse_rejects_garbage_naming_the_token() {
         let e = RetryPolicy::parse("lots").unwrap_err();
         assert!(e.to_string().contains("lots"), "{e}");
-        assert!(e.to_string().contains(RETRY_ENV), "{e}");
         assert!(RetryPolicy::parse("-1").is_err());
         assert!(RetryPolicy::parse("17").is_err());
         assert!(RetryPolicy::parse("2x").is_err());

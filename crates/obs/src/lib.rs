@@ -26,15 +26,15 @@
 //!
 //! ## Kill switch
 //!
-//! Instrumentation is **on** by default and can be disabled at runtime
-//! with [`set_enabled`]`(false)`, or at startup with the environment
-//! variable `GENPAR_OBS=off` (also `0` / `false`). When disabled, every
+//! Instrumentation is **on** by default and can be disabled with
+//! [`set_enabled`]`(false)` (the `genpar` binary does so at startup for
+//! `--quiet` or `GENPAR_OBS=off`). When disabled, every
 //! recording call is one relaxed atomic load and an immediate return —
 //! the overhead bench (`genpar-bench`, `obs_overhead`) asserts this is
 //! near-zero relative to per-operator work.
 //!
 //! The [`timeline`] module adds a second, separately-gated layer
-//! (`GENPAR_TIMELINE` / [`timeline::set_enabled`]): per-thread ring
+//! ([`timeline::set_enabled`]): per-thread ring
 //! buffers of real span begin/end instants with worker lanes and
 //! per-query ids, exported as genuine Chrome `trace_event` B/E pairs by
 //! [`trace`].
@@ -59,19 +59,9 @@ use std::sync::OnceLock;
 
 static GLOBAL: OnceLock<Registry> = OnceLock::new();
 
-/// The process-wide registry. Created on first use; honours `GENPAR_OBS`
-/// (`off`/`0`/`false` start it disabled).
+/// The process-wide registry, created (enabled) on first use.
 pub fn global() -> &'static Registry {
-    GLOBAL.get_or_init(|| {
-        let r = Registry::new();
-        if let Ok(v) = std::env::var("GENPAR_OBS") {
-            let v = v.to_ascii_lowercase();
-            if v == "off" || v == "0" || v == "false" {
-                r.set_enabled(false);
-            }
-        }
-        r
-    })
+    GLOBAL.get_or_init(Registry::new)
 }
 
 /// Is the global registry recording?

@@ -16,11 +16,10 @@
 //!   [`RING_CAPACITY`] records per thread, and the snapshot reports the
 //!   exact number dropped (`written − kept`), never a guess.
 //! * Everything is gated twice: the global obs kill switch
-//!   ([`crate::enabled`]) *and* the timeline's own flag (the
-//!   `GENPAR_TIMELINE` environment variable, or
-//!   [`set_enabled`] — `profile --trace`/`--timeline` flips it
-//!   programmatically). Both off by default; a disabled check is one
-//!   relaxed atomic load.
+//!   ([`crate::enabled`]) *and* the timeline's own flag ([`set_enabled`]
+//!   — the `genpar` binary sets it from `GENPAR_TIMELINE`, and `profile
+//!   --trace`/`--timeline` flips it for one run). The flag is off by
+//!   default; a disabled check is one relaxed atomic load.
 //! * Every record is stamped with the current [`QueryId`] — a
 //!   process-global counter bumped at each executor entry
 //!   ([`begin_query`]) — and the recording thread's *lane* (0 = main
@@ -108,29 +107,18 @@ impl TimelineSnapshot {
 // gating
 // ---------------------------------------------------------------------
 
-fn enabled_flag() -> &'static AtomicBool {
-    static FLAG: OnceLock<AtomicBool> = OnceLock::new();
-    FLAG.get_or_init(|| {
-        let on = std::env::var("GENPAR_TIMELINE")
-            .map(|v| {
-                let v = v.trim().to_ascii_lowercase();
-                !(v.is_empty() || v == "0" || v == "off" || v == "false")
-            })
-            .unwrap_or(false);
-        AtomicBool::new(on)
-    })
-}
+static ENABLED: AtomicBool = AtomicBool::new(false);
 
 /// Is timeline recording on? Requires both the obs kill switch and the
 /// timeline flag; a `false` answer costs two relaxed loads.
 #[inline]
 pub fn enabled() -> bool {
-    enabled_flag().load(Ordering::Relaxed) && crate::enabled()
+    ENABLED.load(Ordering::Relaxed) && crate::enabled()
 }
 
-/// Flip timeline recording programmatically (overrides `GENPAR_TIMELINE`).
+/// Turn timeline recording on or off, process-wide.
 pub fn set_enabled(on: bool) {
-    enabled_flag().store(on, Ordering::Relaxed);
+    ENABLED.store(on, Ordering::Relaxed);
 }
 
 // ---------------------------------------------------------------------

@@ -13,9 +13,9 @@
 //! layer: injected write faults must leave the previous file intact,
 //! and torn files must be quarantined and regenerated, never trusted.
 //!
-//! Everything is seed-deterministic; a failing case prints its seed so
-//! `cargo test -q --test chaos` (or `genpar chaos --seed N`) reproduces
-//! it exactly.
+//! Everything is seed-deterministic: the case sequence is fixed, so a
+//! failing case (its message names the seed it drew) reproduces exactly
+//! on every `cargo test -q --test chaos` run.
 
 use genpar_algebra::{Pred, Query, ValueFn};
 use genpar_engine::workload::{generate_edges, generate_table, WorkloadSpec};

@@ -9,11 +9,12 @@
 //! bodies, root combiners, and mixed/uncertified plans, over binary and
 //! unary relations, with tuple-valued and bare-valued maps) over random
 //! databases and assert byte-identical results across worker counts
-//! {1, 2, 4} and several pinned morsel sizes.
+//! {1, 2, 4} and several pinned morsel sizes, with the bytecode VM on
+//! and, at every worker count, switched off (walker and kernels then
+//! evaluate every σ/map on the AST).
 //!
-//! Everything is driven through [`genpar_exec::ExecConfig`] rather than
-//! the `GENPAR_PARALLEL`/`GENPAR_MORSEL` environment (same code paths,
-//! but hermetic under any ambient CI environment).
+//! Everything is driven through [`genpar_exec::ExecConfig`]; the
+//! library reads no environment.
 
 use genpar::optimizer::{
     optimize, optimize_costed_parallel_with_stats, Calibration, Constraints, RuleSet,
@@ -30,6 +31,8 @@ use rand::{Rng, SeedableRng};
 /// Worker counts and pinned morsel sizes every query is checked at.
 const WORKERS: [usize; 3] = [1, 2, 4];
 const MORSELS: [usize; 4] = [1, 16, 64, 256];
+/// The morsel size of the VM-off pass at each worker count.
+const VM_OFF_MORSEL: usize = 16;
 
 /// Assert the differential contract for one query: every executor
 /// configuration reproduces the walker's value, bytewise.
@@ -44,7 +47,8 @@ fn walker(q: &Query, cat: &Catalog) -> Result<Value, TestCaseError> {
 }
 
 /// `eval_query` reproduces `truth` bytewise on `q` at each of `workers`
-/// and every pinned morsel size.
+/// and every pinned morsel size with the VM on, and at each of `workers`
+/// with the VM off — as does the walker with the VM off.
 fn assert_routes_match(
     q: &Query,
     truth: &Value,
@@ -52,28 +56,43 @@ fn assert_routes_match(
     workers: &[usize],
 ) -> Result<(), TestCaseError> {
     let truth_bytes = truth.to_string();
+    let ast_walker = genpar_algebra::eval::eval(q, &db_from_catalog(cat).with_vm(false));
+    prop_assert_eq!(
+        ast_walker.as_ref().ok(),
+        Some(truth),
+        "walker with the VM off diverged on {}",
+        q
+    );
     for &w in workers {
-        for m in MORSELS {
-            let cfg = ExecConfig::serial().with_workers(w).with_morsel_rows(m);
+        let grid = MORSELS.iter().map(|&m| (m, true));
+        for (m, vm) in grid.chain([(VM_OFF_MORSEL, false)]) {
+            let cfg = ExecConfig::serial()
+                .with_workers(w)
+                .with_morsel_rows(m)
+                .with_vm(vm);
             let (v, _, route) = eval_query(q, cat, &cfg).map_err(|e| {
-                TestCaseError::Fail(format!("executor eval failed on {q} (w={w}, m={m}): {e}"))
+                TestCaseError::Fail(format!(
+                    "executor eval failed on {q} (w={w}, m={m}, vm={vm}): {e}"
+                ))
             })?;
             prop_assert_eq!(
                 &v,
                 truth,
-                "value diverged on {} (w={}, m={}, route={:?})",
+                "value diverged on {} (w={}, m={}, vm={}, route={:?})",
                 q,
                 w,
                 m,
+                vm,
                 route
             );
             prop_assert_eq!(
                 v.to_string(),
                 truth_bytes.clone(),
-                "canonical rendering diverged on {} (w={}, m={})",
+                "canonical rendering diverged on {} (w={}, m={}, vm={})",
                 q,
                 w,
-                m
+                m,
+                vm
             );
         }
     }

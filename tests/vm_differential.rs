@@ -7,13 +7,16 @@
 //! failure. These properties generate hundreds of random predicates,
 //! value functions, and full plans per shape and assert byte-identical
 //! results against the algebra walker (the serial truth) across worker
-//! counts {1, 2, 4} × morsel sizes {16, 64, 256}, with the VM on, with the VM killed (`GENPAR_VM=0`
-//! semantics via `set_enabled`), and with the `vm.exec` fault armed
-//! (the VM must *degrade to the walker*, never to a wrong answer).
+//! counts {1, 2, 4} × morsel sizes {16, 64, 256}, with the VM on, with
+//! the VM switched off (`ExecConfig::with_vm(false)` and
+//! `Db::with_vm(false)`, the `GENPAR_VM=0` semantics), and with the
+//! `vm.exec` fault armed (the VM must *degrade to the walker*, never to
+//! a wrong answer).
 //!
-//! The VM-enabled flag and the fault table are process-global, so every
-//! case that toggles either holds `VM_LOCK` — the same discipline the
-//! chaos oracle uses for fault storms.
+//! The VM switch is per evaluation, so the VM-off cases need no lock.
+//! The fault table is process-global: every case that arms it holds
+//! `FAULT_LOCK` until it disarms — the same discipline the chaos oracle
+//! uses for fault storms.
 
 use genpar_algebra::eval::{apply_fn, eval_pred, Db};
 use genpar_algebra::{vm, Pred, Query, ValueFn};
@@ -30,12 +33,12 @@ use std::sync::{Mutex, MutexGuard};
 const WORKERS: [usize; 3] = [1, 2, 4];
 const MORSELS: [usize; 3] = [16, 64, 256];
 
-/// The VM switch and the fault table are process-global; every case
-/// that toggles either holds this lock.
-static VM_LOCK: Mutex<()> = Mutex::new(());
+/// The fault table is process-global; every case that arms it holds
+/// this lock until it disarms.
+static FAULT_LOCK: Mutex<()> = Mutex::new(());
 
-fn vm_lock() -> MutexGuard<'static, ()> {
-    match VM_LOCK.lock() {
+fn fault_lock() -> MutexGuard<'static, ()> {
+    match FAULT_LOCK.lock() {
         Ok(g) => g,
         Err(poisoned) => poisoned.into_inner(),
     }
@@ -173,24 +176,36 @@ fn walker(q: &Query, cat: &Catalog) -> Result<Value, TestCaseError> {
 }
 
 /// Assert the full differential contract for one query: the walker's
-/// answer is reproduced byte-identically by every executor
-/// configuration with the VM engaged.
-fn assert_differential(q: &Query, cat: &Catalog) -> Result<(), TestCaseError> {
-    let truth = walker(q, cat)?;
-    let truth_bytes = truth.to_string();
+/// answer is reproduced byte-identically by the walker and every
+/// executor configuration with the VM switched to `vm`.
+fn assert_differential(q: &Query, cat: &Catalog, vm: bool) -> Result<(), TestCaseError> {
+    let truth_bytes = walker(q, cat)?.to_string();
+    let walked = genpar_algebra::eval::eval(q, &db_from_catalog(cat).with_vm(vm))
+        .map_err(|e| TestCaseError::Fail(format!("walker (vm={vm}) failed on {q}: {e}")))?;
+    prop_assert_eq!(
+        walked.to_string(),
+        truth_bytes.clone(),
+        "walker with vm={} diverged on {}",
+        vm,
+        q
+    );
     for w in WORKERS {
         for m in MORSELS {
-            let cfg = ExecConfig::serial().with_workers(w).with_morsel_rows(m);
+            let cfg = ExecConfig::serial()
+                .with_workers(w)
+                .with_morsel_rows(m)
+                .with_vm(vm);
             let (v, _, route) = eval_query(q, cat, &cfg).map_err(|e| {
                 TestCaseError::Fail(format!("executor eval failed on {q} (w={w}, m={m}): {e}"))
             })?;
             prop_assert_eq!(
                 v.to_string(),
                 truth_bytes.clone(),
-                "value diverged on {} (w={}, m={}, route={:?})",
+                "value diverged on {} (w={}, m={}, vm={}, route={:?})",
                 q,
                 w,
                 m,
+                vm,
                 route
             );
         }
@@ -263,32 +278,15 @@ proptest! {
 
     /// Shape 3 — full plans: σ/map-bearing queries over random
     /// databases, walker truth vs {1, 2, 4} workers × {16, 64, 256}
-    /// morsel rows with the VM engaged, plus a VM-off pass: killing
-    /// the switch must leave the answer byte-identical.
+    /// morsel rows with the VM engaged, plus the same grid with the VM
+    /// off: switching it off must leave the answer byte-identical.
     #[test]
     fn vm_plans_match_serial_and_killed(seed in 0u64..1_000_000) {
         let mut rng = StdRng::seed_from_u64(seed);
         let cat = random_flat_catalog(&mut rng);
         let q = random_vm_query(&mut rng);
-        let _g = vm_lock();
-        vm::set_enabled(true);
-        let verdict = assert_differential(&q, &cat);
-        // kill switch: the AST path must reproduce the same bytes
-        let killed = verdict.and_then(|()| {
-            let on = walker(&q, &cat)?;
-            vm::set_enabled(false);
-            let off = eval_query(&q, &cat, &ExecConfig::serial().with_workers(2))
-                .map_err(|e| TestCaseError::Fail(format!("vm-off eval failed on {q}: {e}")))?;
-            prop_assert_eq!(
-                on.to_string(),
-                off.0.to_string(),
-                "kill switch changed the answer on {}",
-                q
-            );
-            Ok(())
-        });
-        vm::set_enabled(true);
-        killed?;
+        assert_differential(&q, &cat, true)?;
+        assert_differential(&q, &cat, false)?;
     }
 
     /// Shape 4 — combiner bodies and fixpoint steps: the σ/map
@@ -317,9 +315,7 @@ proptest! {
                     .select(random_total_pred(&mut rng, 2)),
             ),
         };
-        let _g = vm_lock();
-        vm::set_enabled(true);
-        assert_differential(&q, &cat)?;
+        assert_differential(&q, &cat, true)?;
     }
 
     /// Shape 5 — fault-armed: with `vm.exec` armed (nth-hit and
@@ -333,12 +329,11 @@ proptest! {
         let cat = random_flat_catalog(&mut rng);
         let q = random_vm_query(&mut rng);
         let spec = if rng.gen_bool(0.5) { "vm.exec:*" } else { "vm.exec:2" };
-        let _g = vm_lock();
-        vm::set_enabled(true);
         let truth = walker(&q, &cat)?;
+        let _g = fault_lock();
         genpar_guard::arm_faults(spec)
             .map_err(|e| TestCaseError::Fail(format!("arm_faults({spec}): {e}")))?;
-        let verdict = assert_differential(&q, &cat).and_then(|()| {
+        let verdict = assert_differential(&q, &cat, true).and_then(|()| {
             let (v, _, _) = eval_query(&q, &cat, &ExecConfig::serial().with_workers(4))
                 .map_err(|e| TestCaseError::Fail(format!("faulted eval errored on {q}: {e}")))?;
             prop_assert_eq!(
@@ -358,12 +353,11 @@ proptest! {
 /// `vm.degrade` counter while the answer stays intact.
 #[test]
 fn vm_fault_degradation_is_counted() {
-    let _g = vm_lock();
-    vm::set_enabled(true);
     let mut rng = StdRng::seed_from_u64(7);
     let cat = random_flat_catalog(&mut rng);
     let q = Query::rel("R").select(Pred::Named("even".into(), vec![0]));
     let truth = genpar_algebra::eval::eval(&q, &db_from_catalog(&cat)).unwrap();
+    let _g = fault_lock();
     genpar_guard::arm_faults("vm.exec:*").unwrap();
     let degrades =
         |snap: &genpar_obs::Snapshot| snap.counters.get("vm.degrade").copied().unwrap_or(0);
