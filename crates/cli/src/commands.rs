@@ -244,9 +244,9 @@ fn run(
     timeout_ms: Option<u64>,
     env: &RunConfig,
 ) -> Result<String, CliError> {
-    // the wall deadline rides the budget machinery: every charge_* call
-    // (serial interpreter and parallel meter alike) checks it, so a
-    // breach surfaces as a structured budget error — exit 4, wall_ms
+    // the wall deadline arms a meter over the budget: the walker and
+    // every executor worker charge it, so a breach surfaces as a
+    // structured budget error on every route — exit 4, wall_ms
     let _wall =
         timeout_ms.map(|ms| genpar_guard::arm_wall_deadline(std::time::Duration::from_millis(ms)));
     let session = Session::open(Some(db_path), None, RuleSet::standard(), None, None, env)?;
@@ -1108,8 +1108,8 @@ mod tests {
         let path = dir.join("trace.json");
         let p = path.to_str().unwrap();
         let _g = obs_guard();
-        // --trace implies --timeline: the export must be real B/E pairs,
-        // not the synthetic flame layout of complete (ph: X) events
+        // --trace implies --timeline: the export is real B/E pairs, never
+        // complete (ph: X) events
         profile("pi[$1](union(R, S))", 4, false, Some(p), false);
         let text = std::fs::read_to_string(&path).unwrap();
         let trace = genpar_obs::Json::parse(&text).unwrap();

@@ -217,8 +217,9 @@ USAGE:
   `profile --calibration FILE` writes the converged morsel size back
   into the file (key `morsel_rows`); later runs seed the tuner from it
   (GENPAR_MORSEL always wins over the persisted seed).
-  --timeout MS (run/profile) arms a wall-clock deadline; crossing it
-  ends the command as a budget breach (exit 4, resource wall_ms).
+  --timeout MS (run/profile) arms a wall-clock deadline on the walker and
+  the executor at every worker count; crossing it ends the command as a
+  budget breach (exit 4, resource wall_ms).
   `genpar serve` keeps the database, calibration and statistics store
   resident and answers a line-oriented JSON protocol on 127.0.0.1:PORT
   (one request per line: {\"op\": \"run\"|\"explain\"|\"profile\"|\"stats\"|
@@ -249,7 +250,9 @@ value is a usage error, exit 2, naming the variable):
   GENPAR_FAULTS=site:nth|*[,...]  deterministic fault injection at
                         known sites
   GENPAR_BUDGET=rows=N,cells=N,steps=N,depth=N,powerset=N  an
-                        execution budget for the whole command
+                        execution budget for the whole one-shot command
+                        (run, explain, profile, optimize, ...); `serve`
+                        rejects it: use --tenant-budget there
 
 QUERY SYNTAX (columns are 1-based):
   R | empty | lit[{(a,b)}]

@@ -32,6 +32,12 @@ pub fn serve_cmd(
     timeout_ms: Option<u64>,
     env: &RunConfig,
 ) -> Result<String, CliError> {
+    if env.budget.is_some() {
+        return Err(CliError::usage(
+            "GENPAR_BUDGET applies to one-shot commands, not to `serve`; \
+             meter served requests with --tenant-budget",
+        ));
+    }
     let w = env.workers(workers);
     let budget = tenant_budget
         .map(|spec| {

@@ -573,9 +573,9 @@ impl Session {
         opts: &ProfileOpts<'_>,
     ) -> Result<String, CliError> {
         let w = self.workers(workers);
-        // a trace export without the recorder would fall back to the
-        // synthetic layout, so --trace implies --timeline for this run; the
-        // previous flag state (e.g. GENPAR_TIMELINE=1) is restored afterwards
+        // a trace export is the recorded timeline, so --trace implies
+        // --timeline for this run; the previous flag state (e.g.
+        // GENPAR_TIMELINE=1) is restored afterwards
         let prev_timeline = genpar_obs::timeline::enabled();
         // an ambient GENPAR_TIMELINE=1 gets the same reporting as --timeline
         let want_timeline = opts.timeline || opts.trace_path.is_some() || prev_timeline;
@@ -620,9 +620,9 @@ impl Session {
 
         if let Some(path) = opts.trace_path {
             let text = if path.ends_with(".jsonl") {
-                genpar_obs::trace::jsonl(&snap, &tl)
+                genpar_obs::trace::jsonl(&tl)
             } else {
-                genpar_obs::trace::chrome_trace_string(&snap, &tl)
+                genpar_obs::trace::chrome_trace_string(&tl)
             };
             std::fs::write(path, text)
                 .map_err(|e| CliError::runtime(format!("cannot write trace file {path}: {e}")))?;

@@ -566,31 +566,58 @@ fn bad_fault_nth_is_usage_error_naming_the_token() {
 
 #[test]
 fn timeout_flag_exits_4_with_wall_resource() {
-    // A deliberately heavy query under a 1 ms deadline: the watchdog
+    // A deliberately heavy query under a 1 ms deadline: the deadline
     // cancels it through the budget machinery (exit 4, resource
-    // wall_ms), never a panic or a hang.
+    // wall_ms), never a panic or a hang — on the walker (`run` at one
+    // worker) and on the executor (`run` at two, `profile` at both).
     let elems: Vec<String> = (1..=300).map(|i| format!("({i}, {})", i % 7)).collect();
     let db = write_db(&format!("R = {{{0}}}\nS = {{{0}}}\n", elems.join(", ")));
+    let db = db.to_str().unwrap();
+    for cmd in ["run", "profile"] {
+        for workers in [None, Some("2")] {
+            let mut args = vec![cmd, "--db", db, "--timeout", "1"];
+            if let Some(w) = workers {
+                args.extend(["--parallel", w]);
+            }
+            args.push("product(R, S)");
+            let out = genpar().args(&args).output().unwrap();
+            assert_no_panic(&out);
+            assert_eq!(
+                out.status.code(),
+                Some(4),
+                "{args:?}: wall deadline is a budget breach; stderr: {}",
+                stderr_of(&out)
+            );
+            let err = stderr_of(&out);
+            assert!(
+                err.contains("wall_ms"),
+                "{args:?} must name the resource: {err}"
+            );
+        }
+    }
+}
+
+#[test]
+fn env_budget_with_serve_is_a_usage_error() {
+    // served requests are metered by --tenant-budget; the one-shot
+    // budget variable never reached them, so serve refuses it
+    let db = small_db();
     let out = genpar()
-        .args([
-            "run",
-            "--db",
-            db.to_str().unwrap(),
-            "--timeout",
-            "1",
-            "product(R, S)",
-        ])
+        .env("GENPAR_BUDGET", "cells=10")
+        .args(["serve", db.to_str().unwrap(), "--port", "0"])
         .output()
         .unwrap();
     assert_no_panic(&out);
-    assert_eq!(
-        out.status.code(),
-        Some(4),
-        "wall deadline is a budget breach; stderr: {}",
-        stderr_of(&out)
-    );
+    assert_eq!(out.status.code(), Some(2), "stderr: {}", stderr_of(&out));
     let err = stderr_of(&out);
-    assert!(err.contains("wall_ms"), "must name the resource: {err}");
+    assert!(
+        err.contains("GENPAR_BUDGET"),
+        "must name the variable: {err}"
+    );
+    assert!(
+        err.contains("--tenant-budget"),
+        "must point to the flag: {err}"
+    );
 }
 
 #[test]

@@ -19,7 +19,6 @@ use genpar_algebra::Query;
 use genpar_core::SafetyCert;
 use genpar_engine::plan::{lower, ExecError, ExecStats, PhysicalPlan};
 use genpar_engine::schema::Catalog;
-use genpar_guard::SharedMeter;
 use genpar_value::Value;
 use std::borrow::Cow;
 use std::collections::BTreeSet;
@@ -215,7 +214,7 @@ pub(crate) fn run_fixpoint_route(
     let mut sp = genpar_obs::span("exec.fixpoint");
     sp.field("workers", cfg.workers as u64);
     sp.field("semi_naive", u64::from(semi_naive));
-    let meter = SharedMeter::from_armed();
+    let meter = genpar_guard::armed_meter();
     let body_cert_s = body_cert.to_string();
     let ctx = Ctx {
         cfg,

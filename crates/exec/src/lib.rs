@@ -21,11 +21,11 @@
 //! Pipeline per operator: chunk or hash-partition the input
 //! ([`morsel`]), fan tasks out on a work-stealing worker pool
 //! ([`pool`]), run the parallel kernel ([`kernels`]), canonically merge.
-//! The run charges one shared atomic budget meter
-//! ([`genpar_guard::SharedMeter`]) bridged from whatever
-//! [`genpar_guard::ExecBudget`] is armed on the calling thread, passes
-//! the deterministic fault sites `exec.morsel` and `exec.merge`, and
-//! records `exec.*` spans and counters in the `genpar-obs` registry.
+//! Every worker charges the meter armed on the calling thread
+//! ([`genpar_guard::armed_meter`]: a budget, a tenant quota or a wall
+//! deadline). The run passes the deterministic fault sites `exec.morsel`
+//! and `exec.merge`, and records `exec.*` spans and counters in the
+//! `genpar-obs` registry.
 //!
 //! Entry points:
 //!
@@ -51,7 +51,7 @@ use genpar_algebra::{eval::eval, Db, Query};
 use genpar_core::{partition_safety, PartitionSafety, SafetyCert};
 use genpar_engine::plan::{lower, ExecError, ExecStats, PhysicalPlan};
 use genpar_engine::schema::Catalog;
-use genpar_guard::{RetryPolicy, SharedMeter};
+use genpar_guard::RetryPolicy;
 use genpar_obs::FieldValue;
 use genpar_value::Value;
 use kernels::{Ctx, Rows, SetOp};
@@ -254,7 +254,7 @@ fn eval_plan_parallel(
     let mut sp = genpar_obs::span("exec.parallel");
     sp.field("workers", cfg.workers as u64);
     sp.field("morsel_rows", cfg.effective_morsel_rows() as u64);
-    let meter = SharedMeter::from_armed();
+    let meter = genpar_guard::armed_meter();
     let ctx = Ctx {
         cfg,
         meter: meter.as_deref(),
@@ -573,7 +573,7 @@ fn run_combiner_route(
     let mut sp = genpar_obs::span("exec.parallel");
     sp.field("workers", cfg.workers as u64);
     sp.field("morsel_rows", cfg.effective_morsel_rows() as u64);
-    let meter = SharedMeter::from_armed();
+    let meter = genpar_guard::armed_meter();
     let cert_s = cert.to_string();
     let ctx = Ctx {
         cfg,

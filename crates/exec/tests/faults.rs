@@ -280,6 +280,25 @@ fn shared_budget_caps_parallel_run() {
     }
 }
 
+/// A wall deadline armed on the calling thread binds a two-worker run:
+/// the executor charges the armed meter, deadline included.
+#[test]
+fn wall_deadline_binds_the_parallel_route() {
+    let _g = lock();
+    let c = catalog();
+    let q = Query::rel("R").product(Query::rel("S"));
+    let scope = genpar_guard::arm_wall_deadline(std::time::Duration::ZERO);
+    std::thread::sleep(std::time::Duration::from_millis(2));
+    let err = genpar_exec::eval_query(&q, &c, &cfg(2, 8)).unwrap_err();
+    drop(scope);
+    match err {
+        ExecError::Budget { resource, .. } => {
+            assert_eq!(resource, genpar_guard::Resource::Wall);
+        }
+        other => panic!("expected a wall_ms breach, got {other:?}"),
+    }
+}
+
 #[test]
 fn rows_cap_fires_on_parallel_output() {
     let _g = lock();

@@ -1,11 +1,17 @@
-//! Execution budgets: per-thread resource governors checked at operator
-//! boundaries.
+//! Execution budgets and the one armed meter.
 //!
-//! A [`ExecBudget`] is armed for the current thread with
-//! [`ExecBudget::enter`]; while the returned [`BudgetScope`] lives, the
-//! `charge_*` free functions meter work against it and return a
-//! [`BudgetBreach`] once a cap is crossed. With no budget armed anywhere
-//! in the process, every charge is one relaxed atomic load.
+//! Every limit — an [`ExecBudget`], a tenant quota pool, a wall
+//! deadline — is a [`SharedMeter`] armed in one thread-local slot. The
+//! three entry points ([`ExecBudget::enter`], [`enter_shared`],
+//! [`crate::arm_wall_deadline`]) all push a meter into that slot until
+//! the returned [`BudgetScope`] drops; a fresh meter's `parent` is the
+//! meter it displaced, so an inner scope can only narrow the limits.
+//! The `charge_*` free functions charge the armed meter (and, through
+//! its parents, every meter under it) and return a [`BudgetBreach`] once
+//! a cap is crossed. The executor takes the armed meter itself
+//! ([`armed_meter`]) and hands it to its workers, so the walker, the
+//! optimizer and every pool worker charge the same object. With no scope
+//! live anywhere in the process, every charge is one relaxed atomic load.
 
 use crate::shared::SharedMeter;
 use std::cell::RefCell;
@@ -15,23 +21,11 @@ use std::sync::Arc;
 
 /// Number of live [`BudgetScope`]s across all threads. Zero means every
 /// `charge_*` call returns after one relaxed load.
-static ARMED_SCOPES: AtomicUsize = AtomicUsize::new(0);
-
-/// Number of live [`SharedBudgetScope`]s across all threads (tenant
-/// quota pools armed by a resident server; see [`enter_shared`]).
-static SHARED_SCOPES: AtomicUsize = AtomicUsize::new(0);
-
-/// Process-wide count of *any* armed guard scope — thread-local budget,
-/// shared meter, or wall deadline. Every `charge_*` fast path is exactly
-/// one relaxed load of this counter; the per-kind checks only run when
-/// it is nonzero, keeping the disarmed cost identical to pre-wall
-/// builds.
-pub(crate) static ACTIVE_GUARDS: AtomicUsize = AtomicUsize::new(0);
+static LIVE_SCOPES: AtomicUsize = AtomicUsize::new(0);
 
 thread_local! {
-    static ACTIVE: RefCell<Option<Meter>> = const { RefCell::new(None) };
-    /// The shared meter armed on this thread by [`enter_shared`].
-    static ACTIVE_SHARED: RefCell<Option<Arc<SharedMeter>>> = const { RefCell::new(None) };
+    /// The meter armed on this thread, if any.
+    static ARMED: RefCell<Option<Arc<SharedMeter>>> = const { RefCell::new(None) };
 }
 
 /// Which budgeted resource a charge draws from.
@@ -169,20 +163,24 @@ impl ExecBudget {
         Ok(b)
     }
 
-    /// Arm this budget for the current thread until the returned scope is
-    /// dropped. Scopes nest; the innermost budget governs.
+    /// Arm a fresh meter over this budget for the current thread until
+    /// the returned scope drops. The meter already armed becomes its
+    /// `parent`, so nested budgets layer: an inner scope only narrows.
     #[must_use = "the budget is disarmed when the scope drops"]
     pub fn enter(self) -> BudgetScope {
-        let prev = ACTIVE.with(|a| {
-            a.borrow_mut().replace(Meter {
-                budget: self,
-                cells: 0,
-                steps: 0,
-            })
-        });
-        ARMED_SCOPES.fetch_add(1, Ordering::Relaxed);
-        ACTIVE_GUARDS.fetch_add(1, Ordering::Relaxed);
-        BudgetScope { prev }
+        enter_shared(SharedMeter::layered(Some(self), None))
+    }
+
+    /// The cap on `resource` ([`Resource::Wall`] has none here).
+    pub(crate) fn limit(&self, resource: Resource) -> u64 {
+        match resource {
+            Resource::Rows => self.max_rows,
+            Resource::Cells => self.max_cells,
+            Resource::Steps => self.max_steps,
+            Resource::Depth => self.max_depth,
+            Resource::Powerset => self.max_powerset as u64,
+            Resource::Wall => u64::MAX,
+        }
     }
 }
 
@@ -198,62 +196,38 @@ impl Default for ExecBudget {
     }
 }
 
-/// RAII scope keeping a budget armed on the current thread.
+/// RAII scope keeping a meter armed on the current thread; dropping it
+/// restores the meter it displaced.
 pub struct BudgetScope {
-    prev: Option<Meter>,
+    prev: Option<Arc<SharedMeter>>,
 }
 
 impl Drop for BudgetScope {
     fn drop(&mut self) {
-        ARMED_SCOPES.fetch_sub(1, Ordering::Relaxed);
-        ACTIVE_GUARDS.fetch_sub(1, Ordering::Relaxed);
-        ACTIVE.with(|a| *a.borrow_mut() = self.prev.take());
+        ARMED.with(|a| *a.borrow_mut() = self.prev.take());
+        LIVE_SCOPES.fetch_sub(1, Ordering::Relaxed);
     }
 }
 
-/// Arm a long-lived [`SharedMeter`] — a tenant's cumulative quota pool —
-/// for the current thread until the returned scope drops. While armed,
-/// the `charge_*` free functions draw from the shared meter (in addition
-/// to any thread-scoped budget), so serial evaluation on a server
-/// session thread drains the same pool as the parallel workers, and
-/// [`SharedMeter::from_armed`] layers a per-request meter on top of it.
-/// Scopes nest; the innermost meter governs.
+/// Arm `meter` as-is in the current thread's slot until the returned
+/// scope drops — how a server arms a tenant's cumulative quota pool, and
+/// the one way every other entry point fills the slot. Scopes armed
+/// inside it ([`ExecBudget::enter`], [`crate::arm_wall_deadline`])
+/// layer on top and draw from it too.
 #[must_use = "the shared meter is disarmed when the scope drops"]
-pub fn enter_shared(meter: Arc<SharedMeter>) -> SharedBudgetScope {
-    let prev = ACTIVE_SHARED.with(|a| a.borrow_mut().replace(meter));
-    SHARED_SCOPES.fetch_add(1, Ordering::Relaxed);
-    ACTIVE_GUARDS.fetch_add(1, Ordering::Relaxed);
-    SharedBudgetScope { prev }
+pub fn enter_shared(meter: Arc<SharedMeter>) -> BudgetScope {
+    let prev = ARMED.with(|a| a.borrow_mut().replace(meter));
+    LIVE_SCOPES.fetch_add(1, Ordering::Relaxed);
+    BudgetScope { prev }
 }
 
-/// RAII scope keeping a shared meter armed on the current thread.
-pub struct SharedBudgetScope {
-    prev: Option<Arc<SharedMeter>>,
-}
-
-impl Drop for SharedBudgetScope {
-    fn drop(&mut self) {
-        SHARED_SCOPES.fetch_sub(1, Ordering::Relaxed);
-        ACTIVE_GUARDS.fetch_sub(1, Ordering::Relaxed);
-        ACTIVE_SHARED.with(|a| *a.borrow_mut() = self.prev.take());
-    }
-}
-
-/// The shared meter armed on the current thread, if any. One relaxed
-/// load when no shared scope exists anywhere in the process.
-pub(crate) fn active_shared() -> Option<Arc<SharedMeter>> {
-    if SHARED_SCOPES.load(Ordering::Relaxed) == 0 {
+/// The meter armed on the current thread, if any — what the executor
+/// hands its workers. One relaxed load when nothing is armed anywhere.
+pub fn armed_meter() -> Option<Arc<SharedMeter>> {
+    if LIVE_SCOPES.load(Ordering::Relaxed) == 0 {
         return None;
     }
-    ACTIVE_SHARED.with(|a| a.borrow().clone())
-}
-
-/// Usage accumulated against an armed budget.
-#[derive(Debug, Clone, Copy)]
-struct Meter {
-    budget: ExecBudget,
-    cells: u64,
-    steps: u64,
+    ARMED.with(|a| a.borrow().clone())
 }
 
 /// A budget cap was crossed.
@@ -286,9 +260,7 @@ impl fmt::Display for BudgetBreach {
 
 impl std::error::Error for BudgetBreach {}
 
-/// Record a breach into obs (counter + event) and build the error. Shared
-/// with the atomic [`crate::shared::SharedMeter`] so both metering styles
-/// report identically.
+/// Record a breach into obs (counter + event) and build the error.
 pub(crate) fn record_breach(
     resource: Resource,
     limit: u64,
@@ -316,122 +288,35 @@ pub(crate) fn record_breach(
     }
 }
 
+/// Charge the armed meter, if any: the single-load disarmed fast path.
 #[inline]
-fn with_meter(f: impl FnOnce(&mut Meter) -> Result<(), BudgetBreach>) -> Result<(), BudgetBreach> {
-    ACTIVE.with(|a| match a.borrow_mut().as_mut() {
-        Some(m) => f(m),
+fn charge(resource: Resource, n: u64, op: &'static str) -> Result<(), BudgetBreach> {
+    if LIVE_SCOPES.load(Ordering::Relaxed) == 0 {
+        return Ok(());
+    }
+    ARMED.with(|a| match a.borrow().as_deref() {
+        Some(m) => m.charge(resource, n, op),
         None => Ok(()),
     })
-}
-
-/// Is any budget armed on any thread? One relaxed load.
-#[inline]
-fn armed() -> bool {
-    ARMED_SCOPES.load(Ordering::Relaxed) != 0
-}
-
-/// Any guard scope armed at all? The single-load disarmed fast path.
-#[inline]
-fn active() -> bool {
-    ACTIVE_GUARDS.load(Ordering::Relaxed) != 0
-}
-
-/// The budget armed on the current thread by [`ExecBudget::enter`], if
-/// any — excludes shared (tenant) meters, so
-/// [`SharedMeter::from_armed`] can layer the two explicitly.
-pub(crate) fn thread_budget() -> Option<ExecBudget> {
-    if !armed() {
-        return None;
-    }
-    ACTIVE.with(|a| a.borrow().as_ref().map(|m| m.budget))
-}
-
-/// The budget governing the current thread, if any: the thread-scoped
-/// [`ExecBudget::enter`] budget when one is armed, otherwise the budget
-/// of the shared meter armed by [`enter_shared`] (so depth and powerset
-/// caps follow the tenant quota on server session threads).
-pub fn active_budget() -> Option<ExecBudget> {
-    thread_budget().or_else(|| active_shared().map(|m| m.budget()))
 }
 
 /// Charge `n` rows materialized by operator `op` (per-operator cap, not
 /// cumulative: a plan may stream many small results).
 #[inline]
 pub fn charge_rows(n: u64, op: &'static str) -> Result<(), BudgetBreach> {
-    if !active() {
-        return Ok(());
-    }
-    match active_shared() {
-        // the shared meter checks the wall (global and thread-local)
-        Some(m) => m.charge_rows(n, op)?,
-        None => crate::wall::check_wall(op)?,
-    }
-    if !armed() {
-        return Ok(());
-    }
-    with_meter(|m| {
-        if n > m.budget.max_rows {
-            Err(record_breach(Resource::Rows, m.budget.max_rows, n, op))
-        } else {
-            Ok(())
-        }
-    })
+    charge(Resource::Rows, n, op)
 }
 
 /// Charge `n` cells processed (cumulative across the armed scope).
 #[inline]
 pub fn charge_cells(n: u64, op: &'static str) -> Result<(), BudgetBreach> {
-    if !active() {
-        return Ok(());
-    }
-    match active_shared() {
-        Some(m) => m.charge_cells(n, op)?,
-        None => crate::wall::check_wall(op)?,
-    }
-    if !armed() {
-        return Ok(());
-    }
-    with_meter(|m| {
-        m.cells = m.cells.saturating_add(n);
-        if m.cells > m.budget.max_cells {
-            Err(record_breach(
-                Resource::Cells,
-                m.budget.max_cells,
-                m.cells,
-                op,
-            ))
-        } else {
-            Ok(())
-        }
-    })
+    charge(Resource::Cells, n, op)
 }
 
 /// Charge `n` evaluation steps (cumulative; the deadline surrogate).
 #[inline]
 pub fn charge_steps(n: u64, op: &'static str) -> Result<(), BudgetBreach> {
-    if !active() {
-        return Ok(());
-    }
-    match active_shared() {
-        Some(m) => m.charge_steps(n, op)?,
-        None => crate::wall::check_wall(op)?,
-    }
-    if !armed() {
-        return Ok(());
-    }
-    with_meter(|m| {
-        m.steps = m.steps.saturating_add(n);
-        if m.steps > m.budget.max_steps {
-            Err(record_breach(
-                Resource::Steps,
-                m.budget.max_steps,
-                m.steps,
-                op,
-            ))
-        } else {
-            Ok(())
-        }
-    })
+    charge(Resource::Steps, n, op)
 }
 
 /// Check an iteration count against the armed depth cap. Iteration loops
@@ -439,41 +324,29 @@ pub fn charge_steps(n: u64, op: &'static str) -> Result<(), BudgetBreach> {
 /// nested loops each get the full depth allowance.
 #[inline]
 pub fn charge_depth(depth: u64, op: &'static str) -> Result<(), BudgetBreach> {
-    if !active() {
-        return Ok(());
-    }
-    match active_shared() {
-        Some(m) => m.charge_depth(depth, op)?,
-        None => crate::wall::check_wall(op)?,
-    }
-    if !armed() {
-        return Ok(());
-    }
-    with_meter(|m| {
-        if depth > m.budget.max_depth {
-            Err(record_breach(
-                Resource::Depth,
-                m.budget.max_depth,
-                depth,
-                op,
-            ))
-        } else {
-            Ok(())
-        }
-    })
+    charge(Resource::Depth, depth, op)
 }
 
-/// The fixpoint/recursion depth cap: the armed budget's `max_depth`, or
-/// `u64::MAX` when nothing is armed.
+/// The tightest cap on `resource` along the armed meter's chain; `None`
+/// when nothing on the chain has caps.
+fn tightest(resource: Resource) -> Option<u64> {
+    armed_meter()?.tightest(resource)
+}
+
+/// The fixpoint/recursion depth cap: the tightest `max_depth` on the
+/// armed chain, or `u64::MAX` when nothing there has caps.
 pub fn depth_limit() -> u64 {
-    active_budget().map_or(u64::MAX, |b| b.max_depth)
+    tightest(Resource::Depth).unwrap_or(u64::MAX)
 }
 
-/// The powerset input cap: the armed budget's `max_powerset`, or
-/// [`ExecBudget::DEFAULT_POWERSET_CAP`] when nothing is armed (the one
-/// guard that stays on by default — ℘ is doubly exponential in intent).
+/// The powerset input cap: the tightest `max_powerset` on the armed
+/// chain, or [`ExecBudget::DEFAULT_POWERSET_CAP`] when nothing there has
+/// caps (the one guard that stays on by default — ℘ is doubly
+/// exponential in intent).
 pub fn powerset_cap() -> usize {
-    active_budget().map_or(ExecBudget::DEFAULT_POWERSET_CAP, |b| b.max_powerset)
+    tightest(Resource::Powerset).map_or(ExecBudget::DEFAULT_POWERSET_CAP, |c| {
+        usize::try_from(c).unwrap_or(usize::MAX)
+    })
 }
 
 #[cfg(test)]
@@ -488,7 +361,7 @@ mod tests {
         assert!(charge_depth(u64::MAX, "t").is_ok());
         assert_eq!(powerset_cap(), ExecBudget::DEFAULT_POWERSET_CAP);
         assert_eq!(depth_limit(), u64::MAX);
-        assert!(active_budget().is_none());
+        assert!(armed_meter().is_none());
     }
 
     #[test]
@@ -524,14 +397,17 @@ mod tests {
         let outer = ExecBudget::unlimited().with_max_depth(3).enter();
         assert_eq!(depth_limit(), 3);
         {
+            // an inner budget layers over the outer one: it can only narrow
             let _inner = ExecBudget::unlimited().with_max_depth(7).enter();
-            assert_eq!(depth_limit(), 7);
-            assert!(charge_depth(5, "f").is_ok());
+            assert_eq!(depth_limit(), 3);
+            assert_eq!(charge_depth(5, "f").unwrap_err().resource, Resource::Depth);
+            let _narrower = ExecBudget::unlimited().with_max_depth(2).enter();
+            assert_eq!(depth_limit(), 2);
         }
         assert_eq!(depth_limit(), 3);
         assert_eq!(charge_depth(5, "f").unwrap_err().resource, Resource::Depth);
         drop(outer);
-        assert!(active_budget().is_none());
+        assert!(armed_meter().is_none());
     }
 
     #[test]

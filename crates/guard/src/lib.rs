@@ -1,4 +1,6 @@
 #![warn(missing_docs)]
+// Execution paths must fail structurally, never unwrap (tests exempt).
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 //! # genpar-guard — resource governance and fault tolerance
 //!
 //! The algebra of the paper contains inherently explosive operators
@@ -9,14 +11,16 @@
 //!
 //! * **Execution budgets** ([`ExecBudget`]) — caps on rows materialized,
 //!   cells processed, fixpoint/recursion depth and total evaluation steps
-//!   (a step-count deadline; the environment is offline-deterministic so
-//!   there is deliberately no wall clock). A budget is armed for the
-//!   current thread with [`ExecBudget::enter`]; evaluators call the
-//!   `charge_*` functions at operator boundaries and surface a
-//!   [`BudgetBreach`] as a structured error with partial-progress stats.
-//!   Parallel executors bridge an armed budget into a worker pool with
-//!   [`SharedMeter`] — one atomically charged meter shared by all
-//!   workers, with a documented `workers × quantum` overshoot bound.
+//!   (a step-count deadline), plus an opt-in wall-clock deadline
+//!   ([`arm_wall_deadline`]) and cumulative tenant quota pools
+//!   ([`enter_shared`]). All three arm one [`SharedMeter`] in one
+//!   thread-local slot; a meter armed over another charges it too, so
+//!   limits layer and an inner scope can only narrow. Evaluators call
+//!   the `charge_*` functions at operator boundaries; the parallel
+//!   executor hands the armed meter ([`armed_meter`]) to its workers, so
+//!   every route charges the same object, with a documented
+//!   `workers × quantum` overshoot bound. A breach surfaces as a
+//!   [`BudgetBreach`], a structured error with partial-progress stats.
 //! * **Deterministic fault injection** ([`faultpoint`]) — named sites in
 //!   the engine, evaluator, checker and transfer machinery that can be
 //!   armed with a `site:nth` spec ([`arm_faults`]; the `genpar` binary
@@ -29,10 +33,11 @@
 //!
 //! ## Cost when disabled
 //!
-//! When no budget is armed and no faults are armed, every `charge_*` call
-//! and every [`faultpoint`] is **one relaxed atomic load** and an
-//! immediate return. The `obs_overhead` bench in `genpar-bench` asserts
-//! this path stays within the workspace's ≤5% overhead bound.
+//! When no meter is armed on any thread and no faults are armed, every
+//! `charge_*` call and every [`faultpoint`] is **one relaxed atomic
+//! load** and an immediate return. The `obs_overhead` bench in
+//! `genpar-bench` asserts this path stays within the workspace's ≤5%
+//! overhead bound.
 //!
 //! Guard activity is recorded through the `genpar-obs` registry:
 //! `guard.budget_breaches` / `guard.faults_injected` counters and
@@ -45,8 +50,8 @@ pub mod shared;
 pub mod wall;
 
 pub use budget::{
-    active_budget, charge_cells, charge_depth, charge_rows, charge_steps, depth_limit,
-    enter_shared, powerset_cap, BudgetBreach, BudgetScope, ExecBudget, Resource, SharedBudgetScope,
+    armed_meter, charge_cells, charge_depth, charge_rows, charge_steps, depth_limit, enter_shared,
+    powerset_cap, BudgetBreach, BudgetScope, ExecBudget, Resource,
 };
 pub use fault::{
     arm_faults, arm_faults_strict, armed_faults, check_faults_strict, disarm_faults, faultpoint,
@@ -54,9 +59,7 @@ pub use fault::{
 };
 pub use retry::{RetryPolicy, RetrySpecError};
 pub use shared::SharedMeter;
-pub use wall::{
-    arm_wall_deadline, arm_wall_deadline_local, check_wall, LocalWallScope, WallDeadline, WallScope,
-};
+pub use wall::arm_wall_deadline;
 
 /// Render a panic payload (from `std::panic::catch_unwind`) as text.
 ///

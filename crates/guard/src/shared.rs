@@ -1,12 +1,12 @@
-//! Concurrency-safe budget metering: one [`SharedMeter`] charged by all
-//! workers of a parallel executor.
+//! The one meter: a [`SharedMeter`] is what every armed scope holds and
+//! what every charge — the walker's, the optimizer's, every pool
+//! worker's — draws from.
 //!
-//! The thread-scoped machinery in [`crate::budget`] is deliberately
-//! thread-local (one query, one thread). A morsel-driven executor runs
-//! one query on *N* threads that must all draw from a single budget, so
-//! this module provides an atomic variant: cumulative resources
-//! (`cells`, `steps`) are `fetch_add`-then-check counters, and the
-//! per-operator `rows` cap is a plain comparison (nothing accumulates).
+//! Cumulative resources (`cells`, `steps`) are `fetch_add`-then-check
+//! counters; the per-operator `rows` cap and the `depth` check are plain
+//! comparisons (nothing accumulates). A meter may carry a wall deadline
+//! and a `parent` it also charges, so the meters armed on one thread form
+//! a chain, innermost first.
 //!
 //! ## Overshoot bound
 //!
@@ -21,43 +21,43 @@
 //!
 //! ## Layered meters (tenants)
 //!
-//! A resident server arms one long-lived `Arc<SharedMeter>` per tenant
-//! ([`crate::enter_shared`]); [`SharedMeter::from_armed`] then builds a
-//! fresh per-request meter whose `parent` is the tenant pool, so every
-//! worker charge draws from *both*: the request's own caps and the
-//! tenant's cumulative quota. The request meter also captures the
-//! session's thread-local wall deadline ([`crate::wall::local_deadline`])
-//! so pool workers — which never see the session thread's thread-locals —
-//! still enforce the per-request `--timeout`.
+//! Layering happens when a scope is armed. A resident server arms one
+//! long-lived `Arc<SharedMeter>` per tenant as-is
+//! ([`crate::enter_shared`]); the request's wall deadline
+//! ([`crate::arm_wall_deadline`]) then arms a fresh meter whose `parent`
+//! is the tenant pool, so every charge — on the session thread or on a
+//! pool worker holding the armed meter — checks the request's deadline
+//! and draws from the tenant's cumulative quota.
 
-use crate::budget::{BudgetBreach, ExecBudget, Resource};
+use crate::budget::{record_breach, BudgetBreach, ExecBudget, Resource};
 use crate::wall::WallDeadline;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// An atomically charged budget shared by the workers of one parallel
-/// query execution.
+/// An atomically charged meter: optional caps, an optional wall
+/// deadline, and an optional parent it also charges.
 ///
-/// Construct it from the budget armed on the coordinating thread (or an
-/// explicit [`ExecBudget`]), hand a reference to every worker, and map
-/// the first [`BudgetBreach`] into the executor's error type.
+/// Arm one for the current thread ([`ExecBudget::enter`],
+/// [`crate::enter_shared`], [`crate::arm_wall_deadline`]), hand the
+/// armed `Arc` ([`crate::armed_meter`]) to every worker, and map the
+/// first [`BudgetBreach`] into the executor's error type.
 #[derive(Debug)]
 pub struct SharedMeter {
-    budget: ExecBudget,
+    /// This meter's own caps; `None` for a deadline-only meter.
+    budget: Option<ExecBudget>,
     cells: AtomicU64,
     steps: AtomicU64,
-    /// Per-request wall deadline captured at construction; checked on
-    /// every charge so workers inherit the session's `--timeout`.
     deadline: Option<WallDeadline>,
-    /// Longer-lived pool (a tenant quota) this meter also draws from.
+    /// The meter this one was armed over (a tenant pool, an outer
+    /// budget); every charge that passes here is charged there too.
     parent: Option<Arc<SharedMeter>>,
 }
 
 impl SharedMeter {
-    /// A shared meter over an explicit budget.
+    /// A standalone meter over an explicit budget (a tenant pool).
     pub fn new(budget: ExecBudget) -> SharedMeter {
         SharedMeter {
-            budget,
+            budget: Some(budget),
             cells: AtomicU64::new(0),
             steps: AtomicU64::new(0),
             deadline: None,
@@ -65,55 +65,22 @@ impl SharedMeter {
         }
     }
 
-    /// A shared meter over the guard state armed on the *current*
-    /// thread, if any — the bridge from the thread-scoped world into a
-    /// worker pool. Returns `None` when nothing is armed, so the
-    /// disarmed fast path stays free.
-    ///
-    /// Layering, innermost first:
-    /// - a thread-scoped [`ExecBudget::enter`] budget becomes the
-    ///   request's own caps;
-    /// - a shared scope ([`crate::enter_shared`], the tenant pool)
-    ///   becomes the `parent` every charge also draws from — or, when no
-    ///   thread budget narrows it, is charged directly;
-    /// - a thread-local wall deadline
-    ///   ([`crate::arm_wall_deadline_local`]) is captured so workers
-    ///   enforce it; with only a deadline armed the meter's own caps are
-    ///   unlimited.
-    pub fn from_armed() -> Option<Arc<SharedMeter>> {
-        let tenant = crate::budget::active_shared();
-        let local = crate::budget::thread_budget();
-        let deadline = crate::wall::local_deadline();
-        match (tenant, local, deadline) {
-            (None, None, None) => None,
-            // nothing request-scoped to layer on: draw from the tenant
-            // pool directly (cumulative across requests)
-            (Some(t), None, None) => Some(t),
-            (tenant, local, deadline) => {
-                let budget = local
-                    .or_else(|| tenant.as_ref().map(|t| t.budget))
-                    .unwrap_or_else(ExecBudget::unlimited);
-                Some(Arc::new(SharedMeter {
-                    budget,
-                    cells: AtomicU64::new(0),
-                    steps: AtomicU64::new(0),
-                    deadline,
-                    parent: tenant,
-                }))
-            }
-        }
+    /// A fresh meter whose `parent` is the meter armed on the current
+    /// thread, if any.
+    pub(crate) fn layered(
+        budget: Option<ExecBudget>,
+        deadline: Option<WallDeadline>,
+    ) -> Arc<SharedMeter> {
+        Arc::new(SharedMeter {
+            budget,
+            deadline,
+            parent: crate::armed_meter(),
+            ..SharedMeter::new(ExecBudget::unlimited())
+        })
     }
 
-    #[inline]
-    fn check_deadline(&self, op: &'static str) -> Result<(), BudgetBreach> {
-        match &self.deadline {
-            Some(d) => d.check(op),
-            None => Ok(()),
-        }
-    }
-
-    /// The budget this meter enforces.
-    pub fn budget(&self) -> ExecBudget {
+    /// This meter's own caps; `None` for a deadline-only meter.
+    pub fn budget(&self) -> Option<ExecBudget> {
         self.budget
     }
 
@@ -128,80 +95,64 @@ impl SharedMeter {
         self.steps.load(Ordering::Relaxed)
     }
 
+    /// This meter and every meter under it, innermost first.
+    fn chain(&self) -> impl Iterator<Item = &SharedMeter> {
+        std::iter::successors(Some(self), |m| m.parent.as_deref())
+    }
+
+    /// The tightest cap on `resource` along the chain; `None` when no
+    /// meter on it has caps.
+    pub(crate) fn tightest(&self, resource: Resource) -> Option<u64> {
+        self.chain()
+            .filter_map(|m| m.budget.map(|b| b.limit(resource)))
+            .min()
+    }
+
+    /// The one charge: for each meter on the chain, innermost first, the
+    /// deadline, then the meter's own cap; the first breach stops it.
+    pub(crate) fn charge(
+        &self,
+        resource: Resource,
+        n: u64,
+        op: &'static str,
+    ) -> Result<(), BudgetBreach> {
+        for m in self.chain() {
+            if let Some(d) = &m.deadline {
+                d.check(op)?;
+            }
+            let used = match resource {
+                Resource::Cells => m.cells.fetch_add(n, Ordering::Relaxed).saturating_add(n),
+                Resource::Steps => m.steps.fetch_add(n, Ordering::Relaxed).saturating_add(n),
+                _ => n,
+            };
+            let limit = m.budget.map_or(u64::MAX, |b| b.limit(resource));
+            if used > limit {
+                return Err(record_breach(resource, limit, used, op));
+            }
+        }
+        Ok(())
+    }
+
     /// Charge `n` rows materialized by operator `op` (per-operator cap,
     /// not cumulative — same semantics as [`crate::charge_rows`]).
     pub fn charge_rows(&self, n: u64, op: &'static str) -> Result<(), BudgetBreach> {
-        crate::wall::check_wall(op)?;
-        self.check_deadline(op)?;
-        if n > self.budget.max_rows {
-            return Err(crate::budget::record_breach(
-                Resource::Rows,
-                self.budget.max_rows,
-                n,
-                op,
-            ));
-        }
-        match &self.parent {
-            Some(p) => p.charge_rows(n, op),
-            None => Ok(()),
-        }
+        self.charge(Resource::Rows, n, op)
     }
 
     /// Charge `n` cells processed (cumulative across all workers).
     pub fn charge_cells(&self, n: u64, op: &'static str) -> Result<(), BudgetBreach> {
-        crate::wall::check_wall(op)?;
-        self.check_deadline(op)?;
-        let used = self.cells.fetch_add(n, Ordering::Relaxed).saturating_add(n);
-        if used > self.budget.max_cells {
-            return Err(crate::budget::record_breach(
-                Resource::Cells,
-                self.budget.max_cells,
-                used,
-                op,
-            ));
-        }
-        match &self.parent {
-            Some(p) => p.charge_cells(n, op),
-            None => Ok(()),
-        }
+        self.charge(Resource::Cells, n, op)
     }
 
     /// Charge `n` evaluation steps (cumulative across all workers).
     pub fn charge_steps(&self, n: u64, op: &'static str) -> Result<(), BudgetBreach> {
-        crate::wall::check_wall(op)?;
-        self.check_deadline(op)?;
-        let used = self.steps.fetch_add(n, Ordering::Relaxed).saturating_add(n);
-        if used > self.budget.max_steps {
-            return Err(crate::budget::record_breach(
-                Resource::Steps,
-                self.budget.max_steps,
-                used,
-                op,
-            ));
-        }
-        match &self.parent {
-            Some(p) => p.charge_steps(n, op),
-            None => Ok(()),
-        }
+        self.charge(Resource::Steps, n, op)
     }
 
     /// Check an iteration count against the depth cap (same semantics
     /// as [`crate::charge_depth`]: the loop passes its running count).
     pub fn charge_depth(&self, depth: u64, op: &'static str) -> Result<(), BudgetBreach> {
-        crate::wall::check_wall(op)?;
-        self.check_deadline(op)?;
-        if depth > self.budget.max_depth {
-            return Err(crate::budget::record_breach(
-                Resource::Depth,
-                self.budget.max_depth,
-                depth,
-                op,
-            ));
-        }
-        match &self.parent {
-            Some(p) => p.charge_depth(depth, op),
-            None => Ok(()),
-        }
+        self.charge(Resource::Depth, depth, op)
     }
 }
 
@@ -212,24 +163,24 @@ mod tests {
 
     #[test]
     fn unarmed_thread_yields_no_meter() {
-        assert!(SharedMeter::from_armed().is_none());
+        assert!(crate::armed_meter().is_none());
         let _scope = ExecBudget::default().with_max_cells(7).enter();
-        let m = SharedMeter::from_armed().unwrap();
-        assert_eq!(m.budget().max_cells, 7);
+        let m = crate::armed_meter().unwrap();
+        assert_eq!(m.budget().unwrap().max_cells, 7);
     }
 
     #[test]
     fn shared_scope_alone_yields_the_pool_itself() {
         let pool = Arc::new(SharedMeter::new(ExecBudget::unlimited().with_max_cells(50)));
         let _scope = crate::budget::enter_shared(Arc::clone(&pool));
-        let m = SharedMeter::from_armed().unwrap();
+        let m = crate::armed_meter().unwrap();
         assert!(
             Arc::ptr_eq(&m, &pool),
             "no request layer: charge the pool directly"
         );
-        // cumulative across "requests": a second from_armed sees drained state
+        // cumulative across "requests": a second run sees drained state
         m.charge_cells(40, "a").unwrap();
-        let m2 = SharedMeter::from_armed().unwrap();
+        let m2 = crate::armed_meter().unwrap();
         assert_eq!(
             m2.charge_cells(40, "b").unwrap_err().resource,
             Resource::Cells
@@ -237,19 +188,19 @@ mod tests {
     }
 
     #[test]
-    fn thread_budget_layers_over_the_tenant_pool() {
+    fn budget_layers_over_the_tenant_pool() {
         let pool = Arc::new(SharedMeter::new(
             ExecBudget::unlimited().with_max_cells(100),
         ));
         let _scope = crate::budget::enter_shared(Arc::clone(&pool));
         let _inner = ExecBudget::unlimited().with_max_cells(30).enter();
-        let m = SharedMeter::from_armed().unwrap();
+        let m = crate::armed_meter().unwrap();
         // successful charges drain the tenant pool too...
         m.charge_cells(20, "a").unwrap();
         assert_eq!(pool.cells_used(), 20);
         // ...and the request meter enforces its own (narrower) cap,
         // stopping before the breaching charge reaches the pool
-        assert_eq!(m.budget().max_cells, 30);
+        assert_eq!(m.budget().unwrap().max_cells, 30);
         assert_eq!(
             m.charge_cells(20, "b").unwrap_err().resource,
             Resource::Cells
@@ -258,12 +209,13 @@ mod tests {
     }
 
     #[test]
-    fn local_deadline_rides_into_the_meter() {
-        let _wall = crate::wall::arm_wall_deadline_local(std::time::Duration::ZERO);
-        let m = SharedMeter::from_armed().expect("deadline alone arms a meter");
+    fn armed_deadline_binds_off_thread() {
+        let _wall = crate::arm_wall_deadline(std::time::Duration::ZERO);
+        let m = crate::armed_meter().expect("a deadline alone arms a meter");
+        assert!(m.budget().is_none(), "a deadline has no caps of its own");
         std::thread::sleep(std::time::Duration::from_millis(2));
-        // the captured deadline breaches even on a thread that never saw
-        // the arming thread's thread-locals
+        // a worker handed the armed meter breaches on the deadline even
+        // though the arming thread's slot is invisible to it
         std::thread::scope(|s| {
             s.spawn(move || {
                 let e = m.charge_cells(1, "exec.morsel").unwrap_err();

@@ -3,284 +3,138 @@
 //!
 //! The budget machinery is deliberately wall-clock free (steps are the
 //! deterministic deadline surrogate), but an operator fronting a query
-//! service needs a real timeout: `genpar run --timeout MS` arms a
-//! process-global deadline with [`arm_wall_deadline`], and every
-//! `charge_*` call — thread-local or [`crate::SharedMeter`] — first asks
-//! [`check_wall`]. A crossed deadline surfaces as a [`BudgetBreach`] with
-//! [`Resource::Wall`], flowing through the exact same structured-error
-//! path (and exit code) as any other exhausted budget. No new unsafe, no
-//! thread is ever killed: workers notice the deadline at their next
-//! charge point and unwind cooperatively.
+//! service needs a real timeout. [`arm_wall_deadline`] arms a fresh
+//! [`crate::SharedMeter`] carrying the deadline and no caps of its own,
+//! layered over whatever meter is armed on the thread. Every charge on
+//! that meter — the walker's on the arming thread, and every pool
+//! worker's, since the executor hands its workers the armed meter —
+//! checks the deadline first. A crossed deadline surfaces as a
+//! [`BudgetBreach`] with [`Resource::Wall`], flowing through the exact
+//! same structured-error path (and exit code) as any other exhausted
+//! budget. No thread is ever killed: workers notice the deadline at
+//! their next charge point and unwind cooperatively.
 //!
-//! Disarmed cost: one relaxed atomic load per check.
-//!
-//! Two arming styles coexist:
-//!
-//! - [`arm_wall_deadline`] is process-global and non-nesting (last armed
-//!   wins) — it models "this whole invocation must finish by T", the
-//!   one-shot CLI `--timeout`.
-//! - [`arm_wall_deadline_local`] is thread-scoped: a resident server
-//!   handling many concurrent requests arms one deadline per session
-//!   thread without the sessions clobbering each other. The captured
-//!   [`WallDeadline`] also rides into [`crate::SharedMeter`] (see
-//!   [`local_deadline`]) so pool workers — which never see the session's
-//!   thread-locals — still enforce the request's deadline at every
-//!   metered charge.
+//! The deadline is thread-scoped, so concurrent server sessions each arm
+//! their own per-request deadline without interfering.
 
-use crate::budget::{record_breach, BudgetBreach, Resource};
-use std::cell::Cell;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::OnceLock;
+use crate::budget::{record_breach, BudgetBreach, BudgetScope, Resource};
+use crate::shared::SharedMeter;
 use std::time::{Duration, Instant};
 
-/// Number of live [`WallScope`]s. Zero means [`check_wall`] is one
-/// relaxed load and an immediate `Ok`.
-static WALL_SCOPES: AtomicUsize = AtomicUsize::new(0);
-
-/// Deadline in microseconds since the process [`epoch`].
-static DEADLINE_US: AtomicU64 = AtomicU64::new(u64::MAX);
-
-/// The configured limit in milliseconds (for breach rendering).
-static LIMIT_MS: AtomicU64 = AtomicU64::new(0);
-
-/// When the deadline was armed, microseconds since [`epoch`].
-static ARMED_AT_US: AtomicU64 = AtomicU64::new(0);
-
-fn epoch() -> Instant {
-    static EPOCH: OnceLock<Instant> = OnceLock::new();
-    *EPOCH.get_or_init(Instant::now)
-}
-
-fn now_us() -> u64 {
-    epoch().elapsed().as_micros().min(u64::MAX as u128) as u64
-}
-
-thread_local! {
-    /// The deadline armed on this thread by [`arm_wall_deadline_local`].
-    static LOCAL: Cell<Option<WallDeadline>> = const { Cell::new(None) };
-}
-
-/// A captured wall deadline: instants in microseconds against the
-/// process [`epoch`]. `Copy` so it can ride into a
-/// [`crate::SharedMeter`] and be checked by pool workers that never see
-/// the arming thread's thread-locals.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WallDeadline {
-    deadline_us: u64,
-    limit_ms: u64,
-    armed_at_us: u64,
+/// A wall deadline: when it was armed and how long it allows.
+#[derive(Debug)]
+pub(crate) struct WallDeadline {
+    armed_at: Instant,
+    limit: Duration,
 }
 
 impl WallDeadline {
-    fn starting_now(timeout: Duration) -> WallDeadline {
-        let start = now_us();
-        WallDeadline {
-            deadline_us: start.saturating_add(timeout.as_micros().min(u64::MAX as u128) as u64),
-            limit_ms: timeout.as_millis().min(u64::MAX as u128) as u64,
-            armed_at_us: start,
-        }
-    }
-
-    /// Has this deadline passed? Same breach shape as the global check.
+    /// Has this deadline passed? A breach names the limit and the
+    /// elapsed milliseconds (at least one past the limit).
     pub(crate) fn check(&self, op: &'static str) -> Result<(), BudgetBreach> {
-        let now = now_us();
-        if now <= self.deadline_us {
+        let elapsed = self.armed_at.elapsed();
+        if elapsed <= self.limit {
             return Ok(());
         }
-        let elapsed_ms = now.saturating_sub(self.armed_at_us) / 1_000;
+        let ms = |d: Duration| d.as_millis().min(u64::MAX as u128) as u64;
+        let limit_ms = ms(self.limit);
         Err(record_breach(
             Resource::Wall,
-            self.limit_ms,
-            elapsed_ms.max(self.limit_ms + 1),
+            limit_ms,
+            ms(elapsed).max(limit_ms.saturating_add(1)),
             op,
         ))
     }
 }
 
-/// The deadline armed on the current thread by
-/// [`arm_wall_deadline_local`], if any — captured by
-/// [`crate::SharedMeter::from_armed`] so parallel workers inherit it.
-pub fn local_deadline() -> Option<WallDeadline> {
-    LOCAL.with(|c| c.get())
-}
-
-/// Arm a wall deadline for the *current thread only*: concurrent server
-/// sessions each arm their own without interfering. Scopes nest; the
-/// innermost deadline governs until its scope drops.
+/// Arm a wall-clock deadline `timeout` from now for the current thread
+/// until the returned scope drops: a fresh meter with the deadline, no
+/// caps of its own, and the meter already armed as its `parent`.
 #[must_use = "the deadline is disarmed when the scope drops"]
-pub fn arm_wall_deadline_local(timeout: Duration) -> LocalWallScope {
-    let prev = LOCAL.with(|c| c.replace(Some(WallDeadline::starting_now(timeout))));
-    WALL_SCOPES.fetch_add(1, Ordering::Relaxed);
-    crate::budget::ACTIVE_GUARDS.fetch_add(1, Ordering::Relaxed);
-    LocalWallScope { prev }
-}
-
-/// RAII scope keeping a thread-local wall deadline armed.
-pub struct LocalWallScope {
-    prev: Option<WallDeadline>,
-}
-
-impl Drop for LocalWallScope {
-    fn drop(&mut self) {
-        LOCAL.with(|c| c.set(self.prev.take()));
-        WALL_SCOPES.fetch_sub(1, Ordering::Relaxed);
-        crate::budget::ACTIVE_GUARDS.fetch_sub(1, Ordering::Relaxed);
-    }
-}
-
-/// Arm a process-global wall-clock deadline `timeout` from now. The
-/// deadline stays armed until the returned scope drops.
-#[must_use = "the deadline is disarmed when the scope drops"]
-pub fn arm_wall_deadline(timeout: Duration) -> WallScope {
-    let start = now_us();
-    let deadline = start.saturating_add(timeout.as_micros().min(u64::MAX as u128) as u64);
-    DEADLINE_US.store(deadline, Ordering::Relaxed);
-    LIMIT_MS.store(
-        timeout.as_millis().min(u64::MAX as u128) as u64,
-        Ordering::Relaxed,
-    );
-    ARMED_AT_US.store(start, Ordering::Relaxed);
-    WALL_SCOPES.fetch_add(1, Ordering::Relaxed);
-    crate::budget::ACTIVE_GUARDS.fetch_add(1, Ordering::Relaxed);
-    WallScope { _priv: () }
-}
-
-/// RAII scope keeping a wall deadline armed for the whole process.
-pub struct WallScope {
-    _priv: (),
-}
-
-impl Drop for WallScope {
-    fn drop(&mut self) {
-        if WALL_SCOPES.fetch_sub(1, Ordering::Relaxed) == 1 {
-            DEADLINE_US.store(u64::MAX, Ordering::Relaxed);
-        }
-        crate::budget::ACTIVE_GUARDS.fetch_sub(1, Ordering::Relaxed);
-    }
-}
-
-/// Has the armed wall deadline passed? `Ok(())` when no deadline is
-/// armed (one relaxed load) or when there is still time left; otherwise
-/// a [`BudgetBreach`] naming [`Resource::Wall`], the configured limit
-/// and the elapsed milliseconds.
-#[inline]
-pub fn check_wall(op: &'static str) -> Result<(), BudgetBreach> {
-    if WALL_SCOPES.load(Ordering::Relaxed) == 0 {
-        return Ok(());
-    }
-    check_wall_slow(op)
-}
-
-#[cold]
-fn check_wall_slow(op: &'static str) -> Result<(), BudgetBreach> {
-    let now = now_us();
-    if now > DEADLINE_US.load(Ordering::Relaxed) {
-        let limit = LIMIT_MS.load(Ordering::Relaxed);
-        let elapsed_ms = now.saturating_sub(ARMED_AT_US.load(Ordering::Relaxed)) / 1_000;
-        return Err(record_breach(
-            Resource::Wall,
-            limit,
-            elapsed_ms.max(limit + 1),
-            op,
-        ));
-    }
-    if let Some(d) = LOCAL.with(|c| c.get()) {
-        d.check(op)?;
-    }
-    Ok(())
+pub fn arm_wall_deadline(timeout: Duration) -> BudgetScope {
+    let deadline = WallDeadline {
+        armed_at: Instant::now(),
+        limit: timeout,
+    };
+    crate::enter_shared(SharedMeter::layered(None, Some(deadline)))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    // The deadline is process-global; serialize tests touching it.
-    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
-    #[test]
-    fn disarmed_checks_are_ok() {
-        let _g = LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        assert!(check_wall("t").is_ok());
-    }
+    use crate::{charge_cells, charge_steps, ExecBudget};
 
     #[test]
     fn generous_deadline_passes_and_disarms_on_drop() {
-        let _g = LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let scope = arm_wall_deadline(Duration::from_secs(3600));
-        assert!(check_wall("t").is_ok());
+        assert!(charge_steps(1, "t").is_ok());
         drop(scope);
-        assert!(check_wall("t").is_ok());
+        assert!(crate::armed_meter().is_none());
     }
 
     #[test]
     fn expired_deadline_breaches_with_wall_resource() {
-        let _g = LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let scope = arm_wall_deadline(Duration::ZERO);
         std::thread::sleep(Duration::from_millis(2));
-        let e = check_wall("exec.morsel").unwrap_err();
+        let e = charge_steps(1, "exec.morsel").unwrap_err();
         assert_eq!(e.resource, Resource::Wall);
         assert_eq!(e.op, "exec.morsel");
         assert!(e.used > e.limit, "{e}");
+        let s = e.to_string();
+        assert!(
+            s.contains("budget exceeded") && s.contains("wall_ms"),
+            "{s}"
+        );
         drop(scope);
-        assert!(check_wall("exec.morsel").is_ok());
+        assert!(charge_steps(1, "exec.morsel").is_ok());
     }
 
     #[test]
-    fn local_deadline_is_thread_scoped() {
-        let _g = LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        let scope = arm_wall_deadline_local(Duration::ZERO);
+    fn deadline_is_thread_scoped() {
+        let _scope = arm_wall_deadline(Duration::ZERO);
         std::thread::sleep(Duration::from_millis(2));
-        let e = check_wall("exec.morsel").unwrap_err();
-        assert_eq!(e.resource, Resource::Wall);
+        assert!(charge_steps(1, "t").is_err());
         // another thread is not governed by this thread's deadline
         std::thread::scope(|s| {
-            s.spawn(|| assert!(check_wall("other").is_ok()));
+            s.spawn(|| assert!(charge_steps(1, "other").is_ok()));
         });
-        drop(scope);
-        assert!(check_wall("exec.morsel").is_ok());
     }
 
     #[test]
-    fn local_deadlines_nest_and_restore() {
-        let _g = LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        let outer = arm_wall_deadline_local(Duration::from_secs(3600));
-        let outer_dl = local_deadline().unwrap();
+    fn deadlines_nest_and_restore() {
+        let outer = arm_wall_deadline(Duration::from_secs(3600));
+        let outer_meter = crate::armed_meter().unwrap();
         {
-            let _inner = arm_wall_deadline_local(Duration::ZERO);
+            let _inner = arm_wall_deadline(Duration::ZERO);
             std::thread::sleep(Duration::from_millis(2));
-            assert!(check_wall("t").is_err());
+            assert!(charge_steps(1, "t").is_err());
         }
-        assert_eq!(local_deadline(), Some(outer_dl));
-        assert!(check_wall("t").is_ok());
+        assert!(std::sync::Arc::ptr_eq(
+            &crate::armed_meter().unwrap(),
+            &outer_meter
+        ));
+        assert!(charge_steps(1, "t").is_ok());
         drop(outer);
-        assert!(local_deadline().is_none());
+        assert!(crate::armed_meter().is_none());
     }
 
     #[test]
-    fn captured_deadline_breaches_off_thread() {
-        let _g = LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        let scope = arm_wall_deadline_local(Duration::ZERO);
-        let dl = local_deadline().unwrap();
-        std::thread::sleep(Duration::from_millis(2));
-        // a worker holding the captured deadline sees the breach even
-        // though the arming thread's thread-local is invisible to it
-        std::thread::scope(|s| {
-            s.spawn(move || {
-                let e = dl.check("exec.morsel").unwrap_err();
-                assert_eq!(e.resource, Resource::Wall);
-            });
-        });
-        drop(scope);
+    fn deadline_layers_over_the_armed_budget() {
+        let _budget = ExecBudget::unlimited()
+            .with_max_cells(10)
+            .with_max_powerset(4)
+            .enter();
+        let _wall = arm_wall_deadline(Duration::from_secs(3600));
+        // the deadline adds no caps, and keeps the budget's
+        assert_eq!(crate::powerset_cap(), 4);
+        assert!(charge_cells(10, "a").is_ok());
+        assert_eq!(charge_cells(1, "b").unwrap_err().resource, Resource::Cells);
     }
 
     #[test]
-    fn breach_renders_as_budget_exceeded() {
-        let _g = LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        let scope = arm_wall_deadline(Duration::ZERO);
-        std::thread::sleep(Duration::from_millis(2));
-        let s = check_wall("q").unwrap_err().to_string();
-        assert!(s.contains("budget exceeded"), "{s}");
-        assert!(s.contains("wall_ms"), "{s}");
-        drop(scope);
+    fn deadline_alone_keeps_the_default_caps() {
+        let _wall = arm_wall_deadline(Duration::from_secs(3600));
+        assert_eq!(crate::powerset_cap(), ExecBudget::DEFAULT_POWERSET_CAP);
+        assert_eq!(crate::depth_limit(), u64::MAX);
     }
 }

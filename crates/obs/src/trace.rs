@@ -1,5 +1,4 @@
-//! Export a [`Snapshot`] (and, when recorded, the true timeline) as a
-//! Chrome `trace_event` document.
+//! Export a recorded timeline as a Chrome `trace_event` document.
 //!
 //! Two renderings:
 //!
@@ -8,82 +7,20 @@
 //! * [`jsonl`] — the same events, one JSON object per line (newline-
 //!   delimited), for `jq`-style stream processing.
 //!
-//! **With the timeline recorder on** (`GENPAR_TIMELINE` /
-//! [`crate::timeline::set_enabled`]), the export is a *real* timeline:
-//! every recorded span instance becomes a genuine begin/end pair
-//! (`"ph": "B"` / `"ph": "E"`) at its measured instants, on a `tid` row
-//! per worker lane (0 = main thread, `N` = pool worker `N−1`), with the
-//! owning [`crate::timeline::QueryId`] in `args.query`. Morsel
-//! scheduling, steal instants, fixpoint-round barriers and combiner
-//! folds all land where they actually happened.
-//!
-//! **Without timeline records**, the export falls back to the synthetic
-//! flame *layout*: the registry aggregates spans by call-tree position
-//! (no per-instance timestamps), so span nodes are laid out sequentially
-//! as complete events (`"ph": "X"`) — a flame graph of where time went,
-//! not of when. Ring-buffer events are exported as instants
-//! (`"ph": "i"`) at their true `at_micros` in fallback mode; the real
-//! timeline records its own instants (steals, barriers) natively
-//! instead, since the registry and timeline epochs differ.
+//! The export is a *real* timeline (the recorder is on with
+//! `GENPAR_TIMELINE` / [`crate::timeline::set_enabled`]): every recorded
+//! span instance becomes a genuine begin/end pair (`"ph": "B"` /
+//! `"ph": "E"`) at its measured instants, on a `tid` row per worker lane
+//! (0 = main thread, `N` = pool worker `N−1`), with the owning
+//! [`crate::timeline::QueryId`] in `args.query`. Morsel scheduling,
+//! steal instants, fixpoint-round barriers and combiner folds all land
+//! where they actually happened.
 
 use crate::json::Json;
-use crate::registry::{Event, Snapshot, SpanNode};
 use crate::timeline::{TimelineEvent, TimelineKind, TimelineSnapshot};
 
 /// Synthetic pid for all exported events.
 const PID: i128 = 1;
-/// Thread row for the aggregated span layout (fallback mode).
-const TID_SPANS: i128 = 1;
-/// Thread row for ring-buffer instant events (fallback mode).
-const TID_EVENTS: i128 = 2;
-
-fn span_events(node: &SpanNode, start_us: f64, out: &mut Vec<Json>) -> f64 {
-    let dur_us = node.total_nanos as f64 / 1e3;
-    let mut args: Vec<(String, Json)> = vec![("calls".to_string(), Json::Int(node.calls as i128))];
-    for (k, v) in &node.fields {
-        args.push((k.clone(), Json::Int(*v as i128)));
-    }
-    out.push(Json::obj([
-        ("name", Json::str(&node.name)),
-        ("ph", Json::str("X")),
-        ("ts", Json::Num(start_us)),
-        ("dur", Json::Num(dur_us)),
-        ("pid", Json::Int(PID)),
-        ("tid", Json::Int(TID_SPANS)),
-        ("args", Json::Obj(args)),
-    ]));
-    let mut cursor = start_us;
-    for child in &node.children {
-        cursor = span_events(child, cursor, out);
-    }
-    start_us + dur_us
-}
-
-fn instant_event(e: &Event) -> Json {
-    let args: Vec<(String, Json)> = std::iter::once(("seq".to_string(), Json::Int(e.seq as i128)))
-        .chain(e.fields.iter().map(|(k, v)| {
-            (
-                k.clone(),
-                match v {
-                    crate::FieldValue::U64(n) => Json::Int(*n as i128),
-                    crate::FieldValue::I64(n) => Json::Int(*n as i128),
-                    crate::FieldValue::F64(n) => Json::Num(*n),
-                    crate::FieldValue::Bool(b) => Json::Bool(*b),
-                    crate::FieldValue::Str(s) => Json::str(s.clone()),
-                },
-            )
-        }))
-        .collect();
-    Json::obj([
-        ("name", Json::str(&e.kind)),
-        ("ph", Json::str("i")),
-        ("s", Json::str("t")), // instant scope: thread
-        ("ts", Json::Num(e.at_micros as f64)),
-        ("pid", Json::Int(PID)),
-        ("tid", Json::Int(TID_EVENTS)),
-        ("args", Json::Obj(args)),
-    ])
-}
 
 fn thread_name(tid: i128, name: &str) -> Json {
     Json::obj([
@@ -100,27 +37,9 @@ fn process_name() -> Json {
         ("name", Json::str("process_name")),
         ("ph", Json::str("M")),
         ("pid", Json::Int(PID)),
-        ("tid", Json::Int(TID_SPANS)),
+        ("tid", Json::Int(0)),
         ("args", Json::obj([("name", Json::str("genpar"))])),
     ])
-}
-
-/// Fallback trace events: metadata, the span flame layout, then ring
-/// events by timestamp.
-fn synthetic_events(snap: &Snapshot) -> Vec<Json> {
-    let mut out = vec![
-        process_name(),
-        thread_name(TID_SPANS, "spans (aggregated)"),
-        thread_name(TID_EVENTS, "events"),
-    ];
-    let mut cursor = 0.0;
-    for s in &snap.spans {
-        cursor = span_events(s, cursor, &mut out);
-    }
-    for e in &snap.events {
-        out.push(instant_event(e));
-    }
-    out
 }
 
 fn lane_name(lane: u32) -> String {
@@ -210,38 +129,26 @@ fn timeline_events(tl: &TimelineSnapshot) -> Vec<Json> {
     out
 }
 
-fn all_events(snap: &Snapshot, tl: &TimelineSnapshot) -> Vec<Json> {
-    if tl.events.is_empty() {
-        synthetic_events(snap)
-    } else {
-        timeline_events(tl)
-    }
-}
-
-/// Render a snapshot (plus timeline, when recorded) as a Chrome
-/// `trace_event` JSON object (`chrome://tracing` / Perfetto loadable).
-/// With timeline events present the export is real B/E pairs on
-/// per-worker lanes; otherwise the synthetic flame layout.
-pub fn chrome_trace(snap: &Snapshot, tl: &TimelineSnapshot) -> Json {
-    let mut fields = vec![
-        ("traceEvents".to_string(), Json::Arr(all_events(snap, tl))),
-        ("displayTimeUnit".to_string(), Json::str("ms")),
-    ];
-    if !tl.events.is_empty() {
-        fields.push(("timelineDropped".to_string(), Json::Int(tl.dropped as i128)));
-    }
-    Json::Obj(fields)
+/// Render a timeline as a Chrome `trace_event` JSON object
+/// (`chrome://tracing` / Perfetto loadable): real B/E pairs on
+/// per-worker lanes.
+pub fn chrome_trace(tl: &TimelineSnapshot) -> Json {
+    Json::obj([
+        ("traceEvents", Json::Arr(timeline_events(tl))),
+        ("displayTimeUnit", Json::str("ms")),
+        ("timelineDropped", Json::Int(tl.dropped as i128)),
+    ])
 }
 
 /// [`chrome_trace`] as text.
-pub fn chrome_trace_string(snap: &Snapshot, tl: &TimelineSnapshot) -> String {
-    chrome_trace(snap, tl).to_string()
+pub fn chrome_trace_string(tl: &TimelineSnapshot) -> String {
+    chrome_trace(tl).to_string()
 }
 
 /// Render the trace events as JSONL: one JSON object per line.
-pub fn jsonl(snap: &Snapshot, tl: &TimelineSnapshot) -> String {
+pub fn jsonl(tl: &TimelineSnapshot) -> String {
     let mut out = String::new();
-    for e in all_events(snap, tl) {
+    for e in timeline_events(tl) {
         out.push_str(&e.to_string());
         out.push('\n');
     }
@@ -251,30 +158,6 @@ pub fn jsonl(snap: &Snapshot, tl: &TimelineSnapshot) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{FieldValue, Registry};
-
-    fn sample_snapshot() -> Snapshot {
-        let reg = Registry::new();
-        {
-            let mut outer = reg.span("engine.execute");
-            outer.field("rows_out", 3);
-            let _a = reg.span("plan.Project");
-            drop(_a);
-            let _b = reg.span("plan.Scan");
-        }
-        reg.event(
-            "exec.retune",
-            [
-                ("old", FieldValue::U64(1024)),
-                ("new", FieldValue::U64(2048)),
-            ],
-        );
-        reg.snapshot()
-    }
-
-    fn no_tl() -> TimelineSnapshot {
-        TimelineSnapshot::default()
-    }
 
     /// A hand-built timeline: two lanes, nested spans on lane 0, a
     /// morsel + steal on lane 1.
@@ -311,76 +194,10 @@ mod tests {
     }
 
     #[test]
-    fn fallback_chrome_trace_is_loadable_json_with_all_events() {
-        let snap = sample_snapshot();
-        let text = chrome_trace_string(&snap, &no_tl());
-        let parsed = Json::parse(&text).expect("trace parses");
-        let events = parsed
-            .get("traceEvents")
-            .and_then(|v| v.as_arr())
-            .expect("traceEvents array");
-        // 3 metadata + 3 spans + 1 instant
-        assert_eq!(events.len(), 7, "{text}");
-        let span = events
-            .iter()
-            .find(|e| e.get("name").and_then(|n| n.as_str()) == Some("engine.execute"))
-            .expect("span event present");
-        assert_eq!(span.get("ph").unwrap().as_str(), Some("X"));
-        assert!(span.get("dur").is_some());
-        let inst = events
-            .iter()
-            .find(|e| e.get("name").and_then(|n| n.as_str()) == Some("exec.retune"))
-            .expect("instant event present");
-        assert_eq!(inst.get("ph").unwrap().as_str(), Some("i"));
-        assert_eq!(
-            inst.get("args").unwrap().get("new").unwrap().as_int(),
-            Some(2048)
-        );
-    }
-
-    #[test]
-    fn fallback_children_are_laid_out_inside_their_parent() {
-        let snap = sample_snapshot();
-        let j = chrome_trace(&snap, &no_tl());
-        let events = j.get("traceEvents").and_then(|v| v.as_arr()).unwrap();
-        let get = |name: &str| {
-            events
-                .iter()
-                .find(|e| e.get("name").and_then(|n| n.as_str()) == Some(name))
-                .unwrap()
-        };
-        let num = |e: &Json, k: &str| match e.get(k) {
-            Some(Json::Num(n)) => *n,
-            Some(Json::Int(i)) => *i as f64,
-            _ => panic!("missing {k}"),
-        };
-        let parent = get("engine.execute");
-        let child = get("plan.Scan");
-        let (ps, pd) = (num(parent, "ts"), num(parent, "dur"));
-        let (cs, cd) = (num(child, "ts"), num(child, "dur"));
-        assert!(
-            cs >= ps && cs + cd <= ps + pd + 1e-6,
-            "child escapes parent"
-        );
-    }
-
-    #[test]
-    fn jsonl_is_one_object_per_line() {
-        let snap = sample_snapshot();
-        let text = jsonl(&snap, &no_tl());
-        let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 7);
-        for line in lines {
-            Json::parse(line).expect("each JSONL line parses");
-        }
-    }
-
-    #[test]
     fn timeline_export_emits_balanced_nested_be_pairs() {
-        let snap = sample_snapshot();
-        let j = chrome_trace(&snap, &sample_timeline());
+        let j = chrome_trace(&sample_timeline());
         let events = j.get("traceEvents").and_then(|v| v.as_arr()).unwrap();
-        // no synthetic X events in timeline mode
+        // only begin/end pairs, instants and metadata: no complete events
         assert!(events
             .iter()
             .all(|e| e.get("ph").and_then(|p| p.as_str()) != Some("X")));
@@ -443,10 +260,9 @@ mod tests {
 
     #[test]
     fn timeline_jsonl_matches_object_form() {
-        let snap = sample_snapshot();
         let tl = sample_timeline();
-        let text = jsonl(&snap, &tl);
-        let obj = chrome_trace(&snap, &tl);
+        let text = jsonl(&tl);
+        let obj = chrome_trace(&tl);
         let n = obj
             .get("traceEvents")
             .and_then(|v| v.as_arr())

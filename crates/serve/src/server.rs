@@ -291,15 +291,16 @@ fn handle_query(ctx: &ServerCtx, req: &Request) -> Json {
     // up into the global root and retains the per-tenant summary that
     // the stats op's "tenant"/"query_id" filters serve
     let obs_scope = genpar_obs::Scope::for_request(query_id, Some(&req.tenant));
-    // arm the tenant quota pool and the per-request wall deadline on
-    // this session thread; SharedMeter::from_armed layers a request
-    // meter over both for the parallel workers
+    // arm the tenant quota pool on this session thread, then the
+    // per-request wall deadline over it: every charge — here and on the
+    // pool workers the executor hands the armed meter — checks the
+    // deadline and draws from the pool
     let _tenant_scope = ctx
         .tenants
         .meter(&req.tenant)
         .map(genpar_guard::enter_shared);
     let timeout = req.timeout_ms.or(ctx.default_timeout_ms);
-    let _wall = timeout.map(|ms| genpar_guard::arm_wall_deadline_local(Duration::from_millis(ms)));
+    let _wall = timeout.map(|ms| genpar_guard::arm_wall_deadline(Duration::from_millis(ms)));
     let t0 = Instant::now();
     let result = {
         let _g = obs_scope.enter();

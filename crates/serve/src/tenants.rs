@@ -3,14 +3,15 @@
 //! Each tenant named on the wire gets one long-lived
 //! [`SharedMeter`] over the server's `--tenant-budget` spec (the
 //! `GENPAR_BUDGET` grammar), created on first sight. A session arms the
-//! tenant's meter thread-locally around request execution
-//! ([`genpar_guard::enter_shared`]), so serial evaluation drains the
+//! tenant's meter as-is around request execution
+//! ([`genpar_guard::enter_shared`]); the request's wall deadline, when
+//! it has one, layers a meter over it at arming time
+//! ([`genpar_guard::arm_wall_deadline`]). Serial evaluation drains the
 //! pool through the ordinary `charge_*` functions and parallel workers
-//! drain it through a per-request meter layered on top
-//! ([`SharedMeter::from_armed`]). Cumulative resources (cells, steps)
-//! are *not* reset between requests — a tenant that exhausts its pool
-//! keeps getting `budget_exceeded` until the server restarts, while
-//! every other tenant is untouched.
+//! through the armed meter the executor hands them. Cumulative resources
+//! (cells, steps) are *not* reset between requests — a tenant that
+//! exhausts its pool keeps getting `budget_exceeded` until the server
+//! restarts, while every other tenant is untouched.
 
 use genpar_guard::{ExecBudget, SharedMeter};
 use genpar_obs::Json;
@@ -53,6 +54,8 @@ impl Tenants {
 
     /// Usage by tenant, for the `stats` op.
     pub fn usage_json(&self) -> Json {
+        // every pool is over the registry's budget (no budget, no pools)
+        let budget = self.budget.unwrap_or_else(ExecBudget::unlimited);
         let rows: Vec<(String, Json)> = self
             .locked()
             .iter()
@@ -62,8 +65,8 @@ impl Tenants {
                     Json::obj([
                         ("cells_used", Json::Int(m.cells_used() as i128)),
                         ("steps_used", Json::Int(m.steps_used() as i128)),
-                        ("max_cells", Json::Int(m.budget().max_cells as i128)),
-                        ("max_steps", Json::Int(m.budget().max_steps as i128)),
+                        ("max_cells", Json::Int(budget.max_cells as i128)),
+                        ("max_steps", Json::Int(budget.max_steps as i128)),
                     ]),
                 )
             })

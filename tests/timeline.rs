@@ -242,11 +242,10 @@ proptest! {
         );
         let cfg = ExecConfig::serial().with_workers(4).with_morsel_rows(4);
         eval_query(&q, &cat, &cfg).map_err(|e| TestCaseError::Fail(format!("eval: {e}")))?;
-        let snap = genpar_obs::snapshot();
         let tl = timeline::snapshot();
         timeline::set_enabled(false);
         prop_assert!(!tl.events.is_empty(), "timeline recorded nothing");
-        let text = genpar_obs::trace::chrome_trace_string(&snap, &tl);
+        let text = genpar_obs::trace::chrome_trace_string(&tl);
         let (per_tid, begin_names) = check_chrome_trace(&text);
         for (tid, b, e) in &per_tid {
             prop_assert_eq!(b, e, "unbalanced B/E on tid {}", tid);
