@@ -116,6 +116,8 @@ pub enum EvalError {
     },
     /// An interpreted symbol is not in the signature.
     UnknownSymbol(String),
+    /// An interpreted symbol was applied outside its declared domain.
+    Domain(genpar_value::DomainError),
     /// `Complement` was evaluated without a universe, or the universe was
     /// too large to enumerate.
     NoUniverse,
@@ -145,6 +147,7 @@ impl fmt::Display for EvalError {
             EvalError::UnknownRelation(n) => write!(f, "unknown relation {n}"),
             EvalError::Shape { op, found } => write!(f, "{op}: unexpected value shape {found}"),
             EvalError::UnknownSymbol(n) => write!(f, "unknown interpreted symbol {n}"),
+            EvalError::Domain(e) => write!(f, "{e}"),
             EvalError::NoUniverse => write!(f, "complement requires a finite universe"),
             EvalError::BadColumn(i) => write!(f, "column ${} out of range", i + 1),
             EvalError::BudgetExceeded {
@@ -761,7 +764,7 @@ pub fn eval_pred(p: &Pred, t: &Value, db: &Db) -> Result<bool, EvalError> {
             for &c in cols {
                 args.push(tup.get(c).ok_or(EvalError::BadColumn(c))?.clone());
             }
-            Ok((pred.eval)(&args))
+            pred.apply(&args).map_err(EvalError::Domain)
         }
         Pred::And(a, b) => Ok(eval_pred(a, t, db)? && eval_pred(b, t, db)?),
         Pred::Or(a, b) => Ok(eval_pred(a, t, db)? || eval_pred(b, t, db)?),
@@ -785,11 +788,7 @@ pub fn apply_fn(f: &ValueFn, v: &Value, db: &Db) -> Result<Value, EvalError> {
                 .signature()
                 .function(name)
                 .ok_or_else(|| EvalError::UnknownSymbol(name.clone()))?;
-            let args: Vec<Value> = match v.as_tuple() {
-                Some(t) if func.args.len() != 1 => t.to_vec(),
-                _ => vec![v.clone()],
-            };
-            Ok((func.eval)(&args))
+            func.apply(v).map_err(EvalError::Domain)
         }
         ValueFn::Pair(a, b) => Ok(Value::tuple([apply_fn(a, v, db)?, apply_fn(b, v, db)?])),
         ValueFn::Custom(g) => Ok(g(v)),

@@ -600,7 +600,8 @@ impl Vm {
                         self.args
                             .push(tup.get(col).ok_or(EvalError::BadColumn(col))?.clone());
                     }
-                    self.stack.push(Value::Bool((pred.eval)(&self.args)));
+                    let b = pred.apply(&self.args).map_err(EvalError::Domain)?;
+                    self.stack.push(Value::Bool(b));
                 }
                 Op::Not => match self.stack.last_mut() {
                     Some(Value::Bool(b)) => *b = !*b,
@@ -674,14 +675,8 @@ impl Vm {
                         .function(name)
                         .ok_or_else(|| EvalError::UnknownSymbol(name.clone()))?;
                     let top = self.stack.pop().ok_or_else(|| corrupt("empty stack"))?;
-                    self.args.clear();
-                    // the walker's spread rule: a tuple argument spreads
-                    // unless the function is unary
-                    match top.as_tuple() {
-                        Some(t) if func.args.len() != 1 => self.args.extend(t.iter().cloned()),
-                        _ => self.args.push(top),
-                    }
-                    self.stack.push((func.eval)(&self.args));
+                    self.stack
+                        .push(func.apply(&top).map_err(EvalError::Domain)?);
                 }
                 Op::Dup => {
                     let top = self
@@ -839,13 +834,22 @@ mod tests {
             args: vec![genpar_value::BaseType::Int, genpar_value::BaseType::Int],
             result: genpar_value::BaseType::Int,
             eval: Box::new(|vs: &[Value]| match vs {
-                [Value::Int(a), Value::Int(b)] => Value::Int(a + b),
-                _ => Value::Int(-1),
+                [Value::Int(a), Value::Int(b)] => Some(Value::Int(a + b)),
+                _ => None,
             }),
         });
-        // unary `succ` on a tuple: NOT spread (walker rule)
+        // a tuple spreads: unary `succ` takes a 1-tuple's sole component
+        // and errors, naming itself and the value, on a wider tuple
         assert_fn_parity(&ValueFn::Interp("succ".into()), &Value::Int(5), &d);
+        assert_fn_parity(&ValueFn::Interp("succ".into()), &tup("(5)"), &d);
         assert_fn_parity(&ValueFn::Interp("succ".into()), &tup("(5, 6)"), &d);
+        let succ = ValueFn::Interp("succ".into());
+        assert_eq!(apply_fn(&succ, &tup("(5)"), &d), Ok(Value::Int(6)));
+        let err = apply_fn(&succ, &tup("(5, 6)"), &d).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "succ is not defined on (5, 6): it takes int"
+        );
         assert_fn_parity(&ValueFn::Interp("add".into()), &tup("(5, 6)"), &d);
         assert_fn_parity(&ValueFn::Interp("add".into()), &Value::Int(5), &d);
         assert_fn_parity(&ValueFn::Interp("ghost".into()), &Value::Int(5), &d);

@@ -668,7 +668,7 @@ mod tests {
     #[test]
     fn optimize_traces_rewrites() {
         let out = optimize_cmd("pi[$1](union(R, S))", None, None, &unset()).unwrap();
-        assert!(out.contains("ProjectThroughUnion"), "{out}");
+        assert!(out.contains("MapThroughGeneric"), "{out}");
         assert!(out.contains("estimated cost"), "{out}");
         // difference push only with the key flag
         let out = optimize_cmd("pi[$1](diff(R, S))", None, None, &unset()).unwrap();
@@ -679,8 +679,8 @@ mod tests {
     fn explain_shows_trace_and_plan() {
         let _g = obs_guard();
         let out = explain("pi[$1](union(R, S))", 1);
-        assert!(out.contains("ProjectThroughUnion"), "{out}");
-        assert!(out.contains("Cor 4.15"), "{out}");
+        assert!(out.contains("MapThroughGeneric"), "{out}");
+        assert!(out.contains("∪: closure (Prop 3.1)"), "{out}");
         assert!(out.contains("chosen plan:"), "{out}");
         assert!(out.contains("Scan R"), "{out}");
         assert!(out.contains("estimated cost"), "{out}");
@@ -755,27 +755,26 @@ mod tests {
     #[test]
     fn explain_reports_blocked_difference_push() {
         let _g = obs_guard();
-        // without the union-key assertion the Prop 3.4 side condition
-        // fails: the rule must show up as blocked, not fired
-        let out = explain("pi[$1](diff(R, S))", 1);
-        assert!(out.contains("blocked rewrites:"), "{out}");
-        assert!(out.contains("ProjectThroughDifference"), "{out}");
-        assert!(out.contains("Prop 3.4"), "{out}");
-        // with the assertion the rule fires, but on narrow 2-column
-        // tables the cost model keeps the original (the Series C
-        // crossover) — explain must say so instead of "no rewrite fired"
-        let out = explain_cmd(
+        for q in [
             "pi[$1](diff(R, S))",
-            None,
-            Some("R,S:$1"),
-            Some(1),
-            None,
-            None,
-            &unset(),
-        )
-        .unwrap();
-        assert!(out.contains("cost model kept the original"), "{out}");
-        assert!(!out.contains("no rewrite fired"), "{out}");
+            "pi[$1](intersect(R, S))",
+            "map[$1](intersect(R, S))",
+        ] {
+            // without the union-key assertion the Prop 3.4 side condition
+            // fails: the rule must show up as blocked, not fired
+            let out = explain(q, 1);
+            assert!(out.contains("blocked rewrites:"), "{out}");
+            assert!(out.contains("MapThroughGeneric"), "{out}");
+            assert!(out.contains("Prop 3.4"), "{out}");
+            assert!(out.contains("not proven injective (no union key)"), "{out}");
+            // with the assertion the rule fires, but on narrow 2-column
+            // tables the cost model keeps the original (the Series C
+            // crossover) — explain must say so instead of "no rewrite fired"
+            let out = explain_cmd(q, None, Some("R,S:$1"), Some(1), None, None, &unset()).unwrap();
+            assert!(out.contains("cost model kept the original"), "{out}");
+            assert!(!out.contains("no rewrite fired"), "{out}");
+            assert!(!out.contains("blocked rewrites:"), "{out}");
+        }
     }
 
     #[test]

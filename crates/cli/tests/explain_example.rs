@@ -34,8 +34,8 @@ fn explain_example_2_2_names_section_4_4_rules() {
     let db = example_db();
     let out = run(&["explain", "pi[$1](union(r1, r3))", "--db", &db]);
     // the fired rule, by name and by justification
-    assert!(out.contains("ProjectThroughUnion"), "{out}");
-    assert!(out.contains("Cor 4.15"), "{out}");
+    assert!(out.contains("MapThroughGeneric"), "{out}");
+    assert!(out.contains("∪: closure (Prop 3.1)"), "{out}");
     // the cost model's verdict and the physical plan it implies
     assert!(out.contains("estimated cost"), "{out}");
     assert!(out.contains("chosen plan:"), "{out}");
@@ -48,7 +48,7 @@ fn explain_example_2_2_blocks_difference_push_without_key() {
     let db = example_db();
     let out = run(&["explain", "pi[$1](diff(r1, r3))", "--db", &db]);
     assert!(out.contains("blocked rewrites:"), "{out}");
-    assert!(out.contains("ProjectThroughDifference"), "{out}");
+    assert!(out.contains("MapThroughGeneric"), "{out}");
     assert!(out.contains("Prop 3.4"), "{out}");
 }
 
@@ -175,13 +175,14 @@ fn explain_example_2_2_even_now_earns_a_combiner_certificate() {
 
 /// One representation at every worker count: `map` with a bare-valued
 /// function is refused by the partition gate (§2.1: rows are tuples), so
-/// the walker answers at 1, 2 and 4 workers alike. This pins identity
-/// across worker counts, not that `succ` of a 1-tuple is right.
+/// the walker answers at 1, 2 and 4 workers alike — and the unary `succ`
+/// applies to the sole component of each 1-tuple of `nums`.
 #[test]
 fn bare_valued_map_prints_the_same_bytes_at_every_worker_count() {
     let db = example_db();
     let at = |w: &str| run(&["run", "map[succ](nums)", "--db", &db, "--parallel", w]);
     let one = at("1");
+    assert_eq!(one.trim(), "{8, 9, 10}");
     assert_eq!(at("2"), one, "2 workers diverged from 1");
     assert_eq!(at("4"), one, "4 workers diverged from 1");
 }

@@ -64,6 +64,10 @@ pub enum ExecError {
     UnknownTable(String),
     /// Predicate/function evaluation failed.
     Eval(String),
+    /// An interpreted symbol was applied outside its declared domain —
+    /// the walker's `EvalError::Domain`, carried whole so every route
+    /// reports the same error.
+    Domain(genpar_value::DomainError),
     /// An [`genpar_guard::ExecBudget`] cap was crossed; execution stopped
     /// promptly, reporting the work counters accumulated so far.
     Budget {
@@ -97,6 +101,7 @@ impl fmt::Display for ExecError {
         match self {
             ExecError::UnknownTable(n) => write!(f, "unknown table {n}"),
             ExecError::Eval(e) => write!(f, "evaluation failed: {e}"),
+            ExecError::Domain(e) => write!(f, "{e}"),
             ExecError::Budget {
                 resource,
                 limit,

@@ -14,7 +14,7 @@
 //! the ~100µs/task sweet spot.
 
 use crate::morsel::{chunk_rows, key_partition, partition_rows, row_partition};
-use crate::{pool, tune, ExecConfig};
+use crate::{eval_to_exec, pool, tune, ExecConfig};
 use genpar_algebra::{eval::apply_fn, eval::eval_pred, vm, Db, Pred, ValueFn};
 use genpar_engine::plan::{ExecError, ExecStats};
 use genpar_guard::SharedMeter;
@@ -160,10 +160,6 @@ fn fault_err(f: genpar_guard::Fault) -> ExecError {
     ExecError::Fault(f.to_string())
 }
 
-fn eval_err(e: genpar_algebra::EvalError) -> ExecError {
-    ExecError::Eval(e.to_string())
-}
-
 fn budget_err(b: genpar_guard::BudgetBreach, partial: &ExecStats) -> ExecError {
     ExecError::Budget {
         resource: b.resource,
@@ -292,7 +288,7 @@ pub(crate) fn par_filter(input: Rows, p: &Pred, ctx: &Ctx) -> Result<(Rows, Exec
                         stats.rows_processed += 1;
                         stats.cells_processed += row.len() as u64;
                         let tv = Value::Tuple(row.clone());
-                        if m.run_pred(prog, &tv, &db).map_err(eval_err)? {
+                        if m.run_pred(prog, &tv, &db).map_err(eval_to_exec)? {
                             out.push(row);
                         }
                     }
@@ -302,7 +298,7 @@ pub(crate) fn par_filter(input: Rows, p: &Pred, ctx: &Ctx) -> Result<(Rows, Exec
                         stats.rows_processed += 1;
                         stats.cells_processed += row.len() as u64;
                         let tv = Value::Tuple(row.clone());
-                        if eval_pred(p, &tv, &db).map_err(eval_err)? {
+                        if eval_pred(p, &tv, &db).map_err(eval_to_exec)? {
                             out.push(row);
                         }
                     }
@@ -368,7 +364,7 @@ pub(crate) fn par_map(input: Rows, f: &ValueFn, ctx: &Ctx) -> Result<(Rows, Exec
                         stats.rows_processed += 1;
                         stats.cells_processed += row.len() as u64;
                         let tv = Value::Tuple(row);
-                        out.push(into_row(m.run_fn(prog, &tv, &db).map_err(eval_err)?)?);
+                        out.push(into_row(m.run_fn(prog, &tv, &db).map_err(eval_to_exec)?)?);
                     }
                 }
                 None => {
@@ -376,7 +372,7 @@ pub(crate) fn par_map(input: Rows, f: &ValueFn, ctx: &Ctx) -> Result<(Rows, Exec
                         stats.rows_processed += 1;
                         stats.cells_processed += row.len() as u64;
                         let tv = Value::Tuple(row);
-                        out.push(into_row(apply_fn(f, &tv, &db).map_err(eval_err)?)?);
+                        out.push(into_row(apply_fn(f, &tv, &db).map_err(eval_to_exec)?)?);
                     }
                 }
             }
@@ -637,7 +633,7 @@ pub(crate) fn par_combine(
                         // semantics and on error cases
                         let tv = Value::Tuple(row);
                         acc = acc.wrapping_add(
-                            genpar_algebra::eval::sum_component(&tv, col).map_err(eval_err)?,
+                            genpar_algebra::eval::sum_component(&tv, col).map_err(eval_to_exec)?,
                         );
                     }
                 }

@@ -458,6 +458,7 @@ fn eval_to_exec(e: genpar_algebra::EvalError) -> ExecError {
             partial: ExecStats::default(),
         },
         genpar_algebra::EvalError::Fault(msg) => ExecError::Fault(msg),
+        genpar_algebra::EvalError::Domain(d) => ExecError::Domain(d),
         other => ExecError::Eval(other.to_string()),
     }
 }
@@ -489,7 +490,7 @@ pub fn eval_verdict(
     catalog: &Catalog,
     cfg: &ExecConfig,
 ) -> Result<(Value, ExecStats, ExecRoute), ExecError> {
-    match verdict {
+    let out = match verdict {
         PartitionSafety::Safe(cert) => match lower(q) {
             Some(plan) => {
                 let certificate = cert.to_string();
@@ -525,6 +526,19 @@ pub fn eval_verdict(
         }
         PartitionSafety::Combiner { op, cert } => run_combiner_route(q, catalog, cfg, op, &cert),
         PartitionSafety::Unsafe { op, reason } => fallback(q, catalog, cfg, op, reason),
+    };
+    match out {
+        // an ill-typed application fails on whichever morsel reaches it
+        // first; the walker names the first offending element in
+        // canonical order, so every route reports its error
+        Err(ExecError::Domain(first)) => {
+            let db = db_from_catalog(catalog).with_vm(cfg.vm);
+            match eval(q, &db) {
+                Err(e) => Err(eval_to_exec(e)),
+                Ok(_) => Err(ExecError::Domain(first)),
+            }
+        }
+        out => out,
     }
 }
 

@@ -53,8 +53,9 @@ pub fn preserves_function<'a>(
         let xt = Value::Tuple(xs.to_vec());
         let yt = Value::Tuple(ys.to_vec());
         if relates(family, &arg_ty, mode, &xt, &yt) {
-            let fx = (f.eval)(xs);
-            let fy = (f.eval)(ys);
+            let (Ok(fx), Ok(fy)) = (f.apply(&xt), f.apply(&yt)) else {
+                return false;
+            };
             if !relates(family, &res_ty, mode, &fx, &fy) {
                 return false;
             }
@@ -139,10 +140,10 @@ pub fn preserves_predicate_as_relation(
     let mut left: std::collections::BTreeSet<Value> = std::collections::BTreeSet::new();
     let mut right: std::collections::BTreeSet<Value> = std::collections::BTreeSet::new();
     for (xs, ys) in related_arg_pairs(family, &p.args, int_window) {
-        if (p.eval)(&xs) {
+        if p.apply(&xs) == Ok(true) {
             left.insert(Value::Tuple(xs));
         }
-        if (p.eval)(&ys) {
+        if p.apply(&ys) == Ok(true) {
             right.insert(Value::Tuple(ys));
         }
     }
@@ -171,7 +172,7 @@ pub fn preserves_predicate(
         let arg_ty = CvType::Tuple(p.args.iter().map(|b| CvType::Base(*b)).collect());
         let xt = Value::Tuple(xs.clone());
         let yt = Value::Tuple(ys.clone());
-        if relates(family, &arg_ty, mode, &xt, &yt) && (p.eval)(&xs) != (p.eval)(&ys) {
+        if relates(family, &arg_ty, mode, &xt, &yt) && p.apply(&xs) != p.apply(&ys) {
             return false;
         }
     }
@@ -255,8 +256,8 @@ mod tests {
             name: "odd".into(),
             args: vec![BaseType::Int],
             eval: Box::new(|vs| match vs {
-                [Value::Int(n)] => n % 2 != 0,
-                _ => false,
+                [Value::Int(n)] => Some(n % 2 != 0),
+                _ => None,
             }),
         };
         for pairs in [

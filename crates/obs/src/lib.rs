@@ -270,7 +270,7 @@ mod tests {
         reg.event(
             "rewrite",
             [
-                ("rule", FieldValue::Str("ProjectThroughUnion".into())),
+                ("rule", FieldValue::Str("MapThroughGeneric".into())),
                 ("fired", FieldValue::Bool(true)),
                 ("cost", FieldValue::F64(12.5)),
             ],

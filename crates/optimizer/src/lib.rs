@@ -13,15 +13,20 @@
 //! * `Π₁(R ∪ S) = Π₁(R) ∪ Π₁(S)` — needs parametricity, not mere
 //!   genericity: `π₁` relates values of *different* structures, which
 //!   only the Section 4 relations allow;
-//! * `Π₁(R − S) = Π₁(R) − Π₁(S)` — **only** when column 1 is a key for
-//!   `R ∪ S`, making `π₁` injective there; `−` is generic only w.r.t.
-//!   injective mappings (Proposition 3.4).
+//! * `Π₁(R − S) = Π₁(R) − Π₁(S)` and `Π₁(R ∩ S) = Π₁(R) ∩ Π₁(S)` —
+//!   **only** when column 1 is a key for `R ∪ S`, making `π₁` injective
+//!   there; `−` and `∩` are generic only w.r.t. injective mappings
+//!   (Proposition 3.4).
 //!
-//! The [`rules`] module implements these (plus the classical
-//! σ/π-cascades they generalize) as rewrite rules carrying a
-//! *justification*: which genericity/parametricity fact licenses them and
-//! which side conditions were checked. The [`rewrite`] engine applies
-//! them bottom-up to fixpoint and records a trace. Soundness (rewritten ≡
+//! The [`rules`] module implements these as one commutation rule,
+//! [`Rule::MapThroughGeneric`], whose licence comes from the classifier:
+//! it fires when what `genpar_core::infer_requirements` says the
+//! operator needs of a mapping is within what `f` (π read as a column
+//! map) is proven to be. Beside it sit selection pushdown and the
+//! classical σ/π-cascades. Every step carries a *justification*: for the
+//! commutation rule, the classifier's derivation for the operator and
+//! what `f` was proven to be. The [`rewrite`] engine applies the rules
+//! bottom-up to fixpoint and records a trace. Soundness (rewritten ≡
 //! original on all databases) is property-tested in `tests/`.
 
 pub mod calibration;

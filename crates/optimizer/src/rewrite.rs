@@ -1,6 +1,6 @@
 //! The bottom-up rewrite engine.
 
-use crate::rules::{arity_of, base_tables, pred_columns, Rule, RuleSet};
+use crate::rules::{arity_of, map_through_generic, pred_columns, Rule, RuleSet};
 use genpar_algebra::{Pred, Query};
 use genpar_engine::Catalog;
 use genpar_obs::FieldValue;
@@ -11,6 +11,10 @@ use std::fmt;
 pub struct RewriteStep {
     /// The rule applied.
     pub rule: Rule,
+    /// The paper fact licensing this step; for
+    /// [`Rule::MapThroughGeneric`], the classifier's derivation for the
+    /// operator and what the mapping was proven to be.
+    pub justification: String,
     /// Rendering of the subexpression before the rewrite.
     pub before: String,
     /// Rendering after.
@@ -36,7 +40,7 @@ impl fmt::Display for RewriteTrace {
                 "{:>2}. {}  [{}]  (cost {:.1} → {:.1})\n      {}  ⇒  {}",
                 i + 1,
                 s.rule,
-                s.rule.justification(),
+                s.justification,
                 s.cost_before,
                 s.cost_after,
                 s.before,
@@ -115,7 +119,7 @@ fn pass(q: &Query, rules: &RuleSet, catalog: &Catalog, trace: &mut RewriteTrace)
     let (node, mut changed) = map_children(q, |c| pass(c, rules, catalog, trace));
     // then try rules at this node
     for rule in &rules.rules {
-        if let Some(next) = try_rule(*rule, &node, rules, catalog) {
+        if let Some((next, justification)) = try_rule(*rule, &node, rules, catalog) {
             let cost_before = crate::cost::estimate(&node, catalog).cost;
             let cost_after = crate::cost::estimate(&next, catalog).cost;
             genpar_obs::event(
@@ -123,7 +127,7 @@ fn pass(q: &Query, rules: &RuleSet, catalog: &Catalog, trace: &mut RewriteTrace)
                 [
                     ("rule", FieldValue::from(rule.to_string())),
                     ("fired", FieldValue::Bool(true)),
-                    ("justification", FieldValue::from(rule.justification())),
+                    ("justification", FieldValue::from(justification.clone())),
                     ("cost_before", FieldValue::F64(cost_before)),
                     ("cost_after", FieldValue::F64(cost_after)),
                     ("before", FieldValue::from(node.to_string())),
@@ -132,6 +136,7 @@ fn pass(q: &Query, rules: &RuleSet, catalog: &Catalog, trace: &mut RewriteTrace)
             );
             trace.steps.push(RewriteStep {
                 rule: *rule,
+                justification,
                 before: node.to_string(),
                 after: next.to_string(),
                 cost_before,
@@ -233,9 +238,9 @@ fn map_children(q: &Query, mut f: impl FnMut(&Query) -> (Query, bool)) -> (Query
 }
 
 /// Record a pattern match whose genericity side condition failed: the
-/// rule's shape applied but the semantic precondition (a key constraint,
-/// predicate locality, a projection shape) did not hold.
-fn blocked(rule: Rule, q: &Query, reason: &'static str) {
+/// rule's shape applied but the semantic precondition (a mapping not
+/// proven injective, predicate locality) did not hold.
+fn blocked(rule: Rule, q: &Query, reason: String) {
     genpar_obs::counter("optimizer.rules_blocked", 1);
     genpar_obs::event(
         "optimizer.rewrite",
@@ -248,118 +253,58 @@ fn blocked(rule: Rule, q: &Query, reason: &'static str) {
     );
 }
 
-fn try_rule(rule: Rule, q: &Query, rules: &RuleSet, catalog: &Catalog) -> Option<Query> {
+/// Try `rule` at the root of `q`: the rewritten node and its
+/// justification, or `None` when the shape does not match or a side
+/// condition blocks it.
+fn try_rule(rule: Rule, q: &Query, rules: &RuleSet, catalog: &Catalog) -> Option<(Query, String)> {
+    let closure = |q: Query| Some((q, "composition closure (Prop 3.1)".to_string()));
     match (rule, q) {
         (Rule::FilterFuse, Query::Select(p, inner)) => {
-            if let Query::Select(p2, inner2) = &**inner {
-                Some(Query::Select(
-                    Pred::And(Box::new(p2.clone()), Box::new(p.clone())),
-                    inner2.clone(),
-                ))
-            } else {
-                None
-            }
+            let Query::Select(p2, inner2) = &**inner else {
+                return None;
+            };
+            closure(Query::Select(
+                Pred::And(Box::new(p2.clone()), Box::new(p.clone())),
+                inner2.clone(),
+            ))
         }
         (Rule::ProjectCascade, Query::Project(c1, inner)) => {
-            if let Query::Project(c2, inner2) = &**inner {
-                let composed: Option<Vec<usize>> = c1.iter().map(|&i| c2.get(i).copied()).collect();
-                Some(Query::Project(composed?, inner2.clone()))
-            } else {
-                None
-            }
+            let Query::Project(c2, inner2) = &**inner else {
+                return None;
+            };
+            let composed: Option<Vec<usize>> = c1.iter().map(|&i| c2.get(i).copied()).collect();
+            closure(Query::Project(composed?, inner2.clone()))
         }
         (Rule::FilterThroughUnion, Query::Select(p, inner)) => {
-            if let Query::Union(a, b) = &**inner {
-                Some(Query::Union(
-                    Box::new(Query::Select(p.clone(), a.clone())),
-                    Box::new(Query::Select(p.clone(), b.clone())),
-                ))
-            } else {
-                None
-            }
+            let Query::Union(a, b) = &**inner else {
+                return None;
+            };
+            let next = Query::Union(
+                Box::new(Query::Select(p.clone(), a.clone())),
+                Box::new(Query::Select(p.clone(), b.clone())),
+            );
+            Some((next, "genericity classes closed under ∪ (Prop 3.1)".into()))
         }
         (Rule::FilterThroughProduct, Query::Select(p, inner)) => {
-            if let Query::Product(a, b) = &**inner {
-                let left_arity = arity_of(a, catalog)?;
-                let cols = pred_columns(p);
-                if !cols.is_empty() && cols.iter().all(|&c| c < left_arity) {
-                    Some(Query::Product(
-                        Box::new(Query::Select(p.clone(), a.clone())),
-                        b.clone(),
-                    ))
-                } else {
-                    blocked(rule, q, "predicate touches right operand columns");
-                    None
-                }
-            } else {
+            let Query::Product(a, b) = &**inner else {
+                return None;
+            };
+            let left_arity = arity_of(a, catalog)?;
+            let cols = pred_columns(p);
+            if cols.is_empty() || cols.iter().any(|&c| c >= left_arity) {
+                blocked(rule, q, "predicate touches right operand columns".into());
+                return None;
+            }
+            let next = Query::Product(Box::new(Query::Select(p.clone(), a.clone())), b.clone());
+            Some((next, "genericity classes closed under × (Prop 3.1)".into()))
+        }
+        (Rule::MapThroughGeneric, _) => match map_through_generic(q, &rules.constraints)? {
+            Ok(fired) => Some(fired),
+            Err(reason) => {
+                blocked(rule, q, reason);
                 None
             }
-        }
-        (Rule::ProjectThroughUnion, Query::Project(cols, inner)) => {
-            if let Query::Union(a, b) = &**inner {
-                Some(Query::Union(
-                    Box::new(Query::Project(cols.clone(), a.clone())),
-                    Box::new(Query::Project(cols.clone(), b.clone())),
-                ))
-            } else {
-                None
-            }
-        }
-        (Rule::ProjectThroughDifference, Query::Project(cols, inner)) => {
-            if let Query::Difference(a, b) = &**inner {
-                // side condition: cols contain a key for the union of the
-                // base tables on both sides
-                let mut tables = base_tables(a)?;
-                tables.extend(base_tables(b)?);
-                if rules.constraints.cols_key_for_union(&tables, cols) {
-                    Some(Query::Difference(
-                        Box::new(Query::Project(cols.clone(), a.clone())),
-                        Box::new(Query::Project(cols.clone(), b.clone())),
-                    ))
-                } else {
-                    blocked(rule, q, "projected columns are not a union key (Prop 3.4)");
-                    None
-                }
-            } else {
-                None
-            }
-        }
-        (Rule::MapThroughUnion, Query::Map(f, inner)) => {
-            if let Query::Union(a, b) = &**inner {
-                Some(Query::Union(
-                    Box::new(Query::Map(f.clone(), a.clone())),
-                    Box::new(Query::Map(f.clone(), b.clone())),
-                ))
-            } else {
-                None
-            }
-        }
-        (Rule::MapThroughDifferenceKeyed, Query::Map(f, inner)) => {
-            if let Query::Difference(a, b) = &**inner {
-                // f must be a projection onto key columns
-                let cols = match f {
-                    genpar_algebra::ValueFn::Cols(cols) => cols.clone(),
-                    genpar_algebra::ValueFn::Proj(i) => vec![*i],
-                    _ => {
-                        blocked(rule, q, "map function is not a column projection");
-                        return None;
-                    }
-                };
-                let mut tables = base_tables(a)?;
-                tables.extend(base_tables(b)?);
-                if rules.constraints.cols_key_for_union(&tables, &cols) {
-                    Some(Query::Difference(
-                        Box::new(Query::Map(f.clone(), a.clone())),
-                        Box::new(Query::Map(f.clone(), b.clone())),
-                    ))
-                } else {
-                    blocked(rule, q, "mapped columns are not a union key (Prop 3.4)");
-                    None
-                }
-            } else {
-                None
-            }
-        }
+        },
         _ => None,
     }
 }
@@ -428,7 +373,7 @@ mod tests {
         assert!(trace
             .steps
             .iter()
-            .any(|s| s.rule == Rule::ProjectThroughUnion));
+            .any(|s| s.rule == Rule::MapThroughGeneric));
         assert_equivalent(&q, &opt, &catalog);
     }
 
@@ -464,7 +409,7 @@ mod tests {
         assert!(trace
             .steps
             .iter()
-            .any(|s| s.rule == Rule::ProjectThroughDifference));
+            .any(|s| s.rule == Rule::MapThroughGeneric));
         assert_equivalent(&q, &opt, &catalog);
     }
 
@@ -493,7 +438,10 @@ mod tests {
         let q = Query::rel("R").union(Query::rel("S")).map(f);
         let (opt, trace) = optimize(&q, &RuleSet::standard(), &catalog);
         assert!(matches!(opt, Query::Union(..)), "{opt}");
-        assert!(trace.steps.iter().any(|s| s.rule == Rule::MapThroughUnion));
+        assert!(trace
+            .steps
+            .iter()
+            .any(|s| s.rule == Rule::MapThroughGeneric));
         assert_equivalent(&q, &opt, &catalog);
     }
 
@@ -583,13 +531,122 @@ mod tests {
         );
     }
 
+    /// The classifier's derivation line for a set operator, as
+    /// `infer_requirements` prints it for the operator alone.
+    fn classifier_line(op: Query) -> String {
+        genpar_core::infer_requirements(&op).trace.pop().unwrap()
+    }
+
     #[test]
-    fn trace_displays_justifications() {
+    fn every_commutation_cites_the_classifier() {
+        let mut rng = StdRng::seed_from_u64(11);
+        let (r, s) = generate_keyed_pair(&mut rng, 60, 2, 0.5);
+        let catalog = Catalog::new().with(r).with(s);
+        let key = Constraints::none().with_union_key(["R".to_string(), "S".to_string()], [0]);
+        let rules = RuleSet::with_constraints(key);
+        let (r, s) = (Query::rel("R"), Query::rel("S"));
+        let ops = [
+            r.clone().union(s.clone()),
+            r.clone().difference(s.clone()),
+            r.clone().intersect(s.clone()),
+        ];
+        for op in ops {
+            let line = classifier_line(match &op {
+                Query::Union(..) => Query::rel("A").union(Query::rel("A")),
+                _ => Query::rel("A").intersect(Query::rel("A")),
+            });
+            for q in [
+                op.clone().project([0]),
+                op.clone().map(ValueFn::Cols(vec![0])),
+                op.clone().map(ValueFn::Proj(0)),
+                op.clone().map(ValueFn::Identity),
+            ] {
+                let (opt, trace) = optimize(&q, &rules, &catalog);
+                let step = trace
+                    .steps
+                    .iter()
+                    .find(|s| s.rule == Rule::MapThroughGeneric)
+                    .unwrap_or_else(|| panic!("no commutation on {q}"));
+                assert!(step.justification.contains(&line), "{step:?}");
+                assert!(step.justification.contains("commutes (§4.4)"), "{step:?}");
+                assert!(trace.to_string().contains(&line), "{trace}");
+                assert_equivalent(&q, &opt, &catalog);
+            }
+        }
+    }
+
+    #[test]
+    fn keyed_maps_commute_with_intersection() {
+        let mut rng = StdRng::seed_from_u64(3);
+        let (r, s) = generate_keyed_pair(&mut rng, 200, 3, 0.4);
+        let catalog = Catalog::new().with(r).with(s);
+        let key = Constraints::none().with_union_key(["R".to_string(), "S".to_string()], [0]);
+        let rules = RuleSet::with_constraints(key);
+        let both = || Query::rel("R").intersect(Query::rel("S"));
+        for q in [both().project([0]), both().map(ValueFn::Proj(0))] {
+            let (opt, trace) = optimize(&q, &rules, &catalog);
+            assert!(matches!(opt, Query::Intersect(..)), "{opt}");
+            let why = &trace.steps[0].justification;
+            assert!(
+                why.contains("Prop 3.4") && why.contains("injective (union key)"),
+                "{why}"
+            );
+            assert_equivalent(&q, &opt, &catalog);
+        }
+    }
+
+    #[test]
+    fn unproven_maps_are_blocked_below_difference_and_intersection() {
         let catalog = test_catalog();
-        let q = Query::rel("R").union(Query::rel("S")).project([0]);
-        let (_, trace) = optimize(&q, &RuleSet::standard(), &catalog);
-        let text = trace.to_string();
-        assert!(text.contains("Cor 4.15"), "{text}");
+        let key = Constraints::none().with_union_key(["R".to_string(), "S".to_string()], [0]);
+        let (r, s) = (Query::rel("R"), Query::rel("S"));
+        let custom = ValueFn::custom(|v| v.clone());
+        let (keyed, unkeyed) = (RuleSet::with_constraints(key), RuleSet::standard());
+        let cases = [
+            // $2 is not the key; no key is asserted at all for π[$1]
+            (
+                r.clone().difference(s.clone()).project([1]),
+                &keyed,
+                "no union key",
+            ),
+            (
+                r.clone().intersect(s.clone()).project([0]),
+                &unkeyed,
+                "no union key",
+            ),
+            (
+                r.clone().intersect(s.clone()).map(custom),
+                &keyed,
+                "not a column projection",
+            ),
+            // an operand that is not a base-table expression: the key is
+            // asserted for base tables only
+            (
+                r.clone().select(Pred::True).difference(s).project([0]),
+                &keyed,
+                "no union key",
+            ),
+        ];
+        for (q, rules, proof) in cases {
+            let obs = genpar_obs::Scope::anonymous();
+            let (opt, trace) = {
+                let _g = obs.enter();
+                optimize(&q, rules, &catalog)
+            };
+            assert!(trace.steps.is_empty(), "{trace}");
+            assert_eq!(opt.to_string(), q.to_string());
+            let events = obs.snapshot().events;
+            let reason = events
+                .iter()
+                .filter(|e| e.kind == "optimizer.rewrite")
+                .find_map(|e| e.fields.iter().find(|(k, _)| k == "blocked_by"))
+                .map(|(_, v)| v.to_string())
+                .unwrap_or_else(|| panic!("no blocked event on {q}"));
+            assert!(
+                reason.contains("Prop 3.4") && reason.contains(proof),
+                "{reason}"
+            );
+        }
     }
 
     #[test]

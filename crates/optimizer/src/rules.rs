@@ -1,6 +1,7 @@
 //! The rewrite rules and their side conditions.
 
-use genpar_algebra::{Pred, Query};
+use genpar_algebra::{Pred, Query, ValueFn};
+use genpar_core::{infer_requirements, Requirements};
 use genpar_engine::Catalog;
 use std::fmt;
 
@@ -51,51 +52,26 @@ impl Constraints {
 /// justification.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Rule {
-    /// `map(f)(A ∪ B) → map(f)(A) ∪ map(f)(B)` — full genericity of `∪`.
-    MapThroughUnion,
-    /// `map(f)(A × B) → ...` not included: tuple widths change; see docs.
-    /// `π(A ∪ B) → π(A) ∪ π(B)` — parametricity of `∪` (Cor 4.15).
-    ProjectThroughUnion,
-    /// `π(A − B) → π(A) − π(B)` when the columns contain a key for the
-    /// union (injectivity side condition, Prop 3.4 + §4.4).
-    ProjectThroughDifference,
+    /// `σ_p(σ_q(A)) → σ_{p∧q}(A)`.
+    FilterFuse,
+    /// `π_c1(π_c2(A)) → π_{c2∘c1}(A)`.
+    ProjectCascade,
     /// `σ_p(A ∪ B) → σ_p(A) ∪ σ_p(B)` — closure of genericity classes
     /// under ∪ (Prop 3.1).
     FilterThroughUnion,
     /// `σ_p(A × B) → σ_p(A) × B` when `p` touches only left columns.
     FilterThroughProduct,
-    /// `π_c1(π_c2(A)) → π_{c2∘c1}(A)`.
-    ProjectCascade,
-    /// `σ_p(σ_q(A)) → σ_{p∧q}(A)`.
-    FilterFuse,
-    /// `map(f)(A − B) → map(f)(A) − map(f)(B)` when `f` is injective on
-    /// the instance — only fired when the key constraint proves it.
-    MapThroughDifferenceKeyed,
+    /// `map(f)(A op B) → map(f)(A) op map(f)(B)` and
+    /// `π(A op B) → π(A) op π(B)` for op ∈ {∪, −, ∩}: a query generic
+    /// w.r.t. a class of mappings commutes with every mapping in it
+    /// (§4.4, Def 2.9). Licensed when what the classifier says `op`
+    /// needs of a mapping is within what `f` (π read as a column map) is
+    /// proven to be: ∪ needs nothing (Prop 3.1), − and ∩ need an
+    /// injective `f` (Prop 3.4), which a union key proves.
+    MapThroughGeneric,
 }
 
 impl Rule {
-    /// The paper fact licensing the rule.
-    pub fn justification(&self) -> &'static str {
-        match self {
-            Rule::MapThroughUnion => {
-                "∪ is fully generic (Cor 3.2); map(f) = {f}^rel commutes for ANY f (§4.4)"
-            }
-            Rule::ProjectThroughUnion => {
-                "∪ is parametric at ∀X.{X}×{X}→{X} (Cor 4.15); π relates across structures (§4.4)"
-            }
-            Rule::ProjectThroughDifference => {
-                "− is generic w.r.t. injective mappings (Prop 3.4); key makes π injective (§4.4)"
-            }
-            Rule::FilterThroughUnion => "genericity classes closed under ∪ (Prop 3.1)",
-            Rule::FilterThroughProduct => "genericity classes closed under × (Prop 3.1)",
-            Rule::ProjectCascade => "composition closure (Prop 3.1)",
-            Rule::FilterFuse => "composition closure (Prop 3.1)",
-            Rule::MapThroughDifferenceKeyed => {
-                "− is generic w.r.t. injective mappings (Prop 3.4); keyed map is injective"
-            }
-        }
-    }
-
     /// All rules, in application priority order.
     pub fn all() -> Vec<Rule> {
         vec![
@@ -103,10 +79,7 @@ impl Rule {
             Rule::ProjectCascade,
             Rule::FilterThroughUnion,
             Rule::FilterThroughProduct,
-            Rule::ProjectThroughUnion,
-            Rule::ProjectThroughDifference,
-            Rule::MapThroughUnion,
-            Rule::MapThroughDifferenceKeyed,
+            Rule::MapThroughGeneric,
         ]
     }
 }
@@ -150,6 +123,76 @@ impl RuleSet {
             constraints: Constraints::none(),
         }
     }
+}
+
+/// [`Rule::MapThroughGeneric`] at `q`: `None` unless `q` is π or `map(f)`
+/// over ∪, − or ∩; else the rewrite and its justification, or why it is
+/// blocked. *Needed* is what the classifier derives for the operator
+/// alone, over fresh base relations (so the operands' σ constants do not
+/// block it), in `rel` mode, since `map(f)` of a set is its image.
+/// *Provided* is what `f` (π read as `map(Cols(cols))`) is proven to be:
+/// functional, and injective when it is the identity or a column
+/// projection whose columns contain a union key for the operands' base
+/// tables. It fires iff needed ⊑ provided.
+pub(crate) fn map_through_generic(
+    q: &Query,
+    constraints: &Constraints,
+) -> Option<Result<(Query, String), String>> {
+    type SetOp = fn(Box<Query>, Box<Query>) -> Query;
+    let (Query::Project(_, op) | Query::Map(_, op)) = q else {
+        return None;
+    };
+    let (set_op, a, b): (SetOp, _, _) = match &**op {
+        Query::Union(a, b) => (Query::Union, a, b),
+        Query::Intersect(a, b) => (Query::Intersect, a, b),
+        Query::Difference(a, b) => (Query::Difference, a, b),
+        _ => return None,
+    };
+    let fresh = || Box::new(Query::rel("A"));
+    let mut inferred = infer_requirements(&set_op(fresh(), fresh()));
+    let derivation = inferred.trace.pop()?;
+    let (f, head) = match q {
+        Query::Project(cols, _) => {
+            let shown: Vec<String> = cols.iter().map(|c| format!("${}", c + 1)).collect();
+            (
+                ValueFn::Cols(cols.clone()),
+                format!("π[{}]", shown.join(",")),
+            )
+        }
+        Query::Map(f, _) => (f.clone(), format!("map({f:?})")),
+        _ => return None,
+    };
+    let keyed = |cols| base_tables(op).is_some_and(|ts| constraints.cols_key_for_union(&ts, cols));
+    let (injective, proof) = match &f {
+        ValueFn::Identity => (true, "the identity"),
+        ValueFn::Proj(i) if keyed(std::slice::from_ref(i)) => (true, "union key"),
+        ValueFn::Cols(cols) if keyed(cols) => (true, "union key"),
+        ValueFn::Proj(_) | ValueFn::Cols(_) => (false, "no union key"),
+        _ => (false, "not a column projection"),
+    };
+    let provided = Requirements {
+        injective,
+        functional: true,
+        ..Requirements::none()
+    };
+    if !inferred.rel.subsumes(&provided) {
+        return Some(Err(format!(
+            "{derivation}; {head} not proven injective ({proof})"
+        )));
+    }
+    let is = if injective {
+        format!("injective ({proof})")
+    } else {
+        "functional".to_string()
+    };
+    let over = |side: &Query| {
+        Box::new(match q {
+            Query::Project(cols, _) => Query::Project(cols.clone(), Box::new(side.clone())),
+            _ => Query::Map(f.clone(), Box::new(side.clone())),
+        })
+    };
+    let justification = format!("{derivation}; {head} is {is}: commutes (§4.4)");
+    Some(Ok((set_op(over(a), over(b)), justification)))
 }
 
 /// The arity (tuple width) of a query's output relation, when derivable
@@ -265,18 +308,5 @@ mod tests {
         let mut cols = pred_columns(&p);
         cols.sort_unstable();
         assert_eq!(cols, vec![0, 1, 2]);
-    }
-
-    #[test]
-    fn every_rule_has_a_justification() {
-        for r in Rule::all() {
-            assert!(!r.justification().is_empty());
-            assert!(
-                r.justification().contains("Prop")
-                    || r.justification().contains("Cor")
-                    || r.justification().contains('§'),
-                "{r}: justification should cite the paper"
-            );
-        }
     }
 }

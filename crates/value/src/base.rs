@@ -10,10 +10,14 @@
 
 use std::fmt;
 
-/// Boxed implementation of an interpreted function symbol.
-pub type FnImpl = Box<dyn Fn(&[crate::Value]) -> crate::Value + Send + Sync>;
-/// Boxed implementation of an interpreted predicate symbol.
-pub type PredImpl = Box<dyn Fn(&[crate::Value]) -> bool + Send + Sync>;
+use crate::Value;
+
+/// Boxed implementation of an interpreted function symbol: `None` outside
+/// the function's domain.
+pub type FnImpl = Box<dyn Fn(&[Value]) -> Option<Value> + Send + Sync>;
+/// Boxed implementation of an interpreted predicate symbol: `None` outside
+/// the predicate's domain.
+pub type PredImpl = Box<dyn Fn(&[Value]) -> Option<bool> + Send + Sync>;
 
 /// Identifier of an uninterpreted base domain within a [`Signature`].
 ///
@@ -110,9 +114,27 @@ pub struct InterpFn {
     pub args: Vec<BaseType>,
     /// Result base type.
     pub result: BaseType,
-    /// The interpretation. Arguments are values of the base types in
-    /// `args`; the implementation may assume they are well-typed.
+    /// The interpretation. [`InterpFn::apply`] calls it only on values of
+    /// the base types in `args`.
     pub eval: FnImpl,
+}
+
+impl InterpFn {
+    /// Apply the function to a value. A tuple supplies its components as
+    /// the arguments, so a unary function applies to the sole component
+    /// of a 1-tuple (§2.1); any other value is the one argument. Values
+    /// outside the declared `args` are an error naming the function and
+    /// the value, never a default result.
+    pub fn apply(&self, v: &Value) -> Result<Value, DomainError> {
+        let args = match v {
+            Value::Tuple(t) => t.as_slice(),
+            other => std::slice::from_ref(other),
+        };
+        within(&self.args, args)
+            .then(|| (self.eval)(args))
+            .flatten()
+            .ok_or_else(|| DomainError::new(&self.name, &self.args, v.to_string()))
+    }
 }
 
 impl fmt::Debug for InterpFn {
@@ -136,8 +158,27 @@ pub struct InterpPred {
     pub name: String,
     /// Argument base types.
     pub args: Vec<BaseType>,
-    /// The interpretation.
+    /// The interpretation. [`InterpPred::apply`] calls it only on values
+    /// of the base types in `args`.
     pub eval: PredImpl,
+}
+
+impl InterpPred {
+    /// Decide the predicate on its arguments. Arguments outside the
+    /// declared `args` are an error naming the predicate and the
+    /// arguments, never `false`.
+    pub fn apply(&self, args: &[Value]) -> Result<bool, DomainError> {
+        within(&self.args, args)
+            .then(|| (self.eval)(args))
+            .flatten()
+            .ok_or_else(|| {
+                let found = match args {
+                    [one] => one.to_string(),
+                    many => Value::Tuple(many.to_vec()).to_string(),
+                };
+                DomainError::new(&self.name, &self.args, found)
+            })
+    }
 }
 
 impl fmt::Debug for InterpPred {
@@ -148,6 +189,58 @@ impl fmt::Debug for InterpPred {
             .finish_non_exhaustive()
     }
 }
+
+/// Do `args` inhabit the declared base types, one for one?
+fn within(declared: &[BaseType], args: &[Value]) -> bool {
+    declared.len() == args.len()
+        && declared
+            .iter()
+            .zip(args)
+            .all(|(ty, v)| v.base_type() == Some(*ty))
+}
+
+/// An interpreted symbol applied outside its domain. Section 2.5 defines
+/// functions and predicates on the base types they declare; anything else
+/// is an error, which a parametric program must preserve like any other
+/// effect.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct DomainError {
+    /// The function or predicate.
+    pub symbol: String,
+    /// Rendering of the value it was applied to.
+    pub found: String,
+    /// Rendering of the declared argument types.
+    pub expects: String,
+}
+
+impl DomainError {
+    fn new(symbol: &str, declared: &[BaseType], found: String) -> DomainError {
+        let expects = match declared {
+            [one] => one.to_string(),
+            many => {
+                let tys: Vec<String> = many.iter().map(BaseType::to_string).collect();
+                format!("({})", tys.join(", "))
+            }
+        };
+        DomainError {
+            symbol: symbol.to_string(),
+            found,
+            expects,
+        }
+    }
+}
+
+impl fmt::Display for DomainError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "{} is not defined on {}: it takes {}",
+            self.symbol, self.found, self.expects
+        )
+    }
+}
+
+impl std::error::Error for DomainError {}
 
 /// A signature Σ: the base types available to a data model instance,
 /// together with their interpreted functions and predicates.
@@ -230,36 +323,38 @@ impl Signature {
     /// examples: `int` with the predicates `even`, `<` and the unary
     /// predicate `=7` ("=₇" of Section 2.5), plus the successor function.
     pub fn standard_int() -> Self {
-        use crate::Value;
         let mut s = Signature::new();
         s.add_predicate(InterpPred {
             name: "even".into(),
             args: vec![BaseType::Int],
             eval: Box::new(|vs: &[Value]| match vs {
-                [Value::Int(n)] => n % 2 == 0,
-                _ => false,
+                [Value::Int(n)] => Some(n % 2 == 0),
+                _ => None,
             }),
         });
         s.add_predicate(InterpPred {
             name: "lt".into(),
             args: vec![BaseType::Int, BaseType::Int],
             eval: Box::new(|vs: &[Value]| match vs {
-                [Value::Int(a), Value::Int(b)] => a < b,
-                _ => false,
+                [Value::Int(a), Value::Int(b)] => Some(a < b),
+                _ => None,
             }),
         });
         s.add_predicate(InterpPred {
             name: "eq7".into(),
             args: vec![BaseType::Int],
-            eval: Box::new(|vs: &[Value]| matches!(vs, [Value::Int(7)])),
+            eval: Box::new(|vs: &[Value]| match vs {
+                [Value::Int(n)] => Some(*n == 7),
+                _ => None,
+            }),
         });
         s.add_function(InterpFn {
             name: "succ".into(),
             args: vec![BaseType::Int],
             result: BaseType::Int,
             eval: Box::new(|vs: &[Value]| match vs {
-                [Value::Int(n)] => Value::Int(n + 1),
-                _ => Value::Int(0),
+                [Value::Int(n)] => Some(Value::Int(n + 1)),
+                _ => None,
             }),
         });
         s
@@ -269,7 +364,6 @@ impl Signature {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Value;
 
     #[test]
     fn atoms_have_identity_and_order() {
@@ -319,18 +413,54 @@ mod tests {
     fn standard_int_signature_symbols() {
         let s = Signature::standard_int();
         let even = s.predicate("even").unwrap();
-        assert!((even.eval)(&[Value::Int(4)]));
-        assert!(!(even.eval)(&[Value::Int(7)]));
+        assert_eq!(even.apply(&[Value::Int(4)]), Ok(true));
+        assert_eq!(even.apply(&[Value::Int(7)]), Ok(false));
         let eq7 = s.predicate("eq7").unwrap();
-        assert!((eq7.eval)(&[Value::Int(7)]));
-        assert!(!(eq7.eval)(&[Value::Int(8)]));
+        assert_eq!(eq7.apply(&[Value::Int(7)]), Ok(true));
+        assert_eq!(eq7.apply(&[Value::Int(8)]), Ok(false));
         let lt = s.predicate("lt").unwrap();
-        assert!((lt.eval)(&[Value::Int(1), Value::Int(2)]));
-        assert!(!(lt.eval)(&[Value::Int(2), Value::Int(2)]));
+        assert_eq!(lt.apply(&[Value::Int(1), Value::Int(2)]), Ok(true));
+        assert_eq!(lt.apply(&[Value::Int(2), Value::Int(2)]), Ok(false));
         let succ = s.function("succ").unwrap();
-        assert_eq!((succ.eval)(&[Value::Int(41)]), Value::Int(42));
+        assert_eq!(succ.apply(&Value::Int(41)), Ok(Value::Int(42)));
         assert!(s.predicate("odd").is_none());
         assert!(s.function("pred").is_none());
+    }
+
+    #[test]
+    fn a_unary_function_applies_to_the_sole_component_of_a_1_tuple() {
+        let s = Signature::standard_int();
+        let succ = s.function("succ").unwrap();
+        let one = Value::tuple([Value::Int(7)]);
+        assert_eq!(succ.apply(&one), Ok(Value::Int(8)));
+    }
+
+    #[test]
+    fn arguments_outside_the_declared_domain_are_errors() {
+        let s = Signature::standard_int();
+        let (a, b) = (Value::atom(0, 0), Value::atom(0, 1));
+        let err = s
+            .function("succ")
+            .unwrap()
+            .apply(&Value::tuple([a.clone(), b]))
+            .unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "succ is not defined on (a, b): it takes int"
+        );
+        let pair = Value::tuple([Value::Int(1), Value::Int(2)]);
+        assert!(s.function("succ").unwrap().apply(&pair).is_err());
+        let err = s.predicate("even").unwrap().apply(&[a]).unwrap_err();
+        assert_eq!(err.to_string(), "even is not defined on a: it takes int");
+        let err = s
+            .predicate("lt")
+            .unwrap()
+            .apply(&[Value::Int(1)])
+            .unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "lt is not defined on 1: it takes (int, int)"
+        );
     }
 
     #[test]

@@ -33,7 +33,7 @@ pub mod random;
 pub mod ty;
 pub mod value;
 
-pub use base::{Atom, BaseType, DomainId, InterpFn, InterpPred, Signature};
+pub use base::{Atom, BaseType, DomainError, DomainId, InterpFn, InterpPred, Signature};
 pub use display::{canonical_order, canonical_rows, rows_to_value};
 pub use ty::{CvType, TyVar, TypeExpr};
 pub use value::{TypeError, Value};

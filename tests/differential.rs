@@ -17,7 +17,7 @@
 //! library reads no environment.
 
 use genpar::optimizer::{
-    optimize, optimize_costed_parallel_with_stats, Calibration, Constraints, RuleSet,
+    optimize, optimize_costed_parallel_with_stats, Calibration, Constraints, Rule, RuleSet,
 };
 use genpar_algebra::{Pred, Query, ValueFn};
 use genpar_engine::workload::{generate_edges, generate_keyed_pair, generate_table, WorkloadSpec};
@@ -144,9 +144,10 @@ fn random_inner(rng: &mut StdRng) -> (Query, usize) {
     }
 }
 
-/// A random inner plan some Section 4.4 rule rewrites: π, σ or map over
-/// ∪, π∘π, σ∘σ and σ over ×; with `keyed` (a catalog where `$1` is a key
-/// for R ∪ S) also π and a column map over −.
+/// A random inner plan some Section 4.4 rule rewrites: π, σ or map
+/// (`map[succ]` too) over ∪, π∘π, σ∘σ and σ over ×; with `keyed` (a
+/// catalog where `$1` is a key for R ∪ S) also π and a column map over −
+/// and ∩.
 fn rewritable_inner(rng: &mut StdRng, keyed: bool) -> Query {
     fn pred(rng: &mut StdRng) -> Pred {
         match rng.gen_range(0..3) {
@@ -157,7 +158,7 @@ fn rewritable_inner(rng: &mut StdRng, keyed: bool) -> Query {
     }
     let r = Query::rel("R");
     let s = Query::rel("S");
-    match rng.gen_range(0..if keyed { 9 } else { 7 }) {
+    match rng.gen_range(0..if keyed { 12 } else { 8 }) {
         0 => r.union(s).project(vec![rng.gen_range(0..2usize)]),
         1 => r.union(s).select(pred(rng)),
         2 => r.union(s).map(ValueFn::Cols(vec![1, 0])),
@@ -169,8 +170,39 @@ fn rewritable_inner(rng: &mut StdRng, keyed: bool) -> Query {
         5 => r.product(s).select(pred(rng)),
         // several rules in one plan
         6 => r.union(s).select(pred(rng)).project(vec![0]),
-        7 => r.difference(s).project(vec![0]),
-        _ => r.difference(s).map(ValueFn::Cols(vec![0, 1])),
+        // a bare-valued interpreted map over ∪ of unary operands
+        7 => r
+            .project(vec![0])
+            .union(s.project(vec![1]))
+            .map(ValueFn::Interp("succ".into())),
+        8 => r.difference(s).project(vec![0]),
+        9 => r.difference(s).map(ValueFn::Cols(vec![0, 1])),
+        10 => r.intersect(s).project(if rng.gen_bool(0.5) {
+            vec![0]
+        } else {
+            vec![1, 0]
+        }),
+        _ => r.intersect(s).map(if rng.gen_bool(0.5) {
+            ValueFn::Cols(vec![0])
+        } else {
+            ValueFn::Proj(0)
+        }),
+    }
+}
+
+/// π[$1] or `map[$1]` over − or ∩ with no key asserted: the mapping is
+/// not proven injective, so no commutation may fire (Prop 3.4).
+fn unproven_inner(rng: &mut StdRng) -> Query {
+    let (r, s) = (Query::rel("R"), Query::rel("S"));
+    let operands = if rng.gen_bool(0.5) {
+        r.difference(s)
+    } else {
+        r.intersect(s)
+    };
+    if rng.gen_bool(0.5) {
+        operands.project(vec![0])
+    } else {
+        operands.map(ValueFn::Proj(0))
     }
 }
 
@@ -383,12 +415,14 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     /// Shape 6 — optimized ≡ unoptimized: the Section 4.4 rewrites are
-    /// equivalences that genericity licenses (Cor 4.15 for π through ∪,
-    /// Prop 3.1 for the σ and π cascades, Prop 3.4 for π through − under
-    /// a key), so the rewrite and the plan the costed optimizer chooses
-    /// at each worker count answer exactly as the query as written —
-    /// through the walker and on every route, worker count and morsel
-    /// size.
+    /// equivalences that genericity licenses (the one commutation rule
+    /// whose licence the classifier derives: any π or map through ∪,
+    /// Prop 3.1; a keyed π or column map through − and ∩, Prop 3.4;
+    /// and Prop 3.1 for the σ and π cascades), so the rewrite and the
+    /// plan the costed optimizer chooses at each worker count answer
+    /// exactly as the query as written — through the walker and on
+    /// every route, worker count and morsel size. Without a key, π and
+    /// `map[$1]` over − and ∩ must not commute at all.
     #[test]
     fn differential_optimized(seed in 0u64..1_000_000) {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -404,11 +438,23 @@ proptest! {
         } else {
             (random_flat_catalog(&mut rng), RuleSet::standard())
         };
-        let inner = rewritable_inner(&mut rng, keyed);
+        let unproven = !keyed && rng.gen_bool(0.25);
+        let inner = if unproven {
+            unproven_inner(&mut rng)
+        } else {
+            rewritable_inner(&mut rng, keyed)
+        };
         let q = if rng.gen_bool(0.25) { inner.count() } else { inner };
         let truth = walker(&q, &cat)?;
         let (rewritten, trace) = optimize(&q, &rules, &cat);
-        prop_assert!(!trace.steps.is_empty(), "no rule fired on {}", q);
+        if unproven {
+            prop_assert!(
+                trace.steps.iter().all(|s| s.rule != Rule::MapThroughGeneric),
+                "an unproven mapping commuted on {}:\n{}", q, trace
+            );
+        } else {
+            prop_assert!(!trace.steps.is_empty(), "no rule fired on {}", q);
+        }
         prop_assert_eq!(&walker(&rewritten, &cat)?, &truth, "rewrite {} of {}", rewritten, q);
         assert_routes_match(&rewritten, &truth, &cat, &WORKERS)?;
         for w in WORKERS {

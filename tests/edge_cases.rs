@@ -11,7 +11,7 @@ use genpar::prelude::*;
 use genpar_algebra::eval::{eval, Db, EvalError};
 use genpar_algebra::{catalog, Pred, Query};
 use genpar_engine::{lower, Catalog, Schema, Table};
-use genpar_exec::{EvalParallel, ExecConfig};
+use genpar_exec::{db_from_catalog, eval_query, EvalParallel, ExecConfig};
 use genpar_value::parse::parse_value;
 
 fn rel2() -> CvType {
@@ -250,4 +250,54 @@ fn deep_nesting_relates_within_budget() {
     }
     assert!(relates(&f, &t, ExtensionMode::Rel, &v, &v));
     assert!(relates(&f, &t, ExtensionMode::Strong, &v, &v));
+}
+
+/// Example 2.2's relations (`examples/data/example_2_2.gdb`), with the
+/// int relation `nums`.
+fn example_2_2() -> Catalog {
+    let rel = |name: &str, ty: CvType, arity, rows: &str| {
+        Table::from_value(
+            name,
+            Schema::uniform(ty, arity),
+            &parse_value(rows).unwrap(),
+        )
+    };
+    let r1 = "{(e, f), (i, f), (e, j), (i, j), (f, g), (j, g)}";
+    Catalog::new()
+        .with(rel("r1", CvType::domain(0), 2, r1))
+        .with(rel("r2", CvType::domain(0), 2, "{(a, b), (b, c)}"))
+        .with(rel("nums", CvType::int(), 1, "{(7), (8), (9)}"))
+}
+
+#[test]
+fn interpreted_symbols_apply_on_their_domain_and_fail_outside_it() {
+    let cat = example_2_2();
+    // the walker's answer, then the executor's at 1 and 2 workers
+    let answers = |q: &str| {
+        let q = genpar_algebra::parse::parse_query(q).unwrap();
+        let walked = eval(&q, &db_from_catalog(&cat));
+        let mut out = vec![walked.map(|v| v.to_string()).map_err(|e| e.to_string())];
+        for w in [1, 2] {
+            let cfg = ExecConfig::serial().with_workers(w);
+            let run = eval_query(&q, &cat, &cfg);
+            out.push(run.map(|(v, ..)| v.to_string()).map_err(|e| e.to_string()));
+        }
+        out
+    };
+    // §2.1: `(7)` is a 1-tuple of int, so the unary `succ` applies to its
+    // sole component
+    for got in answers("map[succ](nums)") {
+        assert_eq!(got, Ok("{8, 9, 10}".to_string()));
+    }
+    // outside their declared domains, interpretations are errors naming
+    // the symbol and the value, never a default result
+    for got in answers("map[succ](r2)") {
+        assert_eq!(
+            got,
+            Err("succ is not defined on (a, b): it takes int".into())
+        );
+    }
+    for got in answers("select[even($1)](r1)") {
+        assert_eq!(got, Err("even is not defined on e: it takes int".into()));
+    }
 }

@@ -11,19 +11,22 @@
 //! the VM switched off (`ExecConfig::with_vm(false)` and
 //! `Db::with_vm(false)`, the `GENPAR_VM=0` semantics), and with the
 //! `vm.exec` fault armed (the VM must *degrade to the walker*, never to
-//! a wrong answer).
+//! a wrong answer). Ill-typed applications — `succ` over a binary row,
+//! `even`/`lt` over an atom column — are part of the surface: the AST,
+//! the VM and the executor fail with the same `DomainError`.
 //!
 //! The VM switch is per evaluation, so the VM-off cases need no lock.
 //! The fault table is process-global: every case that arms it holds
 //! `FAULT_LOCK` until it disarms — the same discipline the chaos oracle
 //! uses for fault storms.
 
-use genpar_algebra::eval::{apply_fn, eval_pred, Db};
+use genpar_algebra::eval::{apply_fn, eval_pred, Db, EvalError};
 use genpar_algebra::{vm, Pred, Query, ValueFn};
+use genpar_engine::plan::ExecError;
 use genpar_engine::workload::{generate_edges, generate_table, WorkloadSpec};
-use genpar_engine::Catalog;
+use genpar_engine::{Catalog, Schema, Table};
 use genpar_exec::{db_from_catalog, eval_query, ExecConfig};
-use genpar_value::Value;
+use genpar_value::{CvType, Value};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -93,11 +96,17 @@ fn random_fn(rng: &mut StdRng, depth: usize) -> ValueFn {
 
 /// A random tuple the predicates/functions are applied to — arity 3
 /// covers every column the generators mention; scalars and short
-/// tuples exercise the out-of-range error paths.
+/// tuples exercise the out-of-range error paths, and an atom in the
+/// first column makes `even`/`lt`/`succ` over it ill-typed.
 fn random_tuple(rng: &mut StdRng) -> Value {
-    match rng.gen_range(0..4) {
+    match rng.gen_range(0..5) {
         0 => Value::Int(rng.gen_range(-3..9)),
         1 => Value::tuple((0..2).map(|_| Value::Int(rng.gen_range(0..5)))),
+        2 => Value::tuple([
+            Value::atom(0, rng.gen_range(0..3)),
+            Value::Int(rng.gen_range(0..5)),
+            Value::Int(rng.gen_range(0..5)),
+        ]),
         _ => Value::tuple((0..3).map(|_| Value::Int(rng.gen_range(0..5)))),
     }
 }
@@ -115,6 +124,36 @@ fn random_flat_catalog(rng: &mut StdRng) -> Catalog {
     let r = generate_table(rng, "R", spec(r_rows));
     let s = generate_table(rng, "S", spec(s_rows));
     Catalog::new().with(r).with(s)
+}
+
+/// [`random_flat_catalog`] plus `A`, binary rows of atoms (at least
+/// one), over which every interpreted int symbol is ill-typed.
+fn random_catalog_with_atoms(rng: &mut StdRng) -> Catalog {
+    let rows = rng.gen_range(1..40);
+    let atoms = Value::set(
+        (0..rows).map(|_| Value::tuple((0..2).map(|_| Value::atom(0, rng.gen_range(0..8))))),
+    );
+    let a = Table::from_value("A", Schema::uniform(CvType::domain(0), 2), &atoms);
+    random_flat_catalog(rng).with(a)
+}
+
+/// A plan that applies an interpreted symbol outside its domain: `succ`
+/// over a binary row, or `even`/`lt` over an atom column.
+fn random_ill_typed_query(rng: &mut StdRng) -> Query {
+    let succ = || ValueFn::Interp("succ".into());
+    let a = || Query::rel("A");
+    let atom_pred = if rng.gen_bool(0.5) {
+        Pred::Named("even".into(), vec![rng.gen_range(0..2)])
+    } else {
+        Pred::Named("lt".into(), vec![0, 1])
+    };
+    match rng.gen_range(0..5) {
+        0 => Query::rel("R").map(succ()),
+        1 => Query::rel("R").union(Query::rel("S")).map(succ()),
+        2 => a().select(atom_pred),
+        3 => a().select(atom_pred).project(vec![0]).count(),
+        _ => a().union(a().select(Pred::eq_cols(0, 1))).select(atom_pred),
+    }
 }
 
 /// A VM-eligible predicate over binary rows (known symbols only, so
@@ -346,6 +385,48 @@ proptest! {
         });
         genpar_guard::disarm_faults();
         verdict?;
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Shape 6 — ill-typed applications: `succ` over a binary row and
+    /// `even`/`lt` over an atom column fail with the same structured
+    /// error from the walker with the VM on and off and from the
+    /// executor at every worker count, morsel size and VM setting —
+    /// naming the symbol and the walker's first offending value.
+    #[test]
+    fn vm_ill_typed_applications_fail_alike(seed in 0u64..1_000_000) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let cat = random_catalog_with_atoms(&mut rng);
+        let q = random_ill_typed_query(&mut rng);
+        let truth = genpar_algebra::eval::eval(&q, &db_from_catalog(&cat));
+        let expected = match &truth {
+            Err(EvalError::Domain(d)) => Err(ExecError::Domain(d.clone())),
+            Ok(v) => Ok(v.to_string()),
+            Err(other) => return Err(TestCaseError::Fail(format!(
+                "walker failed on {q} with a non-domain error: {other}"
+            ))),
+        };
+        prop_assert!(
+            expected.is_err() || !matches!(q, Query::Select(..)),
+            "a σ over the non-empty A must fail: {}", q
+        );
+        for vm in [true, false] {
+            let walked = genpar_algebra::eval::eval(&q, &db_from_catalog(&cat).with_vm(vm));
+            prop_assert_eq!(&walked, &truth, "walker (vm={}) diverged on {}", vm, q);
+            for w in WORKERS {
+                for m in MORSELS {
+                    let cfg = ExecConfig::serial().with_workers(w).with_morsel_rows(m).with_vm(vm);
+                    let got = eval_query(&q, &cat, &cfg).map(|(v, ..)| v.to_string());
+                    prop_assert_eq!(
+                        &got, &expected,
+                        "executor diverged on {} (w={}, m={}, vm={})", q, w, m, vm
+                    );
+                }
+            }
+        }
     }
 }
 
