@@ -631,11 +631,17 @@ fn eval_node(
 /// integer addressed as column 0. Shared with the parallel combiner
 /// kernel so the two routes agree on semantics (and on error cases).
 pub fn sum_component(t: &Value, col: usize) -> Result<i64, EvalError> {
-    let v = match t.as_tuple() {
-        Some(tup) => tup.get(col).ok_or(EvalError::BadColumn(col))?,
-        None if col == 0 => t,
-        None => return Err(shape("sum", t)),
-    };
+    match t.as_tuple() {
+        Some(tup) => row_sum_component(tup, col),
+        None if col == 0 => t.as_int().ok_or_else(|| shape("sum", t)),
+        None => Err(shape("sum", t)),
+    }
+}
+
+/// [`sum_component`] of a tuple element, read from its components where
+/// they lie (the executor's rows).
+pub fn row_sum_component(row: &[Value], col: usize) -> Result<i64, EvalError> {
+    let v = row.get(col).ok_or(EvalError::BadColumn(col))?;
     v.as_int().ok_or_else(|| shape("sum", v))
 }
 
@@ -742,33 +748,43 @@ fn map_set(
 
 /// Evaluate a predicate on a tuple.
 pub fn eval_pred(p: &Pred, t: &Value, db: &Db) -> Result<bool, EvalError> {
+    pred_on(p, t.as_tuple().ok_or(t), db)
+}
+
+/// [`eval_pred`] on a tuple's components, borrowed where they lie (the
+/// executor's rows): the same verdicts and errors as on the tuple value.
+pub fn eval_row_pred(p: &Pred, row: &[Value], db: &Db) -> Result<bool, EvalError> {
+    pred_on(p, Ok(row), db)
+}
+
+/// A predicate over a tuple's components, or over the non-tuple element
+/// it was applied to (a shape error wherever a column is read).
+fn pred_on(p: &Pred, t: Result<&[Value], &Value>, db: &Db) -> Result<bool, EvalError> {
+    let tuple = || t.map_err(|v| shape("σ", v));
     match p {
         Pred::True => Ok(true),
         Pred::EqCols(i, j) => {
-            let tup = t.as_tuple().ok_or_else(|| shape("σ", t))?;
+            let tup = tuple()?;
             let a = tup.get(*i).ok_or(EvalError::BadColumn(*i))?;
             let b = tup.get(*j).ok_or(EvalError::BadColumn(*j))?;
             Ok(a == b)
         }
-        Pred::EqConst(i, c) => {
-            let tup = t.as_tuple().ok_or_else(|| shape("σ", t))?;
-            Ok(tup.get(*i).ok_or(EvalError::BadColumn(*i))? == c)
-        }
+        Pred::EqConst(i, c) => Ok(tuple()?.get(*i).ok_or(EvalError::BadColumn(*i))? == c),
         Pred::Named(name, cols) => {
             let pred = db
                 .signature()
                 .predicate(name)
                 .ok_or_else(|| EvalError::UnknownSymbol(name.clone()))?;
-            let tup = t.as_tuple().ok_or_else(|| shape("σ", t))?;
+            let tup = tuple()?;
             let mut args = Vec::with_capacity(cols.len());
             for &c in cols {
                 args.push(tup.get(c).ok_or(EvalError::BadColumn(c))?.clone());
             }
             pred.apply(&args).map_err(EvalError::Domain)
         }
-        Pred::And(a, b) => Ok(eval_pred(a, t, db)? && eval_pred(b, t, db)?),
-        Pred::Or(a, b) => Ok(eval_pred(a, t, db)? || eval_pred(b, t, db)?),
-        Pred::Not(a) => Ok(!eval_pred(a, t, db)?),
+        Pred::And(a, b) => Ok(pred_on(a, t, db)? && pred_on(b, t, db)?),
+        Pred::Or(a, b) => Ok(pred_on(a, t, db)? || pred_on(b, t, db)?),
+        Pred::Not(a) => Ok(!pred_on(a, t, db)?),
     }
 }
 

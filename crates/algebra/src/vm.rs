@@ -567,6 +567,31 @@ impl Vm {
     /// are byte-identical to [`crate::eval::eval_pred`] on the source
     /// expression.
     pub fn run_pred(&mut self, prog: &Program, t: &Value, db: &Db) -> Result<bool, EvalError> {
+        self.pred_on(prog, t.as_tuple().ok_or(t), db)
+    }
+
+    /// [`Vm::run_pred`] on a tuple's components, borrowed where they lie
+    /// (the executor's rows): the same verdicts and errors as on the
+    /// tuple value.
+    pub fn run_row_pred(
+        &mut self,
+        prog: &Program,
+        row: &[Value],
+        db: &Db,
+    ) -> Result<bool, EvalError> {
+        self.pred_on(prog, Ok(row), db)
+    }
+
+    /// A predicate program over a tuple's components, or over the
+    /// non-tuple element it was applied to (a shape error wherever a
+    /// column is read).
+    fn pred_on(
+        &mut self,
+        prog: &Program,
+        t: Result<&[Value], &Value>,
+        db: &Db,
+    ) -> Result<bool, EvalError> {
+        let tuple = || t.map_err(|v| shape("σ", v));
         if prog.kind != ProgKind::Pred {
             return Err(corrupt("function program run as predicate"));
         }
@@ -578,13 +603,13 @@ impl Vm {
             match op {
                 Op::PushBool(b) => self.stack.push(Value::Bool(*b)),
                 Op::EqCols(i, j) => {
-                    let tup = t.as_tuple().ok_or_else(|| shape("σ", t))?;
+                    let tup = tuple()?;
                     let a = tup.get(*i).ok_or(EvalError::BadColumn(*i))?;
                     let b = tup.get(*j).ok_or(EvalError::BadColumn(*j))?;
                     self.stack.push(Value::Bool(a == b));
                 }
                 Op::EqConst(i, c) => {
-                    let tup = t.as_tuple().ok_or_else(|| shape("σ", t))?;
+                    let tup = tuple()?;
                     let a = tup.get(*i).ok_or(EvalError::BadColumn(*i))?;
                     self.stack.push(Value::Bool(a == &prog.consts[*c as usize]));
                 }
@@ -594,7 +619,7 @@ impl Vm {
                         .signature()
                         .predicate(name)
                         .ok_or_else(|| EvalError::UnknownSymbol(name.clone()))?;
-                    let tup = t.as_tuple().ok_or_else(|| shape("σ", t))?;
+                    let tup = tuple()?;
                     self.args.clear();
                     for &col in &prog.colsets[*c as usize] {
                         self.args

@@ -772,6 +772,15 @@ mod tests {
             // crossover) — explain must say so instead of "no rewrite fired"
             let out = explain_cmd(q, None, Some("R,S:$1"), Some(1), None, None, &unset()).unwrap();
             assert!(out.contains("cost model kept the original"), "{out}");
+            // the fired step is listed with the classifier's derivation
+            assert!(out.contains("fired rewrites (not kept):"), "{out}");
+            assert!(out.contains("MapThroughGeneric"), "{out}");
+            assert!(
+                out.contains("∩/−:") && out.contains("commutes (§4.4)"),
+                "{out}"
+            );
+            let line = |tag: &str| out.lines().find_map(|l| l.strip_prefix(tag)).map(str::trim);
+            assert_eq!(line("query:"), line("optimized:"), "{out}");
             assert!(!out.contains("no rewrite fired"), "{out}");
             assert!(!out.contains("blocked rewrites:"), "{out}");
         }

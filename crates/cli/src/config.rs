@@ -36,8 +36,8 @@ pub struct RunConfig {
     /// `GENPAR_MORSEL`: `N` starts the tuner at `N` rows, `fixed:N` pins
     /// it there (`N >= 1`).
     pub morsel: Option<(usize, bool)>,
-    /// `GENPAR_RETRY`: an explicit retry policy (`0..=16`).
-    pub retry: Option<RetryPolicy>,
+    /// `GENPAR_RETRY`: the retry policy (`0..=16`; default 2).
+    pub retry: RetryPolicy,
     /// `GENPAR_PARALLEL`: the worker count when `--parallel` is absent.
     pub parallel: Option<usize>,
     /// `GENPAR_FAULTS`: a fault spec, checked against the known sites.
@@ -53,7 +53,7 @@ impl Default for RunConfig {
             timeline: false,
             vm: true,
             morsel: None,
-            retry: None,
+            retry: RetryPolicy::default(),
             parallel: None,
             faults: None,
             budget: None,
@@ -114,9 +114,9 @@ impl RunConfig {
             }
         }
         run.morsel = get(MORSEL_ENV).map(|v| morsel(&v)).transpose()?;
-        run.retry = get(RETRY_ENV)
-            .map(|v| RetryPolicy::parse(&v).map_err(|e| bad(RETRY_ENV, e)))
-            .transpose()?;
+        if let Some(v) = get(RETRY_ENV) {
+            run.retry = RetryPolicy::parse(&v).map_err(|e| bad(RETRY_ENV, e))?;
+        }
         run.parallel = get(PARALLEL_ENV)
             .map(|v| parse_workers(PARALLEL_ENV, &v))
             .transpose()?;
@@ -202,7 +202,7 @@ mod tests {
         );
         let exec = run.exec();
         assert!(!exec.vm);
-        assert_eq!(exec.retry, Some(RetryPolicy::none()));
+        assert_eq!(exec.retry, RetryPolicy::none());
         assert_eq!((run.workers(None), run.workers(Some(2))), (4, 2));
     }
 

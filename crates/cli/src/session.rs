@@ -67,8 +67,11 @@ pub(crate) struct Prepared {
     /// The plan every consumer runs or renders: the rewrite when the cost
     /// model kept it, else the query as written.
     pub(crate) plan: Query,
-    /// The rewrite steps that produced `plan` (empty when none was kept).
+    /// The rewrite steps the pass fired, whether or not the cost model
+    /// kept their result.
     pub(crate) trace: RewriteTrace,
+    /// Whether `plan` is the rewrite (else the query as written).
+    pub(crate) rewritten: bool,
     /// The original's and the rewrite's estimates, when a rule fired and
     /// the two were costed.
     pub(crate) costs: Option<(Estimate, Estimate)>,
@@ -223,20 +226,20 @@ impl Session {
             let observed = self.observed.read();
             observed.unwrap_or_else(PoisonError::into_inner).clone()
         });
-        let (rewritten, trace) = genpar_optimizer::optimize(q, &self.rules, &self.catalog);
-        let (plan, trace, costs) = if trace.steps.is_empty() {
-            (rewritten, trace, None)
+        let (rewrite, trace) = genpar_optimizer::optimize(q, &self.rules, &self.catalog);
+        let (plan, rewritten, costs) = if trace.steps.is_empty() {
+            (rewrite, false, None)
         } else {
-            let (plan, trace, base, new) = keep_cheaper(
+            let (plan, kept, base, new) = keep_cheaper(
                 q,
-                rewritten,
-                trace,
+                rewrite,
+                trace.clone(),
                 &self.catalog,
                 workers,
                 &self.cal,
                 observed.as_deref(),
             );
-            (plan, trace, Some((base, new)))
+            (plan, !kept.steps.is_empty(), Some((base, new)))
         };
         let mut verdict = partition_safety(&plan);
         if verdict.parallel_eligible() && self.reads_ragged(&plan) {
@@ -257,6 +260,7 @@ impl Session {
         Prepared {
             plan,
             trace,
+            rewritten,
             costs,
             verdict,
             route,
@@ -327,10 +331,10 @@ impl Session {
         let mut out = String::new();
         let _ = writeln!(out, "original:  {q}");
         let _ = writeln!(out, "optimized: {}", p.plan);
-        if p.trace.steps.is_empty() {
-            let _ = writeln!(out, "(no profitable rewrite)");
-        } else {
+        if p.rewritten {
             let _ = write!(out, "{}", p.trace);
+        } else {
+            let _ = writeln!(out, "(no profitable rewrite)");
         }
         let _ = writeln!(
             out,
@@ -370,19 +374,14 @@ impl Session {
         }
         let _ = writeln!(out);
         if p.trace.steps.is_empty() {
-            // distinguish "nothing matched" from "matched but cost-rejected"
-            let rejected = snap.events.iter().any(|e| {
-                e.kind == "optimizer.plan_choice"
-                    && event_field(e, "chosen") == "original"
-                    && event_field(e, "steps") != "0"
-            });
-            out.push_str(if rejected {
-                "rewrites fired but the cost model kept the original plan.\n"
-            } else {
-                "no rewrite fired.\n"
-            });
+            out.push_str("no rewrite fired.\n");
         } else {
-            let _ = writeln!(out, "rewrite trace:");
+            if p.rewritten {
+                out.push_str("rewrite trace:\n");
+            } else {
+                out.push_str("rewrites fired but the cost model kept the original plan.\n");
+                out.push_str("fired rewrites (not kept):\n");
+            }
             let _ = write!(out, "{}", p.trace);
         }
         // blocked rewrites: pattern matched, genericity side condition failed

@@ -94,6 +94,16 @@ impl ExecError {
     pub fn is_budget(&self) -> bool {
         matches!(self, ExecError::Budget { .. })
     }
+
+    /// Could re-running the failed work succeed? Only for an injected
+    /// fault. Interpretations are defined on their declared domains
+    /// (§2.5), so an off-domain application, a bad column or a budget
+    /// breach fails the same way on every re-run; a caught panic is a
+    /// broken invariant. The executor's retries, requeues and
+    /// degradation to the walker all ask this one question.
+    pub fn is_transient(&self) -> bool {
+        matches!(self, ExecError::Fault(_))
+    }
 }
 
 impl fmt::Display for ExecError {

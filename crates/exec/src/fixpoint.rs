@@ -12,12 +12,11 @@
 
 use crate::kernels::{self, Ctx, JoinIndex, Rows};
 use crate::{
-    apply_op, breach_to_exec, charge_source, children, fallback, note_degrade, record_run,
-    recovery_retries, retry_gate, run_plan, traced, with_partial, ExecConfig, ExecRoute,
+    apply_op, breach_to_exec, charge_source, children, on_executor, retry_gate, run_plan, traced,
+    ExecConfig,
 };
-use genpar_algebra::Query;
 use genpar_core::SafetyCert;
-use genpar_engine::plan::{lower, ExecError, ExecStats, PhysicalPlan};
+use genpar_engine::plan::{ExecError, ExecStats, PhysicalPlan};
 use genpar_engine::schema::Catalog;
 use genpar_value::Value;
 use std::borrow::Cow;
@@ -157,8 +156,8 @@ fn run_round<'a>(
         Round::Op(node, inputs) => traced(node, || {
             let inputs = inputs
                 .iter()
-                .map(|r| run_round(r, input, ctx, stats).map(Cow::into_owned))
-                .collect::<Result<Vec<Rows>, ExecError>>()?;
+                .map(|r| run_round(r, input, ctx, stats))
+                .collect::<Result<Vec<_>, ExecError>>()?;
             apply_op(node, inputs, ctx, stats)
         })
         .map(Cow::Owned),
@@ -166,7 +165,8 @@ fn run_round<'a>(
 }
 
 /// The per-round fixpoint route: semi-naive delta iteration with each
-/// round's body on the executor (inline at one worker).
+/// round's body on the executor (inline at one worker). `init` and
+/// `body` are the lowered seed and step of `fix[var](init, body)`.
 ///
 /// The loop as a whole does not distribute over partitioning, but the
 /// gate certified its body does — so the body is lowered and its
@@ -175,93 +175,43 @@ fn run_round<'a>(
 /// non-linear in the loop variable), canonically merging the new rows
 /// into the accumulator. Round count, depth-budget charges and the final
 /// `Value` are identical to the serial inflationary loop by
-/// construction.
+/// construction. Returns the answer, the work and the certificate.
 ///
-/// Any injected fault (`exec.fixpoint_round`, or a morsel/merge site
-/// inside a round) that round-granular retry cannot ride out degrades
-/// the whole query to the serial interpreter — a correct answer, never
-/// a wrong one.
+/// A faulted round is re-run whole; a fault the round retry cannot ride
+/// out is returned, and the route's caller degrades the query to the
+/// walker.
 pub(crate) fn run_fixpoint_route(
-    q: &Query,
+    var: &str,
+    init: &PhysicalPlan,
+    body: &PhysicalPlan,
     catalog: &Catalog,
     cfg: &ExecConfig,
     body_cert: &SafetyCert,
-) -> Result<(Value, ExecStats, ExecRoute), ExecError> {
-    let Query::Fixpoint { var, init, step } = q else {
-        return Err(ExecError::Internal(
-            "fixpoint route on a non-fixpoint query".to_string(),
-        ));
-    };
-    let Some(init_plan) = lower(init) else {
-        return fallback(
-            q,
-            catalog,
-            cfg,
-            "fix",
-            "fixpoint seed does not lower to the row engine",
-        );
-    };
-    let Some(body) = lower(step) else {
-        return fallback(
-            q,
-            catalog,
-            cfg,
-            "fix",
-            "fixpoint body does not lower to the row engine",
-        );
-    };
-    let semi_naive = delta_linear(&body, var);
+) -> Result<(Value, ExecStats, String), ExecError> {
+    let semi_naive = delta_linear(body, var);
     let mut sp = genpar_obs::span("exec.fixpoint");
     sp.field("workers", cfg.workers as u64);
     sp.field("semi_naive", u64::from(semi_naive));
-    let meter = genpar_guard::armed_meter();
-    let body_cert_s = body_cert.to_string();
-    let ctx = Ctx {
-        cfg,
-        meter: meter.as_deref(),
-        cert: Some(&body_cert_s),
-    };
-    let mut stats = ExecStats::default();
     let mut invariant_rows = 0u64;
-    let result = genpar_guard::catch_panics(|| {
-        let seed = run_plan(&init_plan, catalog, &ctx, &mut stats)?;
-        let round = prepare(&body, var, catalog, &ctx, &mut stats, &mut invariant_rows)?;
-        drive_fixpoint(seed, &round, semi_naive, &ctx, &mut stats)
-    })
-    .map_err(ExecError::Internal)?;
+    let ran = on_executor(cfg, Some(&body_cert.to_string()), |ctx, stats| {
+        let seed = run_plan(init, catalog, ctx, stats)?;
+        let round = prepare(body, var, catalog, ctx, stats, &mut invariant_rows)?;
+        let (acc, rounds) = drive_fixpoint(seed, &round, semi_naive, ctx, stats)?;
+        stats.rows_out = acc.len() as u64;
+        Ok((acc, rounds))
+    });
     sp.field("invariant_rows", invariant_rows);
-    match result {
-        Ok((acc, rounds)) => {
-            sp.field("rounds", rounds);
-            stats.rows_out = acc.len() as u64;
-            record_run(&stats);
-            let value = genpar_value::rows_to_value(acc);
-            let certificate =
-                format!(
-                "per-round body certified: {body_cert}; semi-naive deltas: {}; rounds: {rounds}",
-                if semi_naive { "yes" } else { "no (full accumulator per round)" },
-            );
-            Ok((
-                value,
-                stats,
-                ExecRoute::Parallel {
-                    workers: cfg.workers,
-                    certificate,
-                },
-            ))
-        }
-        Err(ExecError::Fault(_)) => {
-            note_degrade("serial");
-            fallback(
-                q,
-                catalog,
-                cfg,
-                "fix",
-                "injected fault in a fixpoint round: degraded to the serial interpreter",
-            )
-        }
-        Err(e) => Err(with_partial(e, &stats)),
-    }
+    let ((acc, rounds), stats) = ran?;
+    sp.field("rounds", rounds);
+    let certificate = format!(
+        "per-round body certified: {body_cert}; semi-naive deltas: {}; rounds: {rounds}",
+        if semi_naive {
+            "yes"
+        } else {
+            "no (full accumulator per round)"
+        },
+    );
+    Ok((genpar_value::rows_to_value(acc), stats, certificate))
 }
 
 /// The round loop proper: mirrors [`genpar_algebra::fixpoint::inflationary_fixpoint`]
@@ -280,7 +230,6 @@ fn drive_fixpoint(
         (genpar_algebra::fixpoint::DEFAULT_FIXPOINT_ITERS as u64).min(genpar_guard::depth_limit());
     let hist = genpar_obs::histogram("exec.fixpoint_round_us");
     let round_watchdog_us = kernels::watchdog_deadline_us(hist.snapshot().p95);
-    let round_retries = recovery_retries(ctx.cfg).unwrap_or(0);
     for iter in 0..bound {
         genpar_guard::charge_depth(iter + 1, "fixpoint").map_err(breach_to_exec)?;
         let start = std::time::Instant::now();
@@ -298,26 +247,24 @@ fn drive_fixpoint(
         // a round is pure against the accumulator (acc only changes
         // after success), so a faulted round can be re-run whole — the
         // round-granular rung of the recovery ladder
-        let produced = {
-            let mut attempt: u32 = 0;
-            loop {
-                let round = (|| -> Result<Rows, ExecError> {
-                    genpar_guard::faultpoint("exec.fixpoint_round")
-                        .map_err(|f| ExecError::Fault(f.to_string()))?;
-                    if let Some(m) = ctx.meter {
-                        m.charge_steps(1, "exec.fixpoint_round")
-                            .map_err(breach_to_exec)?;
-                    }
-                    Ok(run_round(body, &input, ctx, stats)?.into_owned())
-                })();
-                match round {
-                    Ok(rows) => break rows,
-                    Err(ExecError::Fault(_)) if attempt < round_retries => {
-                        attempt += 1;
-                        retry_gate(iter as usize, attempt)?;
-                    }
-                    Err(e) => return Err(e),
+        let mut attempt: u32 = 0;
+        let produced = loop {
+            let round = genpar_guard::faultpoint("exec.fixpoint_round")
+                .map_err(|f| ExecError::Fault(f.to_string()))
+                .and_then(|()| match ctx.meter {
+                    Some(m) => m
+                        .charge_steps(1, "exec.fixpoint_round")
+                        .map_err(breach_to_exec),
+                    None => Ok(()),
+                })
+                .and_then(|()| run_round(body, &input, ctx, stats));
+            match round {
+                Ok(rows) => break rows.into_owned(),
+                Err(e) if e.is_transient() && attempt < ctx.cfg.retry.max_retries => {
+                    attempt += 1;
+                    retry_gate(iter as usize, attempt)?;
                 }
+                Err(e) => return Err(e),
             }
         };
         let mut fresh: Rows = Vec::new();

@@ -1,29 +1,36 @@
 //! Parallel operator kernels.
 //!
-//! Every kernel has the same shape: cut (or hash-partition) the input,
-//! run per-chunk tasks on the pool, then **canonically merge** — sort +
-//! dedup under the derived total order on `Value` — so the result is
-//! independent of worker count, morsel size and scheduling. Each task
+//! Every kernel has the same shape: cut the input into morsels (plain
+//! subslices of the borrowed rows) or hash-partition it (references to
+//! the rows), run one task per piece on the pool, then **canonically
+//! merge** — sort + dedup under the derived total order on `Value` — so
+//! the result is independent of worker count, morsel size and
+//! scheduling. Tasks read their rows where they lie: a kernel clones
+//! only the rows it emits (and `par_map` its argument tuple). Each task
 //! passes the `exec.morsel` fault site and charges the shared budget
 //! meter; the merge passes `exec.merge` and charges the output-side rows
 //! and cells of each plan node.
 //!
 //! Every task is wall-clock timed into the `exec.morsel_us` histogram,
-//! and chunk-based kernels feed each batch's p95 latency back to the
-//! global [`crate::tune::MorselTuner`] so the morsel size converges on
-//! the ~100µs/task sweet spot.
+//! and morsel kernels feed each batch's p95 latency back to the global
+//! [`crate::tune::MorselTuner`] so the morsel size converges on the
+//! ~100µs/task sweet spot.
 
-use crate::morsel::{chunk_rows, key_partition, partition_rows, row_partition};
+use crate::morsel::partition_rows;
 use crate::{eval_to_exec, pool, tune, ExecConfig};
-use genpar_algebra::{eval::apply_fn, eval::eval_pred, vm, Db, Pred, ValueFn};
+use genpar_algebra::eval::{apply_fn, eval_row_pred, row_sum_component};
+use genpar_algebra::{vm, Db, Pred, ValueFn};
 use genpar_engine::plan::{ExecError, ExecStats};
 use genpar_guard::SharedMeter;
 use genpar_value::{canonical_rows, Value};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::sync::Mutex;
 
+/// One row: a flat tuple's components.
+pub(crate) type Row = Vec<Value>;
+
 /// Rows in flight between operators (canonical: sorted, deduplicated).
-pub(crate) type Rows = Vec<Vec<Value>>;
+pub(crate) type Rows = Vec<Row>;
 
 /// Shared per-run context handed to every task.
 #[derive(Clone, Copy)]
@@ -39,7 +46,7 @@ pub(crate) struct Ctx<'a> {
 impl Ctx<'_> {
     /// The morsel size to chunk with (tuner-driven unless pinned).
     fn morsel_rows(&self) -> usize {
-        self.cfg.effective_morsel_rows()
+        self.cfg.effective_morsel_rows().max(1)
     }
 }
 
@@ -91,34 +98,27 @@ pub(crate) fn note_watchdog(site: &'static str, us: u64, deadline_us: u64) {
 /// slow outlier morsels (a skewed partition, a cold cache) should grow
 /// the batch verdict, not be averaged away by many fast ones.
 ///
-/// This is also where the recovery ladder arms. Each task runs behind a
-/// panic boundary (a panicking morsel becomes a structured internal
-/// error, eligible for recovery like any fault), and when recovery is on
-/// — fault injection armed, or `GENPAR_RETRY` set explicitly — the pool
-/// keeps every morsel recoverable: in-place retries through
-/// [`crate::retry_gate`], then worker quarantine, before the error
-/// escapes to the route layer's whole-serial rung. Tasks overrunning the
-/// p95-derived watchdog deadline are flagged via [`note_watchdog`].
-fn run_timed<T, F>(
-    ctx: &Ctx,
-    kind: TaskKind,
-    tasks: Vec<T>,
-    f: F,
-) -> Result<Vec<(Rows, ExecStats)>, ExecError>
+/// Each task runs behind a panic boundary (a panicking morsel becomes a
+/// structured internal error that cancels the run), and the pool's
+/// recovery ladder re-runs a faulted task from the same borrowed input:
+/// in-place retries through [`crate::retry_gate`], then one requeue and
+/// worker quarantine, before the fault escapes to the route's
+/// whole-serial rung. Tasks overrunning the p95-derived watchdog
+/// deadline are flagged via [`note_watchdog`].
+fn run_timed<T, R, F>(ctx: &Ctx, kind: TaskKind, tasks: &[T], f: F) -> Result<Vec<R>, ExecError>
 where
-    T: Clone + Send,
-    F: Fn(usize, T) -> Result<(Rows, ExecStats), ExecError> + Sync,
+    T: Sync,
+    R: Send,
+    F: Fn(&T) -> Result<R, ExecError> + Sync,
 {
     let hist = genpar_obs::histogram("exec.morsel_us");
     let watchdog_us = watchdog_deadline_us(hist.snapshot().p95);
     let tune_batch = matches!(kind, TaskKind::Morsel) && ctx.cfg.auto_tune;
     let samples: Mutex<Vec<u64>> = Mutex::new(Vec::new());
-    let run = |i, t| {
+    let parts = pool::run_tasks(ctx.cfg.workers, ctx.cfg.retry, tasks, |_, t| {
         let start = std::time::Instant::now();
-        let out = match genpar_guard::catch_panics(|| f(i, t)) {
-            Ok(r) => r,
-            Err(msg) => Err(ExecError::Internal(format!("task panicked: {msg}"))),
-        };
+        let out = genpar_guard::catch_panics(|| f(t))
+            .unwrap_or_else(|msg| Err(ExecError::Internal(format!("task panicked: {msg}"))));
         let end = std::time::Instant::now();
         genpar_obs::timeline::record_span("exec.morsel", start, end);
         let us = end.duration_since(start).as_micros() as u64;
@@ -133,19 +133,7 @@ where
             }
         }
         out
-    };
-    let parts = match crate::recovery_retries(ctx.cfg) {
-        Some(retries) => pool::run_tasks_recovering(
-            ctx.cfg.workers,
-            tasks,
-            Some(pool::Recovery {
-                retries,
-                gate: &crate::retry_gate,
-            }),
-            run,
-        )?,
-        None => pool::run_tasks(ctx.cfg.workers, tasks, run)?,
-    };
+    })?;
     if tune_batch {
         let s = match samples.into_inner() {
             Ok(s) => s,
@@ -177,18 +165,19 @@ pub(crate) fn add_stats(into: &mut ExecStats, s: &ExecStats) {
     into.probes += s.probes;
 }
 
-fn row_cells(rows: &[Vec<Value>]) -> u64 {
-    rows.iter().map(|r| r.len() as u64).sum()
+fn row_cells<R: AsRef<[Value]>>(rows: impl IntoIterator<Item = R>) -> u64 {
+    rows.into_iter().map(|r| r.as_ref().len() as u64).sum()
 }
 
 /// Per-task entry: the `exec.morsel` fault site plus the input-side
-/// budget charges (steps = one quantum per morsel, cells = morsel cells).
-fn enter_morsel(ctx: &Ctx, morsel: &[Vec<Value>], op: &'static str) -> Result<(), ExecError> {
+/// budget charges (steps = one quantum per task, plus the task's input
+/// cells).
+fn enter_morsel(ctx: &Ctx, cells: u64, op: &'static str) -> Result<(), ExecError> {
     genpar_guard::faultpoint("exec.morsel").map_err(fault_err)?;
     if let Some(m) = ctx.meter {
         let zero = ExecStats::default();
         m.charge_steps(1, op).map_err(|b| budget_err(b, &zero))?;
-        m.charge_cells(row_cells(morsel), op)
+        m.charge_cells(cells, op)
             .map_err(|b| budget_err(b, &zero))?;
     }
     Ok(())
@@ -216,6 +205,36 @@ fn merge(
             .map_err(|b| budget_err(b, &stats))?;
     }
     Ok((rows, stats))
+}
+
+/// A per-row kernel: `input` is cut into morsels, and each task passes
+/// [`enter_morsel`] and hands its morsel to `body`, which pushes what
+/// the rows emit. The task's stats start at one processed row (and its
+/// cells) per row read; `body` may add to them. The parts are merged
+/// canonically.
+fn per_morsel<F>(
+    input: &[Row],
+    ctx: &Ctx,
+    op: &'static str,
+    body: F,
+) -> Result<(Rows, ExecStats), ExecError>
+where
+    F: Fn(&[Row], &mut Rows, &mut ExecStats) -> Result<(), ExecError> + Sync,
+{
+    let morsels: Vec<&[Row]> = input.chunks(ctx.morsel_rows()).collect();
+    let parts = run_timed(ctx, TaskKind::Morsel, &morsels, |&morsel| {
+        let cells = row_cells(morsel);
+        enter_morsel(ctx, cells, op)?;
+        let mut stats = ExecStats {
+            rows_processed: morsel.len() as u64,
+            cells_processed: cells,
+            ..ExecStats::default()
+        };
+        let mut out = Vec::new();
+        body(morsel, &mut out, &mut stats)?;
+        Ok((out, stats))
+    })?;
+    merge(parts, ctx, op)
 }
 
 /// Compile one operator's expression program — **once**, before the
@@ -270,123 +289,84 @@ fn prepare_program(
 /// Parallel σ: embarrassingly parallel over morsels. The predicate is
 /// compiled once; each morsel re-checks [`vm::engage`] so an armed
 /// `vm.exec` fault degrades that one morsel to the AST walker.
-pub(crate) fn par_filter(input: Rows, p: &Pred, ctx: &Ctx) -> Result<(Rows, ExecStats), ExecError> {
+pub(crate) fn par_filter(
+    input: &[Row],
+    p: &Pred,
+    ctx: &Ctx,
+) -> Result<(Rows, ExecStats), ExecError> {
     let prog = prepare_program(|| vm::compile_pred(p), ctx, "plan.Filter");
-    let parts = run_timed(
-        ctx,
-        TaskKind::Morsel,
-        chunk_rows(input, ctx.morsel_rows()),
-        |_, morsel| {
-            enter_morsel(ctx, &morsel, "plan.Filter")?;
-            let db = Db::with_standard_int();
-            let mut stats = ExecStats::default();
-            let mut out = Vec::new();
-            match prog.as_ref().filter(|_| vm::engage()) {
-                Some(prog) => {
-                    let mut m = vm::Vm::new();
-                    for row in morsel {
-                        stats.rows_processed += 1;
-                        stats.cells_processed += row.len() as u64;
-                        let tv = Value::Tuple(row.clone());
-                        if m.run_pred(prog, &tv, &db).map_err(eval_to_exec)? {
-                            out.push(row);
-                        }
-                    }
-                }
-                None => {
-                    for row in morsel {
-                        stats.rows_processed += 1;
-                        stats.cells_processed += row.len() as u64;
-                        let tv = Value::Tuple(row.clone());
-                        if eval_pred(p, &tv, &db).map_err(eval_to_exec)? {
-                            out.push(row);
-                        }
-                    }
-                }
+    per_morsel(input, ctx, "plan.Filter", |morsel, out, _| {
+        let db = Db::with_standard_int();
+        let mut on_vm = prog
+            .as_ref()
+            .filter(|_| vm::engage())
+            .map(|p| (p, vm::Vm::new()));
+        for row in morsel {
+            let keep = match &mut on_vm {
+                Some((prog, m)) => m.run_row_pred(prog, row, &db),
+                None => eval_row_pred(p, row, &db),
+            };
+            if keep.map_err(eval_to_exec)? {
+                out.push(row.clone());
             }
-            Ok((out, stats))
-        },
-    )?;
-    merge(parts, ctx, "plan.Filter")
+        }
+        Ok(())
+    })
 }
 
 /// Parallel π: embarrassingly parallel over morsels (dedup at merge).
 pub(crate) fn par_project(
-    input: Rows,
+    input: &[Row],
     cols: &[usize],
     ctx: &Ctx,
 ) -> Result<(Rows, ExecStats), ExecError> {
-    let parts = run_timed(
-        ctx,
-        TaskKind::Morsel,
-        chunk_rows(input, ctx.morsel_rows()),
-        |_, morsel| {
-            enter_morsel(ctx, &morsel, "plan.Project")?;
-            let mut stats = ExecStats::default();
-            let mut out = Vec::new();
-            for row in morsel {
-                stats.rows_processed += 1;
-                stats.cells_processed += row.len() as u64;
-                let mut projected = Vec::with_capacity(cols.len());
-                for &c in cols {
-                    projected.push(
-                        row.get(c)
-                            .cloned()
-                            .ok_or_else(|| ExecError::Eval(format!("column {c} missing")))?,
-                    );
-                }
-                out.push(projected);
-            }
-            Ok((out, stats))
-        },
-    )?;
-    merge(parts, ctx, "plan.Project")
+    per_morsel(input, ctx, "plan.Project", |morsel, out, _| {
+        for row in morsel {
+            let projected = cols.iter().map(|&c| {
+                row.get(c)
+                    .cloned()
+                    .ok_or_else(|| ExecError::Eval(format!("column {c} missing")))
+            });
+            out.push(projected.collect::<Result<_, _>>()?);
+        }
+        Ok(())
+    })
 }
 
 /// Parallel map: embarrassingly parallel over morsels. Same
 /// compile-once / per-morsel-engage scheme as [`par_filter`];
 /// ineligible functions (opaque closures) keep the walker.
-pub(crate) fn par_map(input: Rows, f: &ValueFn, ctx: &Ctx) -> Result<(Rows, ExecStats), ExecError> {
+pub(crate) fn par_map(
+    input: &[Row],
+    f: &ValueFn,
+    ctx: &Ctx,
+) -> Result<(Rows, ExecStats), ExecError> {
     let prog = prepare_program(|| vm::compile_fn(f), ctx, "plan.MapRows");
-    let parts = run_timed(
-        ctx,
-        TaskKind::Morsel,
-        chunk_rows(input, ctx.morsel_rows()),
-        |_, morsel| {
-            enter_morsel(ctx, &morsel, "plan.MapRows")?;
-            let db = Db::with_standard_int();
-            let mut stats = ExecStats::default();
-            let mut out = Vec::new();
-            match prog.as_ref().filter(|_| vm::engage()) {
-                Some(prog) => {
-                    let mut m = vm::Vm::new();
-                    for row in morsel {
-                        stats.rows_processed += 1;
-                        stats.cells_processed += row.len() as u64;
-                        let tv = Value::Tuple(row);
-                        out.push(into_row(m.run_fn(prog, &tv, &db).map_err(eval_to_exec)?)?);
-                    }
-                }
-                None => {
-                    for row in morsel {
-                        stats.rows_processed += 1;
-                        stats.cells_processed += row.len() as u64;
-                        let tv = Value::Tuple(row);
-                        out.push(into_row(apply_fn(f, &tv, &db).map_err(eval_to_exec)?)?);
-                    }
-                }
-            }
-            Ok((out, stats))
-        },
-    )?;
-    merge(parts, ctx, "plan.MapRows")
+    per_morsel(input, ctx, "plan.MapRows", |morsel, out, _| {
+        let db = Db::with_standard_int();
+        let mut on_vm = prog
+            .as_ref()
+            .filter(|_| vm::engage())
+            .map(|p| (p, vm::Vm::new()));
+        for row in morsel {
+            // a function applies to a tuple value: the one row copy a
+            // kernel makes that it may not emit
+            let arg = Value::Tuple(row.clone());
+            let v = match &mut on_vm {
+                Some((prog, m)) => m.run_fn(prog, &arg, &db),
+                None => apply_fn(f, &arg, &db),
+            };
+            out.push(into_row(v.map_err(eval_to_exec)?)?);
+        }
+        Ok(())
+    })
 }
 
 /// A mapped value as a row. [`genpar_engine::lower`] admits only
 /// row-shaped functions, so a bare value here is a broken invariant, not
 /// a value to wrap: wrapping it would make the executor answer `{(v)}`
 /// where the walker answers `{v}`.
-fn into_row(v: Value) -> Result<Vec<Value>, ExecError> {
+fn into_row(v: Value) -> Result<Row, ExecError> {
     match v {
         Value::Tuple(cols) => Ok(cols),
         other => Err(ExecError::Internal(format!(
@@ -395,73 +375,36 @@ fn into_row(v: Value) -> Result<Vec<Value>, ExecError> {
     }
 }
 
-/// Partitioned hash join: both sides are routed by a deterministic hash
-/// of the first key column, so matching keys meet in the same partition;
-/// each partition builds and probes independently. A keyless join
-/// degenerates to the product kernel.
-pub(crate) fn par_join(
-    l: Rows,
+/// Hash join: the right side is indexed once on its first key column
+/// ([`JoinIndex::build`]) and the left side's morsels probe it
+/// ([`probe_join`]). A keyless join is the product kernel.
+pub(crate) fn hash_join(
+    l: &[Row],
     r: Rows,
     on: &[(usize, usize)],
     ctx: &Ctx,
 ) -> Result<(Rows, ExecStats), ExecError> {
-    let Some(&(i0, j0)) = on.first() else {
-        return par_product(l, r, ctx, "plan.HashJoin");
+    let Some(&(_, key)) = on.first() else {
+        return par_product(l, &r, ctx, "plan.HashJoin");
     };
-    let nparts = ctx.cfg.workers.max(1) * 2;
-    let lparts = partition_rows(l, nparts, |row| key_partition(row, i0, nparts));
-    let rparts = partition_rows(r, nparts, |row| key_partition(row, j0, nparts));
-    let tasks: Vec<(Rows, Rows)> = lparts.into_iter().zip(rparts).collect();
-    let parts = run_timed(ctx, TaskKind::Partition, tasks, |_, (lp, rp)| {
-        enter_morsel(ctx, &lp, "plan.HashJoin")?;
-        let mut stats = ExecStats::default();
-        let mut out = Vec::new();
-        let mut index: BTreeMap<&Value, Vec<&Vec<Value>>> = BTreeMap::new();
-        for row in &rp {
-            stats.rows_processed += 1;
-            stats.cells_processed += row.len() as u64;
-            match row.get(j0) {
-                Some(k) => index.entry(k).or_default().push(row),
-                None => return Err(ExecError::Eval(format!("join column {j0} missing"))),
-            }
-        }
-        for lrow in &lp {
-            stats.rows_processed += 1;
-            stats.cells_processed += lrow.len() as u64;
-            stats.probes += 1;
-            let Some(k) = lrow.get(i0) else {
-                return Err(ExecError::Eval(format!("join column {i0} missing")));
-            };
-            if let Some(matches) = index.get(k) {
-                'next: for rrow in matches {
-                    for &(i, j) in &on[1..] {
-                        if lrow.get(i) != rrow.get(j) {
-                            continue 'next;
-                        }
-                    }
-                    let mut joined = lrow.clone();
-                    joined.extend(rrow.iter().cloned());
-                    out.push(joined);
-                }
-            }
-        }
-        Ok((out, stats))
-    })?;
-    merge(parts, ctx, "plan.HashJoin")
+    let (index, build) = JoinIndex::build(r, key)?;
+    let (rows, mut stats) = probe_join(l, &index, on, false, ctx)?;
+    add_stats(&mut stats, &build);
+    Ok((rows, stats))
 }
 
-/// A join side that does not change between fixpoint rounds, indexed
-/// once on its key column so each round only probes it: the rows sorted
-/// by key (already so when the key is the first column, as rows arrive
-/// canonical), probed by binary search.
+/// One join side indexed on its key column: the rows sorted by key
+/// (already so when the key is the first column, as rows arrive
+/// canonical), probed by binary search. A plan's join builds one over
+/// its right side; a fixpoint keeps one over a loop-invariant side for
+/// all its rounds.
 pub(crate) struct JoinIndex {
     key: usize,
     rows: Rows,
 }
 
 impl JoinIndex {
-    /// Index `rows` on column `key`. The stats count the build rows once,
-    /// as [`par_join`] counts them on every run.
+    /// Index `rows` on column `key`. The stats count the build rows once.
     pub(crate) fn build(mut rows: Rows, key: usize) -> Result<(JoinIndex, ExecStats), ExecError> {
         if rows.iter().any(|r| r.len() <= key) {
             return Err(ExecError::Eval(format!("join column {key} missing")));
@@ -476,7 +419,7 @@ impl JoinIndex {
     }
 
     /// The indexed rows whose key column equals `k`.
-    fn matches(&self, k: &Value) -> &[Vec<Value>] {
+    fn matches(&self, k: &Value) -> &[Row] {
         let key = self.key;
         let lo = self.rows.partition_point(|r| r[key] < *k);
         let n = self.rows[lo..].partition_point(|r| r[key] == *k);
@@ -484,12 +427,12 @@ impl JoinIndex {
     }
 }
 
-/// Hash join against a prebuilt [`JoinIndex`]: the probe rows are cut
-/// into morsels (one morsel runs inline, more fan out on the pool) and
-/// each probes the shared index. `build_left` says the index holds the
-/// join's left side, so joined rows keep the plan's column order.
+/// Hash join against a built [`JoinIndex`]: the probe rows are cut into
+/// morsels (one morsel runs inline, more fan out on the pool) and each
+/// probes the shared index. `build_left` says the index holds the join's
+/// left side, so joined rows keep the plan's column order.
 pub(crate) fn probe_join(
-    probe: &[Vec<Value>],
+    probe: &[Row],
     index: &JoinIndex,
     on: &[(usize, usize)],
     build_left: bool,
@@ -499,15 +442,9 @@ pub(crate) fn probe_join(
         return Err(ExecError::Internal("probe join without a key".to_string()));
     };
     let pk = if build_left { j0 } else { i0 };
-    let tasks: Vec<&[Vec<Value>]> = probe.chunks(ctx.morsel_rows()).collect();
-    let parts = run_timed(ctx, TaskKind::Morsel, tasks, |_, morsel| {
-        enter_morsel(ctx, morsel, "plan.HashJoin")?;
-        let mut stats = ExecStats::default();
-        let mut out = Vec::new();
+    per_morsel(probe, ctx, "plan.HashJoin", |morsel, out, stats| {
+        stats.probes = morsel.len() as u64;
         for prow in morsel {
-            stats.rows_processed += 1;
-            stats.cells_processed += prow.len() as u64;
-            stats.probes += 1;
             let Some(k) = prow.get(pk) else {
                 return Err(ExecError::Eval(format!("join column {pk} missing")));
             };
@@ -522,14 +459,19 @@ pub(crate) fn probe_join(
                         continue 'next;
                     }
                 }
-                let mut joined = lrow.clone();
-                joined.extend(rrow.iter().cloned());
-                out.push(joined);
+                out.push(concat(lrow, rrow));
             }
         }
-        Ok((out, stats))
-    })?;
-    merge(parts, ctx, "plan.HashJoin")
+        Ok(())
+    })
+}
+
+/// A joined row: the left row's components, then the right row's.
+fn concat(l: &[Value], r: &[Value]) -> Row {
+    let mut joined = Vec::with_capacity(l.len() + r.len());
+    joined.extend_from_slice(l);
+    joined.extend_from_slice(r);
+    joined
 }
 
 /// Parallel Cartesian product: the left side is morselized, each task
@@ -537,37 +479,31 @@ pub(crate) fn probe_join(
 /// task charges `|morsel| × |r|` steps up front — a breach fires long
 /// before the full product materializes, even across workers.
 pub(crate) fn par_product(
-    l: Rows,
-    r: Rows,
+    l: &[Row],
+    r: &[Row],
     ctx: &Ctx,
     op: &'static str,
 ) -> Result<(Rows, ExecStats), ExecError> {
-    let rref = &r;
-    let parts = run_timed(
-        ctx,
-        TaskKind::Morsel,
-        chunk_rows(l, ctx.morsel_rows()),
-        |_, morsel| {
-            enter_morsel(ctx, &morsel, op)?;
-            let mut stats = ExecStats::default();
-            if let Some(m) = ctx.meter {
-                m.charge_steps((morsel.len() * rref.len()) as u64, op)
-                    .map_err(|b| budget_err(b, &stats))?;
+    let r_cells = row_cells(r);
+    per_morsel(l, ctx, op, |morsel, out, stats| {
+        let pairs = (morsel.len() * r.len()) as u64;
+        if let Some(m) = ctx.meter {
+            m.charge_steps(pairs, op)
+                .map_err(|b| budget_err(b, &ExecStats::default()))?;
+        }
+        // every pair is processed: each left row once per right row
+        *stats = ExecStats {
+            rows_processed: pairs,
+            cells_processed: stats.cells_processed * r.len() as u64 + morsel.len() as u64 * r_cells,
+            ..ExecStats::default()
+        };
+        for lrow in morsel {
+            for rrow in r {
+                out.push(concat(lrow, rrow));
             }
-            let mut out = Vec::new();
-            for lrow in &morsel {
-                for rrow in rref {
-                    stats.rows_processed += 1;
-                    stats.cells_processed += (lrow.len() + rrow.len()) as u64;
-                    let mut joined = lrow.clone();
-                    joined.extend(rrow.iter().cloned());
-                    out.push(joined);
-                }
-            }
-            Ok((out, stats))
-        },
-    )?;
-    merge(parts, ctx, op)
+        }
+        Ok(())
+    })
 }
 
 /// A partition-combinable whole-set aggregate: the kernel class sitting
@@ -609,56 +545,43 @@ impl CombineKind {
 /// `exec.combine` span. Returns the combined integer total — the caller
 /// interprets it (count, parity, sum).
 pub(crate) fn par_combine(
-    input: Rows,
+    input: &[Row],
     kind: CombineKind,
     ctx: &Ctx,
 ) -> Result<(i64, ExecStats), ExecError> {
     let op = kind.op_name();
-    let parts = run_timed(
-        ctx,
-        TaskKind::Morsel,
-        chunk_rows(input, ctx.morsel_rows()),
-        |_, morsel| {
-            enter_morsel(ctx, &morsel, op)?;
-            let mut stats = ExecStats::default();
-            let mut acc: i64 = 0;
-            for row in morsel {
-                stats.rows_processed += 1;
-                stats.cells_processed += row.len() as u64;
-                match kind {
-                    CombineKind::Count | CombineKind::Parity => acc += 1,
-                    CombineKind::Sum(col) => {
-                        // same component extraction as the serial
-                        // evaluator, so the two routes agree on
-                        // semantics and on error cases
-                        let tv = Value::Tuple(row);
-                        acc = acc.wrapping_add(
-                            genpar_algebra::eval::sum_component(&tv, col).map_err(eval_to_exec)?,
-                        );
-                    }
-                }
-            }
-            // the partial accumulator rides back as a pseudo-row; the
-            // combine below folds them in task order (no canonical
-            // merge — equal partials must not deduplicate)
-            Ok((vec![vec![Value::Int(acc)]], stats))
-        },
-    )?;
+    let morsels: Vec<&[Row]> = input.chunks(ctx.morsel_rows()).collect();
+    let parts = run_timed(ctx, TaskKind::Morsel, &morsels, |&morsel| {
+        let cells = row_cells(morsel);
+        enter_morsel(ctx, cells, op)?;
+        let stats = ExecStats {
+            rows_processed: morsel.len() as u64,
+            cells_processed: cells,
+            ..ExecStats::default()
+        };
+        let partial = match kind {
+            CombineKind::Count | CombineKind::Parity => morsel.len() as i64,
+            // the walker's component extraction, so the two routes
+            // agree on semantics and on error cases
+            CombineKind::Sum(col) => morsel.iter().try_fold(0i64, |acc, row| {
+                row_sum_component(row, col)
+                    .map(|v| acc.wrapping_add(v))
+                    .map_err(eval_to_exec)
+            })?,
+        };
+        Ok((partial, stats))
+    })?;
     let start = std::time::Instant::now();
     let mut sp = genpar_obs::span("exec.combine");
     sp.field("partials", parts.len() as u64);
     genpar_guard::faultpoint("exec.combine").map_err(fault_err)?;
     let mut stats = ExecStats::default();
     let mut total: i64 = 0;
+    // partials fold in task order (no canonical merge — equal partials
+    // must not deduplicate)
     for (partial, s) in parts {
         add_stats(&mut stats, &s);
-        for row in partial {
-            for v in row {
-                if let Value::Int(n) = v {
-                    total = total.wrapping_add(n);
-                }
-            }
-        }
+        total = total.wrapping_add(partial);
     }
     if let Some(m) = ctx.meter {
         m.charge_rows(1, op).map_err(|b| budget_err(b, &stats))?;
@@ -689,29 +612,33 @@ impl SetOp {
 /// Partitioned ∪/∩/−: both sides are routed by whole-row hash, so equal
 /// rows meet in the same partition and each partition's set operation is
 /// independent — the canonical merge of per-partition results equals the
-/// serial result exactly.
+/// serial result exactly. Partitions hold references to the input rows;
+/// only the rows a partition emits are cloned.
 pub(crate) fn par_setop(
-    l: Rows,
-    r: Rows,
+    l: &[Row],
+    r: &[Row],
     op: SetOp,
     ctx: &Ctx,
 ) -> Result<(Rows, ExecStats), ExecError> {
     let nparts = ctx.cfg.workers.max(1) * 2;
-    let lparts = partition_rows(l, nparts, |row| row_partition(row, nparts));
-    let rparts = partition_rows(r, nparts, |row| row_partition(row, nparts));
-    let tasks: Vec<(Rows, Rows)> = lparts.into_iter().zip(rparts).collect();
+    let tasks: Vec<(Vec<&Row>, Vec<&Row>)> = partition_rows(l, nparts)
+        .into_iter()
+        .zip(partition_rows(r, nparts))
+        .collect();
     let name = op.op_name();
-    let parts = run_timed(ctx, TaskKind::Partition, tasks, |_, (lp, rp)| {
-        enter_morsel(ctx, &lp, name)?;
-        let mut stats = ExecStats::default();
-        stats.rows_processed += (lp.len() + rp.len()) as u64;
-        stats.cells_processed += row_cells(&lp) + row_cells(&rp);
-        let ls: BTreeSet<Vec<Value>> = lp.into_iter().collect();
-        let rs: BTreeSet<Vec<Value>> = rp.into_iter().collect();
+    let parts = run_timed(ctx, TaskKind::Partition, &tasks, |(lp, rp)| {
+        enter_morsel(ctx, row_cells(lp), name)?;
+        let stats = ExecStats {
+            rows_processed: (lp.len() + rp.len()) as u64,
+            cells_processed: row_cells(lp) + row_cells(rp),
+            ..ExecStats::default()
+        };
+        let ls: BTreeSet<&Row> = lp.iter().copied().collect();
+        let rs: BTreeSet<&Row> = rp.iter().copied().collect();
         let out: Rows = match op {
-            SetOp::Union => ls.union(&rs).cloned().collect(),
-            SetOp::Intersect => ls.intersection(&rs).cloned().collect(),
-            SetOp::Difference => ls.difference(&rs).cloned().collect(),
+            SetOp::Union => ls.union(&rs).map(|&row| row.clone()).collect(),
+            SetOp::Intersect => ls.intersection(&rs).map(|&row| row.clone()).collect(),
+            SetOp::Difference => ls.difference(&rs).map(|&row| row.clone()).collect(),
         };
         Ok((out, stats))
     })?;

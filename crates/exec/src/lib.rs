@@ -18,9 +18,13 @@
 //! the algebra walker, recorded as an `exec.fallback` obs event. The
 //! walker is also the serial truth every oracle compares against.
 //!
-//! Pipeline per operator: chunk or hash-partition the input
-//! ([`morsel`]), fan tasks out on a work-stealing worker pool
-//! ([`pool`]), run the parallel kernel ([`kernels`]), canonically merge.
+//! Pipeline per operator: cut the borrowed input into morsels or
+//! hash-partition it ([`morsel`]), fan tasks out on a work-stealing
+//! worker pool ([`pool`]), run the parallel kernel ([`kernels`]),
+//! canonically merge. Tasks borrow their input, so the pool's recovery
+//! ladder is always armed: a faulted task re-runs from the same rows.
+//! Only an injected fault is worth a re-run
+//! ([`ExecError::is_transient`]); any other error is the query's answer.
 //! Every worker charges the meter armed on the calling thread
 //! ([`genpar_guard::armed_meter`]: a budget, a tenant quota or a wall
 //! deadline). The run passes the deterministic fault sites `exec.morsel`
@@ -48,38 +52,18 @@ pub mod pool;
 pub mod tune;
 
 use genpar_algebra::{eval::eval, Db, Query};
-use genpar_core::{partition_safety, PartitionSafety, SafetyCert};
+use genpar_core::{partition_safety, PartitionSafety};
 use genpar_engine::plan::{lower, ExecError, ExecStats, PhysicalPlan};
 use genpar_engine::schema::Catalog;
 use genpar_guard::RetryPolicy;
 use genpar_obs::FieldValue;
 use genpar_value::Value;
 use kernels::{Ctx, Rows, SetOp};
+use std::borrow::Cow;
 
 pub use kernels::CombineKind;
 
 pub use morsel::DEFAULT_MORSEL_ROWS;
-
-/// In-place retries per failed task, when the recovery ladder should arm
-/// for this run; `None` keeps the plain first-error-cancels pool (and
-/// its zero-copy task hand-off).
-///
-/// Recovery requires holding every morsel recoverable (a clone per
-/// task), so it arms only when re-running a failed task can actually
-/// happen or help: fault injection is armed (every `Fault` is a
-/// deterministic per-hit blip that a re-run rides out, given the default
-/// policy's retries), or `cfg.retry` sets a policy explicitly — an
-/// opt-in to panic resilience at clone cost on the clean path. An
-/// explicit zero disables the in-place rung entirely, restoring the
-/// pre-ladder all-or-nothing behaviour.
-pub(crate) fn recovery_retries(cfg: &ExecConfig) -> Option<u32> {
-    let retries = match cfg.retry {
-        Some(policy) => policy.max_retries,
-        None if genpar_guard::fault::faults_armed() => RetryPolicy::default().max_retries,
-        None => 0,
-    };
-    (retries > 0).then_some(retries)
-}
 
 /// The gate every in-place re-run passes: the `exec.retry` fault site
 /// (so chaos storms can fail the recovery machinery itself), plus the
@@ -129,10 +113,10 @@ pub struct ExecConfig {
     /// default); off keeps the kernels and the walker fallback on the
     /// AST walker. Both settings give the same answers.
     pub vm: bool,
-    /// The in-place retry policy. `None` (the default) arms recovery
-    /// only while faults are armed, with the default policy's retries;
-    /// `Some` is an explicit policy (see `recovery_retries`).
-    pub retry: Option<RetryPolicy>,
+    /// In-place re-runs of a faulted task or fixpoint round (default 2).
+    /// Zero also turns off the pool's requeue, so a fault degrades the
+    /// route to the walker at once.
+    pub retry: RetryPolicy,
 }
 
 impl Default for ExecConfig {
@@ -142,7 +126,7 @@ impl Default for ExecConfig {
             morsel_rows: DEFAULT_MORSEL_ROWS,
             auto_tune: true,
             vm: true,
-            retry: None,
+            retry: RetryPolicy::default(),
         }
     }
 }
@@ -254,6 +238,26 @@ fn eval_plan_parallel(
     let mut sp = genpar_obs::span("exec.parallel");
     sp.field("workers", cfg.workers as u64);
     sp.field("morsel_rows", cfg.effective_morsel_rows() as u64);
+    let (rows, stats) = on_executor(cfg, cert, |ctx, stats| {
+        let rows = run_plan(plan, catalog, ctx, stats)?;
+        stats.rows_out = rows.len() as u64;
+        Ok(rows)
+    })?;
+    sp.field("rows_out", stats.rows_out);
+    Ok((rows, stats))
+}
+
+/// One executor run, set up and torn down the same way on every route:
+/// the armed meter and the run's [`Ctx`], a panic boundary around
+/// `body`, the whole run's partial stats on a budget breach
+/// ([`with_partial`]) and, on success, its counters folded into obs
+/// ([`record_run`]). `body` adds its work to the stats, `rows_out`
+/// included.
+pub(crate) fn on_executor<T>(
+    cfg: &ExecConfig,
+    cert: Option<&str>,
+    body: impl FnOnce(&Ctx, &mut ExecStats) -> Result<T, ExecError>,
+) -> Result<(T, ExecStats), ExecError> {
     let meter = genpar_guard::armed_meter();
     let ctx = Ctx {
         cfg,
@@ -261,13 +265,11 @@ fn eval_plan_parallel(
         cert,
     };
     let mut stats = ExecStats::default();
-    let rows = genpar_guard::catch_panics(|| run_plan(plan, catalog, &ctx, &mut stats))
+    let out = genpar_guard::catch_panics(|| body(&ctx, &mut stats))
         .map_err(ExecError::Internal)?
         .map_err(|e| with_partial(e, &stats))?;
-    stats.rows_out = rows.len() as u64;
     record_run(&stats);
-    sp.field("rows_out", stats.rows_out);
-    Ok((rows, stats))
+    Ok((out, stats))
 }
 
 /// A budget breach reports the work of the whole run so far: the
@@ -331,8 +333,8 @@ pub(crate) fn run_plan(
         _ => {
             let inputs = children(plan)
                 .into_iter()
-                .map(|c| run_plan(c, catalog, ctx, stats))
-                .collect::<Result<Vec<Rows>, ExecError>>()?;
+                .map(|c| run_plan(c, catalog, ctx, stats).map(Cow::Owned))
+                .collect::<Result<Vec<_>, ExecError>>()?;
             apply_op(plan, inputs, ctx, stats)
         }
     })
@@ -355,10 +357,11 @@ pub(crate) fn children(plan: &PhysicalPlan) -> Vec<&PhysicalPlan> {
 
 /// Run an interior node's kernel over its evaluated inputs (in
 /// [`children`] order), adding its work to `stats`. Returns the rows in
-/// and the rows out.
+/// and the rows out. Kernels borrow their inputs; a join indexes its
+/// right input, which it takes whole (copied only when borrowed).
 pub(crate) fn apply_op(
     plan: &PhysicalPlan,
-    inputs: Vec<Rows>,
+    inputs: Vec<Cow<'_, Rows>>,
     ctx: &Ctx,
     stats: &mut ExecStats,
 ) -> Result<(u64, Rows), ExecError> {
@@ -370,17 +373,22 @@ pub(crate) fn apply_op(
             .ok_or_else(|| ExecError::Internal(format!("{} lacks an input", plan.op_name())))
     };
     let (rows, s) = match plan {
-        PhysicalPlan::Filter(p, _) => kernels::par_filter(input()?, p, ctx)?,
-        PhysicalPlan::Project(cols, _) => kernels::par_project(input()?, cols, ctx)?,
-        PhysicalPlan::MapRows(f, _) => kernels::par_map(input()?, f, ctx)?,
-        PhysicalPlan::HashJoin(on, ..) => kernels::par_join(input()?, input()?, on, ctx)?,
-        PhysicalPlan::Product(..) => kernels::par_product(input()?, input()?, ctx, "plan.Product")?,
-        PhysicalPlan::Union(..) => kernels::par_setop(input()?, input()?, SetOp::Union, ctx)?,
+        PhysicalPlan::Filter(p, _) => kernels::par_filter(&input()?, p, ctx)?,
+        PhysicalPlan::Project(cols, _) => kernels::par_project(&input()?, cols, ctx)?,
+        PhysicalPlan::MapRows(f, _) => kernels::par_map(&input()?, f, ctx)?,
+        PhysicalPlan::HashJoin(on, ..) => {
+            let l = input()?;
+            kernels::hash_join(&l, input()?.into_owned(), on, ctx)?
+        }
+        PhysicalPlan::Product(..) => {
+            kernels::par_product(&input()?, &input()?, ctx, "plan.Product")?
+        }
+        PhysicalPlan::Union(..) => kernels::par_setop(&input()?, &input()?, SetOp::Union, ctx)?,
         PhysicalPlan::Intersect(..) => {
-            kernels::par_setop(input()?, input()?, SetOp::Intersect, ctx)?
+            kernels::par_setop(&input()?, &input()?, SetOp::Intersect, ctx)?
         }
         PhysicalPlan::Difference(..) => {
-            kernels::par_setop(input()?, input()?, SetOp::Difference, ctx)?
+            kernels::par_setop(&input()?, &input()?, SetOp::Difference, ctx)?
         }
         PhysicalPlan::Scan(_) | PhysicalPlan::Values(_) => {
             return Err(ExecError::Internal(format!(
@@ -490,44 +498,77 @@ pub fn eval_verdict(
     catalog: &Catalog,
     cfg: &ExecConfig,
 ) -> Result<(Value, ExecStats, ExecRoute), ExecError> {
-    let out = match verdict {
-        PartitionSafety::Safe(cert) => match lower(q) {
-            Some(plan) => {
-                let certificate = cert.to_string();
-                match eval_plan_parallel(&plan, catalog, cfg, Some(&certificate)) {
-                    Ok((rows, stats)) => Ok((
-                        genpar_value::rows_to_value(rows),
-                        stats,
-                        ExecRoute::Parallel {
-                            workers: cfg.workers,
-                            certificate,
-                        },
-                    )),
-                    // the ladder's last rung: retries and quarantine are
-                    // exhausted, so the whole query degrades to the serial
-                    // interpreter — a correct answer, never a wrong one
-                    Err(ExecError::Fault(_)) => {
-                        note_degrade("serial");
-                        fallback(
-                            q,
-                            catalog,
-                            cfg,
-                            "exec",
-                            "recovery ladder exhausted: degraded to the serial interpreter",
-                        )
-                    }
-                    Err(e) => Err(e),
-                }
-            }
-            None => fallback(q, catalog, cfg, "lit", "literal rows are not flat tuples"),
-        },
-        PartitionSafety::FixpointRoundSafe { body_cert } => {
-            fixpoint::run_fixpoint_route(q, catalog, cfg, &body_cert)
+    // each executor route, and the walker fallback its faults degrade to
+    let (ran, op, degraded) = match verdict {
+        PartitionSafety::Safe(cert) => {
+            let Some(plan) = lower(q) else {
+                return fallback(q, catalog, cfg, "lit", "literal rows are not flat tuples");
+            };
+            let certificate = cert.to_string();
+            let ran = eval_plan_parallel(&plan, catalog, cfg, Some(&certificate))
+                .map(|(rows, stats)| (genpar_value::rows_to_value(rows), stats, certificate));
+            let reason = "recovery ladder exhausted: degraded to the serial interpreter";
+            (ran, "exec", reason)
         }
-        PartitionSafety::Combiner { op, cert } => run_combiner_route(q, catalog, cfg, op, &cert),
-        PartitionSafety::Unsafe { op, reason } => fallback(q, catalog, cfg, op, reason),
+        PartitionSafety::FixpointRoundSafe { body_cert } => {
+            let Query::Fixpoint { var, init, step } = q else {
+                return Err(ExecError::Internal(
+                    "fixpoint route on a non-fixpoint query".to_string(),
+                ));
+            };
+            let Some(init) = lower(init) else {
+                let reason = "fixpoint seed does not lower to the row engine";
+                return fallback(q, catalog, cfg, "fix", reason);
+            };
+            let Some(body) = lower(step) else {
+                let reason = "fixpoint body does not lower to the row engine";
+                return fallback(q, catalog, cfg, "fix", reason);
+            };
+            let ran = fixpoint::run_fixpoint_route(var, &init, &body, catalog, cfg, &body_cert);
+            let reason = "injected fault in a fixpoint round: degraded to the serial interpreter";
+            (ran, "fix", reason)
+        }
+        PartitionSafety::Combiner { op, cert } => {
+            let (kind, inner) = match q {
+                Query::Even(inner) => (CombineKind::Parity, inner),
+                Query::Count(inner) => (CombineKind::Count, inner),
+                Query::Sum(col, inner) => (CombineKind::Sum(*col), inner),
+                _ => {
+                    return Err(ExecError::Internal(
+                        "combiner route on a non-aggregate query".to_string(),
+                    ))
+                }
+            };
+            let Some(plan) = lower(inner) else {
+                let reason = "aggregate input does not lower to the row engine";
+                return fallback(q, catalog, cfg, op, reason);
+            };
+            let certificate = format!(
+                "combiner `{op}`: partition-local accumulators + serial combine; input {cert}"
+            );
+            let ran = run_combiner_route(&plan, kind, catalog, cfg, &cert.to_string())
+                .map(|(v, stats)| (v, stats, certificate));
+            let reason = "injected fault in the combiner: degraded to the serial interpreter";
+            (ran, op, reason)
+        }
+        PartitionSafety::Unsafe { op, reason } => return fallback(q, catalog, cfg, op, reason),
     };
-    match out {
+    match ran {
+        Ok((value, stats, certificate)) => Ok((
+            value,
+            stats,
+            ExecRoute::Parallel {
+                workers: cfg.workers,
+                certificate,
+            },
+        )),
+        // the ladder's last rung: the retries, requeue and quarantine
+        // could not ride out a fault, so the whole query degrades to the
+        // serial interpreter — a correct answer, never a wrong one
+        Err(e) if e.is_transient() => {
+            note_degrade("serial");
+            fallback(q, catalog, cfg, op, degraded)
+        }
         // an ill-typed application fails on whichever morsel reaches it
         // first; the walker names the first offending element in
         // canonical order, so every route reports its error
@@ -538,7 +579,7 @@ pub fn eval_verdict(
                 Ok(_) => Err(ExecError::Domain(first)),
             }
         }
-        out => out,
+        Err(e) => Err(e),
     }
 }
 
@@ -556,83 +597,29 @@ pub(crate) fn breach_to_exec(b: genpar_guard::BudgetBreach) -> ExecError {
 
 /// The combiner route: evaluate the (certified distributive) aggregate
 /// input on the parallel executor, then fold partition-local
-/// accumulators serially ([`kernels::par_combine`]). An injected fault
-/// at any site inside the route degrades to the serial interpreter.
+/// accumulators serially ([`kernels::par_combine`]).
 fn run_combiner_route(
-    q: &Query,
+    plan: &PhysicalPlan,
+    kind: CombineKind,
     catalog: &Catalog,
     cfg: &ExecConfig,
-    agg: &'static str,
-    cert: &SafetyCert,
-) -> Result<(Value, ExecStats, ExecRoute), ExecError> {
-    let (kind, inner) = match q {
-        Query::Even(inner) => (CombineKind::Parity, inner),
-        Query::Count(inner) => (CombineKind::Count, inner),
-        Query::Sum(col, inner) => (CombineKind::Sum(*col), inner),
-        _ => {
-            return Err(ExecError::Internal(
-                "combiner route on a non-aggregate query".to_string(),
-            ))
-        }
-    };
-    let Some(plan) = lower(inner) else {
-        return fallback(
-            q,
-            catalog,
-            cfg,
-            agg,
-            "aggregate input does not lower to the row engine",
-        );
-    };
+    cert: &str,
+) -> Result<(Value, ExecStats), ExecError> {
     let mut sp = genpar_obs::span("exec.parallel");
     sp.field("workers", cfg.workers as u64);
     sp.field("morsel_rows", cfg.effective_morsel_rows() as u64);
-    let meter = genpar_guard::armed_meter();
-    let cert_s = cert.to_string();
-    let ctx = Ctx {
-        cfg,
-        meter: meter.as_deref(),
-        cert: Some(&cert_s),
+    let (total, stats) = on_executor(cfg, Some(cert), |ctx, stats| {
+        let rows = run_plan(plan, catalog, ctx, stats)?;
+        let (total, s) = kernels::par_combine(&rows, kind, ctx)?;
+        kernels::add_stats(stats, &s);
+        stats.rows_out = 1;
+        Ok(total)
+    })?;
+    let value = match kind {
+        CombineKind::Parity => Value::Bool(total % 2 == 0),
+        CombineKind::Count | CombineKind::Sum(_) => Value::Int(total),
     };
-    let mut stats = ExecStats::default();
-    let result = genpar_guard::catch_panics(|| {
-        let rows = run_plan(&plan, catalog, &ctx, &mut stats)?;
-        kernels::par_combine(rows, kind, &ctx)
-    })
-    .map_err(ExecError::Internal)?;
-    match result {
-        Ok((total, s)) => {
-            kernels::add_stats(&mut stats, &s);
-            stats.rows_out = 1;
-            record_run(&stats);
-            let value = match kind {
-                CombineKind::Parity => Value::Bool(total % 2 == 0),
-                CombineKind::Count | CombineKind::Sum(_) => Value::Int(total),
-            };
-            let certificate = format!(
-                "combiner `{agg}`: partition-local accumulators + serial combine; input {cert}"
-            );
-            Ok((
-                value,
-                stats,
-                ExecRoute::Parallel {
-                    workers: cfg.workers,
-                    certificate,
-                },
-            ))
-        }
-        Err(ExecError::Fault(_)) => {
-            note_degrade("serial");
-            fallback(
-                q,
-                catalog,
-                cfg,
-                agg,
-                "injected fault in the combiner: degraded to the serial interpreter",
-            )
-        }
-        Err(e) => Err(with_partial(e, &stats)),
-    }
+    Ok((value, stats))
 }
 
 /// Record a serial-fallback decision in the obs registry: the

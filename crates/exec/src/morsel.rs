@@ -1,13 +1,13 @@
 //! Morsels and deterministic hash partitioning.
 //!
-//! Base inputs are cut into fixed-size row chunks ("morsels") that become
-//! the unit of scheduling on the worker pool. Operators that need equal
-//! rows (or equal join keys) to meet — set operations, hash join — are
-//! instead *hash-partitioned*: every row is routed by an FNV-1a hash of
-//! the relevant columns, so equal values land in the same partition on
-//! every run and on every worker count. Determinism of the routing (plus
-//! the canonical merge in `kernels`) is what makes parallel results
-//! `Value`-identical to serial ones.
+//! Inputs are cut into fixed-size row chunks ("morsels", subslices of
+//! the borrowed input) that become the unit of scheduling on the worker
+//! pool. Set operations, which need equal rows to meet, are instead
+//! *hash-partitioned*: every row is routed by an FNV-1a hash, so equal
+//! rows land in the same partition on every run and on every worker
+//! count. Determinism of the routing (plus the canonical merge in
+//! `kernels`) is what makes parallel results `Value`-identical to
+//! serial ones.
 
 use genpar_value::Value;
 use std::hash::{Hash, Hasher};
@@ -42,13 +42,6 @@ impl Hasher for Fnv64 {
     }
 }
 
-/// Deterministic hash of one value.
-pub fn value_hash(v: &Value) -> u64 {
-    let mut h = Fnv64::new();
-    v.hash(&mut h);
-    h.finish()
-}
-
 /// Partition index for a whole row (used by ∪/∩/−: equal rows must meet).
 pub fn row_partition(row: &[Value], parts: usize) -> usize {
     let mut h = Fnv64::new();
@@ -56,44 +49,13 @@ pub fn row_partition(row: &[Value], parts: usize) -> usize {
     (h.finish() % parts.max(1) as u64) as usize
 }
 
-/// Partition index for a join key column (equal keys must meet).
-/// Out-of-range columns route to partition 0; the kernel's own column
-/// access reports the error.
-pub fn key_partition(row: &[Value], col: usize, parts: usize) -> usize {
-    match row.get(col) {
-        Some(v) => (value_hash(v) % parts.max(1) as u64) as usize,
-        None => 0,
-    }
-}
-
-/// Cut rows into morsels of at most `morsel_rows` rows each.
-pub fn chunk_rows(rows: Vec<Vec<Value>>, morsel_rows: usize) -> Vec<Vec<Vec<Value>>> {
-    let m = morsel_rows.max(1);
-    let mut out = Vec::with_capacity(rows.len() / m + 1);
-    let mut cur: Vec<Vec<Value>> = Vec::with_capacity(m.min(rows.len()));
-    for r in rows {
-        cur.push(r);
-        if cur.len() == m {
-            out.push(std::mem::take(&mut cur));
-        }
-    }
-    if !cur.is_empty() {
-        out.push(cur);
-    }
-    out
-}
-
-/// Route rows into `parts` buckets by `route`.
-pub fn partition_rows(
-    rows: Vec<Vec<Value>>,
-    parts: usize,
-    route: impl Fn(&[Value]) -> usize,
-) -> Vec<Vec<Vec<Value>>> {
+/// Route references to `rows` into `parts` buckets by
+/// [`row_partition`]; each bucket keeps the input order.
+pub fn partition_rows(rows: &[Vec<Value>], parts: usize) -> Vec<Vec<&Vec<Value>>> {
     let parts = parts.max(1);
-    let mut out: Vec<Vec<Vec<Value>>> = (0..parts).map(|_| Vec::new()).collect();
+    let mut out: Vec<Vec<&Vec<Value>>> = (0..parts).map(|_| Vec::new()).collect();
     for r in rows {
-        let p = route(&r) % parts;
-        out[p].push(r);
+        out[row_partition(r, parts)].push(r);
     }
     out
 }
@@ -109,36 +71,19 @@ mod tests {
     }
 
     #[test]
-    fn chunking_covers_all_rows() {
-        let chunks = chunk_rows(rows(10), 3);
-        assert_eq!(chunks.len(), 4);
-        assert_eq!(chunks.iter().map(Vec::len).sum::<usize>(), 10);
-        assert_eq!(chunks[3].len(), 1);
-        assert!(chunk_rows(Vec::new(), 3).is_empty());
-        // morsel_rows == 0 must not loop or panic
-        assert_eq!(chunk_rows(rows(2), 0).len(), 2);
-    }
-
-    #[test]
     fn routing_is_deterministic_and_total() {
         let a = row_partition(&[Value::Int(7), Value::Int(1)], 8);
         let b = row_partition(&[Value::Int(7), Value::Int(1)], 8);
         assert_eq!(a, b);
         assert!(a < 8);
-        // equal key values meet regardless of the rest of the row
-        let p1 = key_partition(&[Value::Int(5), Value::Int(0)], 0, 8);
-        let p2 = key_partition(&[Value::Int(5), Value::Int(99)], 0, 8);
-        assert_eq!(p1, p2);
     }
 
     #[test]
     fn partitioning_is_a_permutation() {
         let input = rows(50);
-        let parts = partition_rows(input.clone(), 4, |r| row_partition(r, 4));
-        let mut flat: Vec<_> = parts.into_iter().flatten().collect();
+        let parts = partition_rows(&input, 4);
+        let mut flat: Vec<_> = parts.into_iter().flatten().cloned().collect();
         flat.sort();
-        let mut want = input;
-        want.sort();
-        assert_eq!(flat, want);
+        assert_eq!(flat, input);
     }
 }

@@ -1,5 +1,5 @@
-//! A work-stealing worker pool over scoped threads, with an optional
-//! fault-recovery ladder.
+//! A work-stealing worker pool over scoped threads, with the
+//! fault-recovery ladder always armed.
 //!
 //! Tasks (morsel or partition closures) are distributed round-robin onto
 //! per-worker deques; each worker pops its own deque from the back
@@ -8,31 +8,31 @@
 //! record `exec.worker` obs spans and `exec.morsels` / `exec.steals`
 //! counters.
 //!
-//! Two failure modes:
-//!
-//! * **Plain** ([`run_tasks`]): the first task error cancels the pool —
-//!   remaining workers observe the stop flag and exit without starting
-//!   further tasks. Items move into tasks with no copies.
-//! * **Recovering** ([`run_tasks_recovering`]): each item stays in its
-//!   slot until its task *succeeds*, so a failed task can be re-run. A
-//!   failure is first retried **in place** on the same worker (up to the
-//!   configured retry count, each re-run passing the caller's gate — the
-//!   `exec.retry` fault site); when retries exhaust, the worker takes a
-//!   strike and the task is requeued once for another worker to absorb.
-//!   A worker with repeated strikes is **quarantined** out of the deque
-//!   set for the rest of the run (`exec.quarantine` event +
-//!   `exec.degrade_step.quarantine` counter) — unless it is the last
-//!   active worker, which must keep draining. A task that fails again
-//!   after requeue is the ladder's end within the pool: its error wins
-//!   and cancels the run (the route above degrades whole-serial). After
-//!   the workers join, any item stranded by the shutdown races is swept
-//!   serially on the caller's thread, so no morsel is ever silently
-//!   dropped.
+//! Tasks **borrow** their items: task `i` runs on `&items[i]`, and the
+//! item never leaves its place, so a failed task re-runs from the same
+//! item with no copy. Which failures are worth a re-run is one rule,
+//! [`ExecError::is_transient`]: only an injected fault is. A transient
+//! failure is first retried **in place** on the same worker (up to the
+//! [`RetryPolicy`]'s count, each re-run passing [`crate::retry_gate`] —
+//! the `exec.retry` fault site); when retries exhaust, the worker takes
+//! a strike and the task is requeued once for another worker to absorb.
+//! A worker with repeated strikes is **quarantined** out of the deque
+//! set for the rest of the run (`exec.quarantine` event +
+//! `exec.degrade_step.quarantine` counter) — unless it is the last
+//! active worker, which must keep draining. A task that fails again
+//! after requeue is the ladder's end within the pool: its error cancels
+//! the run (the route above degrades whole-serial). Any other error — a
+//! domain error, a bad column, a budget breach — fails the same way on
+//! every re-run, so its first occurrence cancels the run. After the
+//! workers join, any task stranded by a quarantine is finished serially
+//! on the caller's thread, so no morsel is ever silently dropped.
 //!
 //! Results come back **in task order**, independent of which worker ran
 //! what — the first half of the determinism argument (the second half is
 //! the canonical merge in `kernels`).
 
+use genpar_engine::plan::ExecError;
+use genpar_guard::RetryPolicy;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard};
@@ -44,15 +44,6 @@ const QUARANTINE_STRIKES: u32 = 2;
 /// Times a failed task is handed to the pool again before its error
 /// cancels the run (in-place retries happen *within* each passage).
 const MAX_REQUEUES: u32 = 1;
-
-/// Recovery configuration for [`run_tasks_recovering`]: how many in-place
-/// re-runs a failed task gets, and the gate consulted before each one
-/// (the gate passes the `exec.retry` fault site and records the obs
-/// trail; its error aborts the in-place rung and escalates).
-pub(crate) struct Recovery<'a, E> {
-    pub retries: u32,
-    pub gate: &'a (dyn Fn(usize, u32) -> Result<(), E> + Sync),
-}
 
 /// A bounded pool of worker slots shared by every parallel run in the
 /// process. A resident server installs one at startup
@@ -191,91 +182,44 @@ fn steal(deques: &[Mutex<VecDeque<usize>>], wid: usize, steals: &mut u64) -> Opt
     None
 }
 
-/// Run one item through the in-place retry rung: attempt, and on error
-/// consult the gate and re-run from a fresh clone, up to `retries` times.
-fn run_with_retries<T, R, E>(
-    idx: usize,
-    slot_item: &T,
-    rec: &Recovery<'_, E>,
-    f: &(impl Fn(usize, T) -> Result<R, E> + Sync),
-) -> Result<R, E>
-where
-    T: Clone,
-{
-    let mut attempt: u32 = 0;
-    loop {
-        match f(idx, slot_item.clone()) {
-            Ok(r) => return Ok(r),
-            Err(e) => {
-                if attempt >= rec.retries {
-                    return Err(e);
-                }
-                attempt += 1;
-                // the gate is itself a fault site: a fault injected at
-                // `exec.retry` abandons the in-place rung and escalates
-                (rec.gate)(idx, attempt)?;
-            }
-        }
-    }
-}
-
-/// The no-threads path: run every item on the caller's thread (keeping
-/// thread-local state — an armed serial budget, say — visible), with
-/// in-place retries when recovery is armed.
-fn run_inline<T, R, E, F>(
-    items: Vec<T>,
-    recovery: Option<&Recovery<'_, E>>,
-    f: &F,
-) -> Result<Vec<R>, E>
-where
-    T: Clone,
-    F: Fn(usize, T) -> Result<R, E> + Sync,
-{
-    let mut out = Vec::with_capacity(items.len());
-    for (i, item) in items.into_iter().enumerate() {
-        match recovery {
-            Some(rec) => out.push(run_with_retries(i, &item, rec, f)?),
-            None => out.push(f(i, item)?),
-        }
-    }
-    Ok(out)
-}
-
 /// Run `f` over every item on `workers` threads; results in item order.
 ///
-/// The first `Err` wins and cancels outstanding work. With `workers <= 1`
-/// (or at most one item) everything runs inline on the caller's thread —
-/// no threads are spawned, so thread-local state (an armed serial budget,
+/// Each task is one *passage*: an attempt plus up to
+/// `retry.max_retries` in-place re-runs of a transient failure. A task
+/// whose passage fails transiently is requeued once (not at all under a
+/// zero-retry policy); any other failure, or a second failed passage,
+/// cancels outstanding work and is returned. With `workers <= 1` (or at
+/// most one item) everything runs inline on the caller's thread — no
+/// threads are spawned, so thread-local state (an armed serial budget,
 /// say) stays visible.
-pub fn run_tasks<T, R, E, F>(workers: usize, items: Vec<T>, f: F) -> Result<Vec<R>, E>
-where
-    T: Clone + Send,
-    R: Send,
-    E: Send,
-    F: Fn(usize, T) -> Result<R, E> + Sync,
-{
-    run_tasks_recovering(workers, items, None, f)
-}
-
-/// [`run_tasks`] with the recovery ladder armed when `recovery` is
-/// `Some`: in-place retries, worker quarantine, one requeue per task,
-/// and a serial completion sweep. With `recovery` `None` the plain
-/// first-error-cancels semantics apply and items are never cloned.
-pub(crate) fn run_tasks_recovering<T, R, E, F>(
+pub fn run_tasks<T, R, F>(
     workers: usize,
-    items: Vec<T>,
-    recovery: Option<Recovery<'_, E>>,
+    retry: RetryPolicy,
+    items: &[T],
     f: F,
-) -> Result<Vec<R>, E>
+) -> Result<Vec<R>, ExecError>
 where
-    T: Clone + Send,
+    T: Sync,
     R: Send,
-    E: Send,
-    F: Fn(usize, T) -> Result<R, E> + Sync,
+    F: Fn(usize, &T) -> Result<R, ExecError> + Sync,
 {
+    let passage = |idx: usize| -> Result<R, ExecError> {
+        let mut attempt: u32 = 0;
+        loop {
+            match f(idx, &items[idx]) {
+                Err(e) if e.is_transient() && attempt < retry.max_retries => {
+                    attempt += 1;
+                    // the gate is itself a fault site: a fault injected at
+                    // `exec.retry` abandons the in-place rung and escalates
+                    crate::retry_gate(idx, attempt)?;
+                }
+                out => return out,
+            }
+        }
+    };
     let n = items.len();
     if workers <= 1 || n <= 1 {
-        return run_inline(items, recovery.as_ref(), &f);
+        return (0..n).map(passage).collect();
     }
 
     // borrow worker slots from the process-wide governor (full grant
@@ -284,21 +228,23 @@ where
     let permit = acquire_workers(workers.min(n));
     if permit.granted <= 1 {
         drop(permit);
-        return run_inline(items, recovery.as_ref(), &f);
+        return (0..n).map(passage).collect();
     }
     let w = permit.granted;
-    // each item sits in its own slot; in plain mode it is taken exactly
-    // once, in recovery mode it stays put until its task succeeds
-    let slots: Vec<Mutex<Option<T>>> = items.into_iter().map(|t| Mutex::new(Some(t))).collect();
     let deques: Vec<Mutex<VecDeque<usize>>> = (0..w).map(|_| Mutex::new(VecDeque::new())).collect();
     for i in 0..n {
         lock(&deques[i % w]).push_back(i);
     }
     let results: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    let first_err: Mutex<Option<E>> = Mutex::new(None);
+    let first_err: Mutex<Option<ExecError>> = Mutex::new(None);
     let stop = AtomicBool::new(false);
     // per-task count of pool-level passages that ended in failure
     let requeues: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(0)).collect();
+    let max_requeues = if retry.max_retries == 0 {
+        0
+    } else {
+        MAX_REQUEUES
+    };
     let active = AtomicUsize::new(w);
 
     // capture the spawning thread's obs scope so workers record into the
@@ -307,9 +253,8 @@ where
     let obs_scope = genpar_obs::scope::current();
     std::thread::scope(|s| {
         for wid in 0..w {
-            let (deques, slots, results, requeues) = (&deques, &slots, &results, &requeues);
-            let (first_err, stop, f, active) = (&first_err, &stop, &f, &active);
-            let recovery = recovery.as_ref();
+            let (deques, results, requeues) = (&deques, &results, &requeues);
+            let (first_err, stop, passage, active) = (&first_err, &stop, &passage, &active);
             let obs_scope = obs_scope.clone();
             s.spawn(move || {
                 let _obs = obs_scope.map(genpar_obs::scope::enter);
@@ -334,73 +279,50 @@ where
                             std::time::Instant::now(),
                         );
                     }
-                    let outcome = match recovery {
-                        None => {
-                            let Some(item) = lock(&slots[idx]).take() else {
-                                continue;
-                            };
-                            f(idx, item)
-                        }
-                        Some(rec) => {
-                            // leave the item in its slot until success,
-                            // so a failure can be re-run or requeued
-                            let Some(item) = lock(&slots[idx]).clone() else {
-                                continue;
-                            };
-                            run_with_retries(idx, &item, rec, f)
-                        }
-                    };
-                    match outcome {
+                    let e = match passage(idx) {
                         Ok(r) => {
                             *lock(&results[idx]) = Some(r);
-                            if recovery.is_some() {
-                                *lock(&slots[idx]) = None;
-                            }
                             done += 1;
+                            continue;
                         }
-                        Err(e) => {
-                            let fatal = recovery.is_none()
-                                || requeues[idx].fetch_add(1, Ordering::Relaxed) >= MAX_REQUEUES;
-                            if fatal {
-                                let mut g = lock(first_err);
-                                if g.is_none() {
-                                    *g = Some(e);
-                                }
-                                stop.store(true, Ordering::Release);
-                                break;
-                            }
-                            // hand the task to the pool again: back on
-                            // this worker's own front, where a peer's
-                            // steal (or this worker, if it survives)
-                            // picks it up with fresh in-place retries
-                            lock(&deques[wid]).push_front(idx);
-                            strikes += 1;
-                            if strikes >= QUARANTINE_STRIKES {
-                                // quarantine unless this is the last
-                                // active worker, which must keep
-                                // draining the deques
-                                if active.fetch_sub(1, Ordering::AcqRel) > 1 {
-                                    sp.field("quarantined", 1);
-                                    genpar_obs::counter("exec.degrade_step.quarantine", 1);
-                                    genpar_obs::event(
-                                        "exec.quarantine",
-                                        [
-                                            ("worker", genpar_obs::FieldValue::U64(wid as u64)),
-                                            (
-                                                "strikes",
-                                                genpar_obs::FieldValue::U64(u64::from(strikes)),
-                                            ),
-                                        ],
-                                    );
-                                    genpar_obs::timeline::record_instant(
-                                        "exec.quarantine",
-                                        std::time::Instant::now(),
-                                    );
-                                    break;
-                                }
-                                active.fetch_add(1, Ordering::AcqRel);
-                            }
+                        Err(e) => e,
+                    };
+                    if !e.is_transient()
+                        || requeues[idx].fetch_add(1, Ordering::Relaxed) >= max_requeues
+                    {
+                        let mut g = lock(first_err);
+                        if g.is_none() {
+                            *g = Some(e);
                         }
+                        stop.store(true, Ordering::Release);
+                        break;
+                    }
+                    // hand the task to the pool again: back on this
+                    // worker's own front, where a peer's steal (or this
+                    // worker, if it survives) picks it up with fresh
+                    // in-place retries
+                    lock(&deques[wid]).push_front(idx);
+                    strikes += 1;
+                    if strikes >= QUARANTINE_STRIKES {
+                        // quarantine unless this is the last active
+                        // worker, which must keep draining the deques
+                        if active.fetch_sub(1, Ordering::AcqRel) > 1 {
+                            sp.field("quarantined", 1);
+                            genpar_obs::counter("exec.degrade_step.quarantine", 1);
+                            genpar_obs::event(
+                                "exec.quarantine",
+                                [
+                                    ("worker", genpar_obs::FieldValue::U64(wid as u64)),
+                                    ("strikes", genpar_obs::FieldValue::U64(u64::from(strikes))),
+                                ],
+                            );
+                            genpar_obs::timeline::record_instant(
+                                "exec.quarantine",
+                                std::time::Instant::now(),
+                            );
+                            break;
+                        }
+                        active.fetch_add(1, Ordering::AcqRel);
                     }
                 }
                 sp.field("morsels", done);
@@ -414,29 +336,20 @@ where
     if let Some(e) = lock(&first_err).take() {
         return Err(e);
     }
-    if let Some(rec) = &recovery {
-        // completion sweep: quarantines and shutdown races can strand a
-        // requeued item with no worker left to claim it — finish those
-        // serially here so the pool never drops work without an error
-        for (idx, slot) in slots.iter().enumerate() {
-            let Some(item) = lock(slot).take() else {
-                continue;
-            };
-            let r = run_with_retries(idx, &item, rec, &f)?;
-            *lock(&results[idx]) = Some(r);
-        }
-    }
-    // no error ⇒ every slot was taken and completed before its worker
-    // exited, so every result is present
-    let out: Vec<R> = results
+    // completion sweep: a quarantine can strand a requeued task with no
+    // worker left to claim it — finish those serially here, so the pool
+    // never drops work without an error
+    results
         .into_iter()
-        .filter_map(|m| match m.into_inner() {
-            Ok(r) => r,
-            Err(poisoned) => poisoned.into_inner(),
+        .enumerate()
+        .map(|(idx, m)| {
+            match m.into_inner() {
+                Ok(r) => r,
+                Err(poisoned) => poisoned.into_inner(),
+            }
+            .map_or_else(|| passage(idx), Ok)
         })
-        .collect();
-    debug_assert_eq!(out.len(), n);
-    Ok(out)
+        .collect()
 }
 
 #[cfg(test)]
@@ -444,10 +357,14 @@ mod tests {
     use super::*;
     use std::sync::atomic::AtomicU64;
 
+    fn blip(x: u64) -> ExecError {
+        ExecError::Fault(format!("blip {x}"))
+    }
+
     #[test]
     fn results_come_back_in_item_order() {
         let items: Vec<u64> = (0..100).collect();
-        let got = run_tasks(4, items, |i, x| -> Result<u64, ()> {
+        let got = run_tasks(4, RetryPolicy::default(), &items, |i, x| {
             // uneven task cost to force interleaving and steals
             std::thread::sleep(std::time::Duration::from_micros(x % 7));
             Ok(i as u64 * 1000 + x)
@@ -462,14 +379,11 @@ mod tests {
     #[test]
     fn every_item_runs_exactly_once() {
         let ran = AtomicU64::new(0);
-        let got = run_tasks(
-            8,
-            (0..257).collect::<Vec<i32>>(),
-            |_, _| -> Result<(), ()> {
-                ran.fetch_add(1, Ordering::Relaxed);
-                Ok(())
-            },
-        )
+        let items: Vec<i32> = (0..257).collect();
+        let got = run_tasks(8, RetryPolicy::default(), &items, |_, _| {
+            ran.fetch_add(1, Ordering::Relaxed);
+            Ok(())
+        })
         .unwrap();
         assert_eq!(got.len(), 257);
         assert_eq!(ran.load(Ordering::Relaxed), 257);
@@ -477,22 +391,23 @@ mod tests {
 
     #[test]
     fn first_error_wins_and_cancels() {
-        let err = run_tasks(4, (0..1000).collect::<Vec<u64>>(), |_, x| {
+        let items: Vec<u64> = (0..1000).collect();
+        let err = run_tasks(4, RetryPolicy::default(), &items, |_, &x| {
             if x == 3 {
-                Err(format!("boom {x}"))
+                Err(ExecError::Eval(format!("boom {x}")))
             } else {
                 std::thread::sleep(std::time::Duration::from_micros(5));
                 Ok(x)
             }
         })
         .unwrap_err();
-        assert!(err.starts_with("boom"), "{err}");
+        assert!(err.to_string().contains("boom 3"), "{err}");
     }
 
     #[test]
     fn serial_path_spawns_no_threads() {
         let main = std::thread::current().id();
-        let got = run_tasks(1, vec![1, 2, 3], |_, x| -> Result<_, ()> {
+        let got = run_tasks(1, RetryPolicy::default(), &[1, 2, 3], |_, x| {
             assert_eq!(std::thread::current().id(), main);
             Ok(x * 2)
         })
@@ -500,103 +415,106 @@ mod tests {
         assert_eq!(got, vec![2, 4, 6]);
     }
 
-    fn recovery(retries: u32) -> Recovery<'static, String> {
-        static GATE: fn(usize, u32) -> Result<(), String> = |_, _| Ok(());
-        Recovery {
-            retries,
-            gate: &GATE,
-        }
+    #[test]
+    fn only_faults_are_transient() {
+        assert!(ExecError::Fault("exec.morsel".into()).is_transient());
+        assert!(!ExecError::Eval("column 3 missing".into()).is_transient());
+        assert!(!ExecError::Domain(genpar_value::DomainError {
+            symbol: "even".into(),
+            found: "a".into(),
+            expects: "int".into(),
+        })
+        .is_transient());
+        assert!(!ExecError::Internal("task panicked".into()).is_transient());
     }
 
     #[test]
     fn transient_failures_are_retried_in_place() {
-        // every task fails on its first attempt, succeeds on the second
+        // every task faults on its first attempt, succeeds on the second
         let attempts: Vec<AtomicU32> = (0..64).map(|_| AtomicU32::new(0)).collect();
-        let got = run_tasks_recovering(
-            4,
-            (0..64u64).collect::<Vec<_>>(),
-            Some(recovery(2)),
-            |i, x| {
+        let items: Vec<u64> = (0..64).collect();
+        for w in [1, 4] {
+            attempts.iter().for_each(|a| a.store(0, Ordering::Relaxed));
+            let got = run_tasks(w, RetryPolicy::default(), &items, |i, &x| {
                 if attempts[i].fetch_add(1, Ordering::Relaxed) == 0 {
-                    Err(format!("blip {x}"))
+                    Err(blip(x))
                 } else {
                     Ok(x * 2)
                 }
-            },
-        )
-        .unwrap();
-        assert_eq!(got.len(), 64);
-        for (i, v) in got.iter().enumerate() {
-            assert_eq!(*v, i as u64 * 2);
+            })
+            .unwrap();
+            assert_eq!(got, (0..64).map(|x| x * 2).collect::<Vec<u64>>());
         }
     }
 
     #[test]
-    fn persistent_failure_exhausts_ladder_and_errors() {
-        let err = run_tasks_recovering(
-            4,
-            (0..32u64).collect::<Vec<_>>(),
-            Some(recovery(2)),
-            |_, x| -> Result<u64, String> {
+    fn deterministic_error_is_not_retried() {
+        // an evaluation error fails the same way on every re-run: it
+        // runs once, is neither retried nor requeued, and cancels the run
+        for w in [1, 2, 4] {
+            let attempts: Vec<AtomicU32> = (0..32).map(|_| AtomicU32::new(0)).collect();
+            let items: Vec<u64> = (0..32).collect();
+            let err = run_tasks(w, RetryPolicy::default(), &items, |i, &x| {
+                attempts[i].fetch_add(1, Ordering::Relaxed);
                 if x == 5 {
-                    Err("hard fault".to_string())
+                    Err(ExecError::Eval("column 3 missing".into()))
                 } else {
                     Ok(x)
                 }
-            },
-        )
-        .unwrap_err();
-        assert_eq!(err, "hard fault");
+            })
+            .unwrap_err();
+            assert!(matches!(err, ExecError::Eval(_)), "{err:?}");
+            assert_eq!(attempts[5].load(Ordering::Relaxed), 1, "at {w} workers");
+        }
     }
 
     #[test]
-    fn gate_error_aborts_in_place_retries() {
-        // the gate faults on the very first re-run: its error escalates
-        // (and because the pool requeues once, each passage consults the
-        // gate again — still an error, so the run fails overall)
-        let gate = |_: usize, _: u32| -> Result<(), String> { Err("retry gate fault".into()) };
-        let err = run_tasks_recovering(
-            2,
-            (0..8u64).collect::<Vec<_>>(),
-            Some(Recovery {
-                retries: 3,
-                gate: &gate,
-            }),
-            |_, x| -> Result<u64, String> {
-                if x == 1 {
-                    Err("task fault".into())
-                } else {
-                    Ok(x)
-                }
-            },
-        )
+    fn persistent_fault_exhausts_ladder_and_errors() {
+        let items: Vec<u64> = (0..32).collect();
+        let err = run_tasks(4, RetryPolicy::default(), &items, |_, &x| {
+            if x == 5 {
+                Err(ExecError::Fault("hard fault".into()))
+            } else {
+                Ok(x)
+            }
+        })
         .unwrap_err();
-        assert!(
-            err == "retry gate fault" || err == "task fault",
-            "unexpected error: {err}"
-        );
+        assert!(err.is_transient(), "{err:?}");
+        assert_eq!(err.to_string(), "hard fault");
+    }
+
+    #[test]
+    fn zero_retries_neither_retry_nor_requeue() {
+        let attempts = AtomicU32::new(0);
+        let items: Vec<u64> = (0..16).collect();
+        let err = run_tasks(4, RetryPolicy::none(), &items, |_, &x| {
+            if x == 7 {
+                attempts.fetch_add(1, Ordering::Relaxed);
+                Err(blip(x))
+            } else {
+                Ok(x)
+            }
+        })
+        .unwrap_err();
+        assert!(err.is_transient());
+        assert_eq!(attempts.load(Ordering::Relaxed), 1);
     }
 
     #[test]
     fn requeued_task_recovers_on_a_later_passage() {
-        // a task that fails its entire first passage (all in-place
+        // a task that faults its entire first passage (all in-place
         // retries) but succeeds once requeued: the run still completes
         let attempts = AtomicU32::new(0);
-        let got = run_tasks_recovering(
-            4,
-            (0..32u64).collect::<Vec<_>>(),
-            Some(recovery(1)),
-            |_, x| {
-                if x == 7 && attempts.fetch_add(1, Ordering::Relaxed) < 2 {
-                    Err("flaky".to_string())
-                } else {
-                    Ok(x)
-                }
-            },
-        )
+        let items: Vec<u64> = (0..32).collect();
+        let got = run_tasks(4, RetryPolicy { max_retries: 1 }, &items, |_, &x| {
+            if x == 7 && attempts.fetch_add(1, Ordering::Relaxed) < 2 {
+                Err(blip(x))
+            } else {
+                Ok(x)
+            }
+        })
         .unwrap();
-        assert_eq!(got.len(), 32);
-        assert_eq!(got[7], 7);
+        assert_eq!(got, items);
     }
 
     #[test]
@@ -652,22 +570,18 @@ mod tests {
 
     #[test]
     fn recovery_sweep_completes_after_mass_quarantine() {
-        // every worker's first two passages fail (striking them out),
-        // but later attempts succeed: between requeues, the surviving
-        // worker and the caller's sweep must finish all items
+        // every task faults its whole first passage (striking workers
+        // out), but later attempts succeed: between requeues, the
+        // surviving worker and the caller's sweep must finish all items
         let attempts: Vec<AtomicU32> = (0..16).map(|_| AtomicU32::new(0)).collect();
-        let got = run_tasks_recovering(
-            4,
-            (0..16u64).collect::<Vec<_>>(),
-            Some(recovery(0)),
-            |i, x| {
-                if attempts[i].fetch_add(1, Ordering::Relaxed) == 0 {
-                    Err(format!("first-attempt blip {x}"))
-                } else {
-                    Ok(x + 100)
-                }
-            },
-        )
+        let items: Vec<u64> = (0..16).collect();
+        let got = run_tasks(4, RetryPolicy { max_retries: 1 }, &items, |i, &x| {
+            if attempts[i].fetch_add(1, Ordering::Relaxed) < 2 {
+                Err(blip(x))
+            } else {
+                Ok(x + 100)
+            }
+        })
         .unwrap();
         assert_eq!(got, (100..116).collect::<Vec<u64>>());
     }

@@ -314,3 +314,89 @@ fn rows_cap_fires_on_parallel_output() {
         assert!(err.to_string().contains("rows limit 10"), "{err}");
     }
 }
+
+/// A relation of atoms, on which `even` is undefined (§2.5).
+fn atoms() -> Table {
+    let mut a = Table::new("A", Schema::uniform(CvType::domain(0), 1));
+    for i in 0..40 {
+        a.insert(vec![Value::atom(0, i)]);
+    }
+    a
+}
+
+fn no_recovery_trail(snap: &Snapshot) -> bool {
+    !has_event(snap, "exec.retry")
+        && !has_event(snap, "exec.quarantine")
+        && !snap
+            .counters
+            .keys()
+            .any(|k| k.starts_with("exec.degrade_step."))
+}
+
+/// Only an injected fault is worth a re-run. An off-domain application
+/// and a budget breach fail the same way on every re-run, so with the
+/// recovery ladder armed they return their error at once: no retry, no
+/// requeue, no degrade step. With one morsel the armed `exec.morsel:2`
+/// never fires; with many, no fault is armed and the explicit policy
+/// alone would have armed the ladder.
+#[test]
+fn deterministic_errors_are_not_retried() {
+    let _g = lock();
+    let c = catalog().with(atoms());
+    let ill_typed = Query::rel("A").select(Pred::Named("even".into(), vec![0]));
+    let scan = Query::rel("R").select(Pred::True);
+    for w in [2, 4] {
+        for (spec, morsel) in [("exec.morsel:2", 1024), ("", 8)] {
+            let mut cfg = cfg(w, morsel);
+            cfg.retry = genpar_guard::RetryPolicy { max_retries: 2 };
+            let run = |q: &Query| {
+                if spec.is_empty() {
+                    let scope = genpar_obs::Scope::anonymous();
+                    let guard = scope.enter();
+                    let out = genpar_exec::eval_query(q, &c, &cfg);
+                    drop(guard);
+                    (out, scope.snapshot())
+                } else {
+                    armed(spec, || genpar_exec::eval_query(q, &c, &cfg))
+                }
+            };
+            let (out, snap) = run(&ill_typed);
+            match out {
+                Err(ExecError::Domain(d)) => assert_eq!(d.symbol, "even"),
+                other => panic!("expected the domain error at {w} workers, got {other:?}"),
+            }
+            assert!(
+                no_recovery_trail(&snap),
+                "{spec:?} at {w} workers: {snap:?}"
+            );
+            let budget = genpar_guard::ExecBudget::default()
+                .with_max_cells(10)
+                .enter();
+            let (out, snap) = run(&scan);
+            drop(budget);
+            assert!(
+                out.as_ref().is_err_and(ExecError::is_budget),
+                "expected a budget breach at {w} workers, got {out:?}"
+            );
+            assert!(
+                no_recovery_trail(&snap),
+                "{spec:?} at {w} workers: {snap:?}"
+            );
+        }
+    }
+}
+
+/// The retry gate is itself a fault site: a fault there abandons the
+/// in-place rung, and the requeued task succeeds on its next passage.
+#[test]
+fn retry_gate_fault_escalates_to_requeue() {
+    let _g = lock();
+    let c = catalog();
+    let q = Query::rel("R").select(Pred::True);
+    let plan = lower(&q).unwrap();
+    let (rows, snap) = armed("exec.morsel:1,exec.retry:*", || {
+        plan.eval_parallel(&c, &cfg(4, 16))
+    });
+    assert_eq!(rows_to_value(rows.expect("requeued").0), truth(&q, &c));
+    assert!(!has_event(&snap, "exec.retry"), "the gate faulted first");
+}

@@ -11,7 +11,10 @@
 //! databases and assert byte-identical results across worker counts
 //! {1, 2, 4} and several pinned morsel sizes, with the bytecode VM on
 //! and, at every worker count, switched off (walker and kernels then
-//! evaluate every σ/map on the AST).
+//! evaluate every σ/map on the AST). Ill-typed applications — `succ` on
+//! a binary row, `even` and `lt` on atoms — are part of every shape's
+//! generator: there the walker's answer is a domain error (§2.5), and
+//! every route must return that same error.
 //!
 //! Everything is driven through [`genpar_exec::ExecConfig`]; the
 //! library reads no environment.
@@ -19,11 +22,12 @@
 use genpar::optimizer::{
     optimize, optimize_costed_parallel_with_stats, Calibration, Constraints, Rule, RuleSet,
 };
-use genpar_algebra::{Pred, Query, ValueFn};
+use genpar_algebra::{EvalError, Pred, Query, ValueFn};
+use genpar_engine::plan::ExecError;
 use genpar_engine::workload::{generate_edges, generate_keyed_pair, generate_table, WorkloadSpec};
-use genpar_engine::Catalog;
+use genpar_engine::{Catalog, Schema, Table};
 use genpar_exec::{db_from_catalog, eval_query, ExecConfig};
-use genpar_value::Value;
+use genpar_value::{CvType, DomainError, Value};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -35,15 +39,37 @@ const MORSELS: [usize; 4] = [1, 16, 64, 256];
 const VM_OFF_MORSEL: usize = 16;
 
 /// Assert the differential contract for one query: every executor
-/// configuration reproduces the walker's value, bytewise.
+/// configuration reproduces the walker's value, bytewise, or its domain
+/// error.
 fn assert_differential(q: &Query, cat: &Catalog) -> Result<(), TestCaseError> {
     assert_routes_match(q, &walker(q, cat)?, cat, &WORKERS)
 }
 
-/// The serial truth: the algebra walker's value for `q`.
-fn walker(q: &Query, cat: &Catalog) -> Result<Value, TestCaseError> {
-    genpar_algebra::eval::eval(q, &db_from_catalog(cat))
-        .map_err(|e| TestCaseError::Fail(format!("walker eval failed on {q}: {e}")))
+/// The serial truth: the walker's value, or the domain error of an
+/// ill-typed application. Any other error fails the case.
+type Truth = Result<Value, DomainError>;
+
+/// The serial truth for `q` on the algebra walker.
+fn walker(q: &Query, cat: &Catalog) -> Result<Truth, TestCaseError> {
+    walk(q, cat, true)
+}
+
+fn walk(q: &Query, cat: &Catalog, vm: bool) -> Result<Truth, TestCaseError> {
+    match genpar_algebra::eval::eval(q, &db_from_catalog(cat).with_vm(vm)) {
+        Ok(v) => Ok(Ok(v)),
+        Err(EvalError::Domain(d)) => Ok(Err(d)),
+        Err(e) => Err(TestCaseError::Fail(format!(
+            "walker eval failed on {q}: {e}"
+        ))),
+    }
+}
+
+/// The bytes a truth renders to: the value, or the error message.
+fn render(t: &Truth) -> String {
+    match t {
+        Ok(v) => v.to_string(),
+        Err(d) => d.to_string(),
+    }
 }
 
 /// `eval_query` reproduces `truth` bytewise on `q` at each of `workers`
@@ -51,15 +77,14 @@ fn walker(q: &Query, cat: &Catalog) -> Result<Value, TestCaseError> {
 /// with the VM off — as does the walker with the VM off.
 fn assert_routes_match(
     q: &Query,
-    truth: &Value,
+    truth: &Truth,
     cat: &Catalog,
     workers: &[usize],
 ) -> Result<(), TestCaseError> {
-    let truth_bytes = truth.to_string();
-    let ast_walker = genpar_algebra::eval::eval(q, &db_from_catalog(cat).with_vm(false));
+    let truth_bytes = render(truth);
     prop_assert_eq!(
-        ast_walker.as_ref().ok(),
-        Some(truth),
+        &walk(q, cat, false)?,
+        truth,
         "walker with the VM off diverged on {}",
         q
     );
@@ -70,11 +95,15 @@ fn assert_routes_match(
                 .with_workers(w)
                 .with_morsel_rows(m)
                 .with_vm(vm);
-            let (v, _, route) = eval_query(q, cat, &cfg).map_err(|e| {
-                TestCaseError::Fail(format!(
-                    "executor eval failed on {q} (w={w}, m={m}, vm={vm}): {e}"
-                ))
-            })?;
+            let (v, route) = match eval_query(q, cat, &cfg) {
+                Ok((v, _, route)) => (Ok(v), Some(route)),
+                Err(ExecError::Domain(d)) => (Err(d), None),
+                Err(e) => {
+                    return Err(TestCaseError::Fail(format!(
+                        "executor eval failed on {q} (w={w}, m={m}, vm={vm}): {e}"
+                    )))
+                }
+            };
             prop_assert_eq!(
                 &v,
                 truth,
@@ -86,7 +115,7 @@ fn assert_routes_match(
                 route
             );
             prop_assert_eq!(
-                v.to_string(),
+                render(&v),
                 truth_bytes.clone(),
                 "canonical rendering diverged on {} (w={}, m={}, vm={})",
                 q,
@@ -99,17 +128,20 @@ fn assert_routes_match(
     Ok(())
 }
 
-/// A random flat inner plan over `R`, `S` and the unary `U`, paired with
-/// its output arity (so aggregate columns stay in range). Most shapes
-/// are distributive — certified input for the combiner and
-/// plain-partition routes; the bare-valued maps are refused by the gate
-/// and exercise the walker route under the same oracle.
+/// A random flat inner plan over `R`, `S`, the unary `U` and the atoms
+/// `A`, paired with its output arity (so aggregate columns stay in
+/// range). Most shapes are distributive — certified input for the
+/// combiner and plain-partition routes; the bare-valued maps are
+/// refused by the gate and exercise the walker route under the same
+/// oracle. The ill-typed applications fail on any non-empty input.
 fn random_inner(rng: &mut StdRng) -> (Query, usize) {
     let r = Query::rel("R");
     let s = Query::rel("S");
     let u = Query::rel("U");
+    let a = Query::rel("A");
     let succ = || ValueFn::Interp("succ".into());
-    match rng.gen_range(0..15) {
+    let named = |p: &str, cols: Vec<usize>| Pred::Named(p.into(), cols);
+    match rng.gen_range(0..19) {
         0 => (r, 2),
         1 => (r.project(vec![rng.gen_range(0..2usize)]), 1),
         2 => (r.select(Pred::eq_cols(0, 1)), 2),
@@ -134,6 +166,20 @@ fn random_inner(rng: &mut StdRng) -> (Query, usize) {
         // bare-valued maps: elements are not tuples
         12 => (r.map(ValueFn::Proj(rng.gen_range(0..2))), 1),
         13 => (u.map(succ()), 1),
+        // ill-typed: `succ` takes an int, not a binary row — inside a
+        // row-shaped map (executor) and as a bare map (walker)
+        15 => (
+            r.map(ValueFn::Pair(Box::new(succ()), Box::new(ValueFn::Proj(0)))),
+            2,
+        ),
+        16 => (r.map(succ()), 1),
+        // ill-typed: `even` and `lt` take ints, not atoms
+        17 => (a.select(named("even", vec![0])), 1),
+        18 => (
+            a.product(u)
+                .select(named("lt", vec![rng.gen_range(0..2), 1])),
+            2,
+        ),
         _ => (
             r.map(ValueFn::Compose(
                 Box::new(ValueFn::Proj(0)),
@@ -222,7 +268,17 @@ fn random_flat_catalog(rng: &mut StdRng) -> Catalog {
     let r = generate_table(rng, "R", spec(r_rows, 2));
     let s = generate_table(rng, "S", spec(s_rows, 2));
     let u = generate_table(rng, "U", spec(u_rows, 1));
-    Catalog::new().with(r).with(s).with(u)
+    Catalog::new().with(r).with(s).with(u).with(atoms(rng))
+}
+
+/// A unary relation `A` of up to 6 atoms, the values no interpreted
+/// symbol of the integer signature is defined on.
+fn atoms(rng: &mut StdRng) -> Table {
+    let mut a = Table::new("A", Schema::uniform(CvType::domain(0), 1));
+    for _ in 0..rng.gen_range(0..6) {
+        a.insert(vec![Value::atom(0, rng.gen_range(0..6))]);
+    }
+    a
 }
 
 /// A random fixpoint step body over loop variable `X` and edges `E`.
@@ -234,7 +290,12 @@ fn random_step(rng: &mut StdRng) -> Query {
     let x = || Query::rel("X");
     let e = || Query::rel("E");
     let k = Value::Int(rng.gen_range(0..8));
-    match rng.gen_range(0..9) {
+    match rng.gen_range(0..10) {
+        // ill-typed: `even` on the atoms of an invariant product side
+        9 => x()
+            .product(Query::rel("A"))
+            .select(Pred::Named("even".into(), vec![2]))
+            .project(vec![0, 1]),
         // an invariant σ over E, hoisted into the join's build side
         5 => x()
             .join_on(e().select(Pred::Named("even".into(), vec![0])), [(1, 0)])
@@ -286,6 +347,7 @@ proptest! {
         if rng.gen_bool(0.3) {
             cat.add(generate_edges(&mut rng, "X", nodes + 3, 1.0, false));
         }
+        cat.add(atoms(&mut rng));
         let q = Query::fixpoint("X", Query::rel("E"), random_step(&mut rng));
         assert_differential(&q, &cat)?;
     }
