@@ -325,8 +325,8 @@ pub fn to_algebra(f: &Formula) -> Option<(crate::expr::Query, Vec<Var>)> {
             // π reordering the atom's columns into sorted-variable order
             let perm: Vec<usize> = sorted
                 .iter()
-                .map(|v| vars.iter().position(|w| w == v).expect("var present"))
-                .collect();
+                .map(|v| vars.iter().position(|w| w == v))
+                .collect::<Option<_>>()?;
             let q = Query::Project(perm, Box::new(Query::Rel(rel.clone())));
             Some((q, sorted))
         }
@@ -343,9 +343,8 @@ pub fn to_algebra(f: &Formula) -> Option<(crate::expr::Query, Vec<Var>)> {
                     va.iter()
                         .position(|w| w == v)
                         .or_else(|| vb.iter().position(|w| w == v).map(|i| i + va.len()))
-                        .expect("var present on one side")
                 })
-                .collect();
+                .collect::<Option<_>>()?;
             let q = Query::Project(perm, Box::new(Query::Product(Box::new(qa), Box::new(qb))));
             Some((q, all))
         }

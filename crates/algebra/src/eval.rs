@@ -3,6 +3,7 @@
 use crate::expr::{Pred, Query, ValueFn};
 use genpar_value::enumerate::{enumerate, EnumLimits, Universe};
 use genpar_value::{CvType, Signature, Value};
+use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
@@ -252,12 +253,24 @@ pub fn op_name(q: &Query) -> &'static str {
 /// [`genpar_guard::ExecBudget`]; a breach surfaces as
 /// [`EvalError::BudgetExceeded`] with the partial-progress counters.
 pub fn eval_with_stats(q: &Query, db: &Db, stats: &mut EvalStats) -> Result<Value, EvalError> {
+    eval_ref(q, db, stats).map(Cow::into_owned)
+}
+
+/// [`eval_with_stats`] that leaves a stored relation (or a literal)
+/// where it lies: `Rel` and `Lit` borrow, with the same fault site, span
+/// and step/row/cell charges as any other node; every other node owns
+/// the value it builds.
+fn eval_ref<'a>(
+    q: &'a Query,
+    db: &'a Db,
+    stats: &mut EvalStats,
+) -> Result<Cow<'a, Value>, EvalError> {
     let op = op_name(q);
     genpar_guard::faultpoint("algebra.eval").map_err(|f| EvalError::Fault(f.to_string()))?;
     genpar_guard::charge_steps(1, op).map_err(|b| budget_err(b, stats))?;
     let mut sp = genpar_obs::span(op);
     let out = eval_node(q, db, stats, &mut sp)?;
-    if let Value::Set(s) = &out {
+    if let Value::Set(s) = out.as_ref() {
         sp.field("rows_out", s.len() as u64);
         genpar_guard::charge_rows(s.len() as u64, op).map_err(|b| budget_err(b, stats))?;
         genpar_guard::charge_cells(s.iter().map(Value::len).sum::<usize>() as u64, op)
@@ -278,43 +291,51 @@ fn budget_err(b: genpar_guard::BudgetBreach, stats: &EvalStats) -> EvalError {
     }
 }
 
-fn eval_node(
-    q: &Query,
-    db: &Db,
+/// One node's value. Operators iterate their inputs where they lie and
+/// collect their output before building the set in bulk
+/// (`BTreeSet::from_iter`), which is linear on an already sorted output;
+/// ∪ merges its two operands' trees instead.
+fn eval_node<'a>(
+    q: &'a Query,
+    db: &'a Db,
     stats: &mut EvalStats,
     sp: &mut genpar_obs::SpanGuard,
-) -> Result<Value, EvalError> {
-    match q {
-        Query::Rel(name) => db
-            .get(name)
-            .cloned()
-            .ok_or_else(|| EvalError::UnknownRelation(name.clone())),
-        Query::Lit(v) => Ok(v.clone()),
-        Query::Empty => Ok(Value::empty_set()),
+) -> Result<Cow<'a, Value>, EvalError> {
+    let out = match q {
+        Query::Rel(name) => {
+            return db
+                .get(name)
+                .map(Cow::Borrowed)
+                .ok_or_else(|| EvalError::UnknownRelation(name.clone()))
+        }
+        Query::Lit(v) => return Ok(Cow::Borrowed(v)),
+        Query::Empty => Value::empty_set(),
         Query::Project(cols, q) => {
             let s = eval_set(q, db, stats)?;
             sp.field("rows_in", s.len() as u64);
-            let mut out = BTreeSet::new();
-            for t in &s {
-                stats.tuples_scanned += 1;
-                out.insert(project_tuple(t, cols)?);
-            }
+            let out = s
+                .iter()
+                .map(|t| {
+                    stats.tuples_scanned += 1;
+                    project_tuple(t, cols)
+                })
+                .collect::<Result<BTreeSet<_>, _>>()?;
             stats.tuples_emitted += out.len() as u64;
-            Ok(Value::Set(out))
+            Value::Set(out)
         }
         Query::Select(p, q) => {
             let s = eval_set(q, db, stats)?;
             sp.field("rows_in", s.len() as u64);
-            let out = select_set(p, s, db, stats)?;
+            let out = select_set(p, &s, db, stats)?;
             stats.tuples_emitted += out.len() as u64;
-            Ok(Value::Set(out))
+            Value::Set(out)
         }
         Query::SelectHat(i, j, q) => {
             // σ̂_{i=j}(R) = {π_ĵ(t) | t ∈ R, t.i = t.j} (Section 3.2)
             let s = eval_set(q, db, stats)?;
             sp.field("rows_in", s.len() as u64);
-            let mut out = BTreeSet::new();
-            for t in &s {
+            let mut out = Vec::new();
+            for t in s.iter() {
                 stats.tuples_scanned += 1;
                 let tup = t.as_tuple().ok_or_else(|| shape("σ̂", t))?;
                 let a = tup.get(*i).ok_or(EvalError::BadColumn(*i))?;
@@ -326,18 +347,19 @@ fn eval_node(
                         .filter(|(k, _)| k != j)
                         .map(|(_, v)| v.clone())
                         .collect();
-                    out.insert(Value::Tuple(projected));
+                    out.push(Value::Tuple(projected));
                 }
             }
+            let out = BTreeSet::from_iter(out);
             stats.tuples_emitted += out.len() as u64;
-            Ok(Value::Set(out))
+            Value::Set(out)
         }
         Query::Product(a, b) => {
             let sa = eval_set(a, db, stats)?;
             let sb = eval_set(b, db, stats)?;
             sp.field("rows_in", (sa.len() + sb.len()) as u64);
             let mut out = BTreeSet::new();
-            for x in &sa {
+            for x in sa.iter() {
                 // × is quadratic: re-check the budget between inner
                 // sweeps so an armed cap stops the blow-up promptly
                 // instead of after full materialization
@@ -345,62 +367,55 @@ fn eval_node(
                     .map_err(|b| budget_err(b, stats))?;
                 genpar_guard::charge_rows(out.len() as u64, "alg.Product")
                     .map_err(|b| budget_err(b, stats))?;
-                for y in &sb {
+                for y in sb.iter() {
                     stats.tuples_scanned += 1;
                     out.insert(concat_tuples(x, y)?);
                 }
             }
             stats.tuples_emitted += out.len() as u64;
-            Ok(Value::Set(out))
+            Value::Set(out)
         }
-        Query::Union(a, b) => {
-            let mut sa = eval_set(a, db, stats)?;
-            let sb = eval_set(b, db, stats)?;
-            sp.field("rows_in", (sa.len() + sb.len()) as u64);
-            stats.tuples_scanned += (sa.len() + sb.len()) as u64;
-            sa.extend(sb);
-            stats.tuples_emitted += sa.len() as u64;
-            Ok(Value::Set(sa))
-        }
-        Query::Intersect(a, b) => {
+        Query::Union(a, b) | Query::Intersect(a, b) | Query::Difference(a, b) => {
             let sa = eval_set(a, db, stats)?;
             let sb = eval_set(b, db, stats)?;
             sp.field("rows_in", (sa.len() + sb.len()) as u64);
             stats.tuples_scanned += (sa.len() + sb.len()) as u64;
-            let out: BTreeSet<Value> = sa.intersection(&sb).cloned().collect();
+            let out: BTreeSet<Value> = match q {
+                // ∪ merges the two trees in one linear pass (`append`).
+                // Unlike `collect`, it stages no contiguous output buffer
+                // and sort scratch, which on 20,000-row operands raised
+                // a server's peak RSS
+                Query::Union(..) => {
+                    let mut out = sa.into_owned();
+                    out.append(&mut sb.into_owned());
+                    out
+                }
+                Query::Intersect(..) => sa.intersection(&sb).cloned().collect(),
+                _ => sa.difference(&sb).cloned().collect(),
+            };
             stats.tuples_emitted += out.len() as u64;
-            Ok(Value::Set(out))
-        }
-        Query::Difference(a, b) => {
-            let sa = eval_set(a, db, stats)?;
-            let sb = eval_set(b, db, stats)?;
-            sp.field("rows_in", (sa.len() + sb.len()) as u64);
-            stats.tuples_scanned += (sa.len() + sb.len()) as u64;
-            let out: BTreeSet<Value> = sa.difference(&sb).cloned().collect();
-            stats.tuples_emitted += out.len() as u64;
-            Ok(Value::Set(out))
+            Value::Set(out)
         }
         Query::Join(on, a, b) => {
             let sa = eval_set(a, db, stats)?;
             let sb = eval_set(b, db, stats)?;
             sp.field("rows_in", (sa.len() + sb.len()) as u64);
             // hash join on the first key pair, nested filter for the rest
-            let mut out = BTreeSet::new();
-            if let Some(&(i0, j0)) = on.first() {
-                let mut index: BTreeMap<&Value, Vec<&Value>> = BTreeMap::new();
-                for t in &sb {
+            let out = if let Some(&(i0, j0)) = on.first() {
+                let mut index: BTreeMap<&Value, Vec<(&Value, &[Value])>> = BTreeMap::new();
+                for t in sb.iter() {
                     stats.tuples_scanned += 1;
                     let tup = t.as_tuple().ok_or_else(|| shape("⋈", t))?;
                     let k = tup.get(j0).ok_or(EvalError::BadColumn(j0))?;
-                    index.entry(k).or_default().push(t);
+                    index.entry(k).or_default().push((t, tup));
                 }
-                for s in &sa {
+                let mut out = Vec::new();
+                for s in sa.iter() {
                     stats.tuples_scanned += 1;
                     let stup = s.as_tuple().ok_or_else(|| shape("⋈", s))?;
                     let k = stup.get(i0).ok_or(EvalError::BadColumn(i0))?;
                     if let Some(matches) = index.get(k) {
-                        'next: for t in matches {
-                            let ttup = t.as_tuple().expect("indexed tuples");
+                        'next: for &(t, ttup) in matches {
                             for &(i, j) in &on[1..] {
                                 let x = stup.get(i).ok_or(EvalError::BadColumn(i))?;
                                 let y = ttup.get(j).ok_or(EvalError::BadColumn(j))?;
@@ -408,59 +423,63 @@ fn eval_node(
                                     continue 'next;
                                 }
                             }
-                            out.insert(concat_tuples(s, t)?);
+                            out.push(concat_tuples(s, t)?);
                         }
                     }
                 }
+                BTreeSet::from_iter(out)
             } else {
                 // no key pairs: degenerate to product (quadratic, so
                 // budget-checked between inner sweeps like ×)
-                for x in &sa {
+                let mut out = BTreeSet::new();
+                for x in sa.iter() {
                     genpar_guard::charge_steps(sb.len() as u64, "alg.Join")
                         .map_err(|b| budget_err(b, stats))?;
                     genpar_guard::charge_rows(out.len() as u64, "alg.Join")
                         .map_err(|b| budget_err(b, stats))?;
-                    for y in &sb {
+                    for y in sb.iter() {
                         stats.tuples_scanned += 1;
                         out.insert(concat_tuples(x, y)?);
                     }
                 }
-            }
+                out
+            };
             stats.tuples_emitted += out.len() as u64;
-            Ok(Value::Set(out))
+            Value::Set(out)
         }
         Query::Map(f, q) => {
             let s = eval_set(q, db, stats)?;
             sp.field("rows_in", s.len() as u64);
             let out = map_set(f, &s, db, stats)?;
             stats.tuples_emitted += out.len() as u64;
-            Ok(Value::Set(out))
+            Value::Set(out)
         }
         Query::Insert(c, q) => {
-            let mut s = eval_set(q, db, stats)?;
+            let mut s = eval_set(q, db, stats)?.into_owned();
             s.insert(c.clone());
             stats.tuples_emitted += 1;
-            Ok(Value::Set(s))
+            Value::Set(s)
         }
         Query::Singleton(q) => {
             let v = eval_with_stats(q, db, stats)?;
             stats.tuples_emitted += 1;
-            Ok(Value::set([v]))
+            Value::set([v])
         }
         Query::Flatten(q) => {
             let s = eval_set(q, db, stats)?;
-            let mut out = BTreeSet::new();
-            for inner in &s {
+            let mut out = Vec::new();
+            for inner in s.iter() {
                 stats.tuples_scanned += 1;
                 let is = inner.as_set().ok_or_else(|| shape("μ", inner))?;
                 out.extend(is.iter().cloned());
             }
+            let out = BTreeSet::from_iter(out);
             stats.tuples_emitted += out.len() as u64;
-            Ok(Value::Set(out))
+            Value::Set(out)
         }
         Query::Powerset(q) => {
             let s = eval_set(q, db, stats)?;
-            let elems: Vec<Value> = s.into_iter().collect();
+            let elems: Vec<&Value> = s.iter().collect();
             // ℘ of n elements is a 2ⁿ-element answer: governed by the
             // armed budget's powerset cap (default 20 even when no
             // budget is armed — this is the one always-on guard)
@@ -482,34 +501,28 @@ fn eval_node(
                     .iter()
                     .enumerate()
                     .filter(|(i, _)| mask & (1 << i) != 0)
-                    .map(|(_, v)| v.clone())
+                    .map(|(_, &v)| v.clone())
                     .collect();
                 out.insert(Value::Set(sub));
             }
             stats.tuples_emitted += out.len() as u64;
-            Ok(Value::Set(out))
+            Value::Set(out)
         }
         Query::EqAdom(q) => {
-            let v = eval_with_stats(q, db, stats)?;
+            let v = eval_ref(q, db, stats)?;
             let adom = v.active_domain();
             let out: BTreeSet<Value> = adom
                 .iter()
                 .map(|x| Value::tuple([x.clone(), x.clone()]))
                 .collect();
             stats.tuples_emitted += out.len() as u64;
-            Ok(Value::Set(out))
+            Value::Set(out)
         }
-        Query::Adom(q) => {
-            let v = eval_with_stats(q, db, stats)?;
-            Ok(Value::Set(v.active_domain()))
-        }
-        Query::Even(q) => {
-            let s = eval_set(q, db, stats)?;
-            Ok(Value::Bool(s.len() % 2 == 0))
-        }
+        Query::Adom(q) => Value::Set(eval_ref(q, db, stats)?.active_domain()),
+        Query::Even(q) => Value::Bool(eval_set(q, db, stats)?.len() % 2 == 0),
         Query::NestParity(q) => {
-            let v = eval_with_stats(q, db, stats)?;
-            Ok(Value::Bool(v.set_nesting_depth() % 2 == 0))
+            let v = eval_ref(q, db, stats)?;
+            Value::Bool(v.set_nesting_depth() % 2 == 0)
         }
         Query::Complement(q) => {
             let s = eval_set(q, db, stats)?;
@@ -522,18 +535,18 @@ fn eval_node(
                 .ok_or(EvalError::NoUniverse)?;
             let out: BTreeSet<Value> = all.into_iter().filter(|v| !s.contains(v)).collect();
             stats.tuples_emitted += out.len() as u64;
-            Ok(Value::Set(out))
+            Value::Set(out)
         }
         Query::TuplePair(a, b) => {
             let va = eval_with_stats(a, db, stats)?;
             let vb = eval_with_stats(b, db, stats)?;
-            Ok(Value::tuple([va, vb]))
+            Value::tuple([va, vb])
         }
         Query::Nest(keys, q) => {
             let s = eval_set(q, db, stats)?;
             sp.field("rows_in", s.len() as u64);
             let mut groups: BTreeMap<Vec<Value>, BTreeSet<Value>> = BTreeMap::new();
-            for t in &s {
+            for t in s.iter() {
                 stats.tuples_scanned += 1;
                 let tup = t.as_tuple().ok_or_else(|| shape("ν", t))?;
                 let mut key = Vec::with_capacity(keys.len());
@@ -548,20 +561,21 @@ fn eval_node(
                     .collect();
                 groups.entry(key).or_default().insert(Value::Tuple(rest));
             }
-            let mut out = BTreeSet::new();
-            for (key, nested) in groups {
-                let mut row = key;
-                row.push(Value::Set(nested));
-                out.insert(Value::Tuple(row));
-            }
+            let out: BTreeSet<Value> = groups
+                .into_iter()
+                .map(|(mut row, nested)| {
+                    row.push(Value::Set(nested));
+                    Value::Tuple(row)
+                })
+                .collect();
             stats.tuples_emitted += out.len() as u64;
-            Ok(Value::Set(out))
+            Value::Set(out)
         }
         Query::Unnest(col, q) => {
             let s = eval_set(q, db, stats)?;
             sp.field("rows_in", s.len() as u64);
-            let mut out = BTreeSet::new();
-            for t in &s {
+            let mut out = Vec::new();
+            for t in s.iter() {
                 stats.tuples_scanned += 1;
                 let tup = t.as_tuple().ok_or_else(|| shape("μ (unnest)", t))?;
                 let inner = tup
@@ -588,30 +602,31 @@ fn eval_node(
                             .map(|(i, v)| if i == *col { elem.clone() } else { v.clone() })
                             .collect(),
                     };
-                    out.insert(Value::Tuple(spliced));
+                    out.push(Value::Tuple(spliced));
                 }
             }
+            let out = BTreeSet::from_iter(out);
             stats.tuples_emitted += out.len() as u64;
-            Ok(Value::Set(out))
+            Value::Set(out)
         }
         Query::Count(q) => {
             let s = eval_set(q, db, stats)?;
             sp.field("rows_in", s.len() as u64);
             stats.tuples_scanned += s.len() as u64;
-            Ok(Value::Int(s.len() as i64))
+            Value::Int(s.len() as i64)
         }
         Query::Sum(col, q) => {
             let s = eval_set(q, db, stats)?;
             sp.field("rows_in", s.len() as u64);
             let mut total: i64 = 0;
-            for t in &s {
+            for t in s.iter() {
                 stats.tuples_scanned += 1;
                 total = total.wrapping_add(sum_component(t, *col)?);
             }
-            Ok(Value::Int(total))
+            Value::Int(total)
         }
         Query::Fixpoint { var, init, step } => {
-            let seed = eval_with_stats(init, db, stats)?;
+            let seed = eval_ref(init, db, stats)?;
             // each round binds the accumulator to the loop variable by
             // literal substitution, then evaluates the body as usual
             crate::fixpoint::inflationary_fixpoint(
@@ -621,9 +636,10 @@ fn eval_node(
                     eval_with_stats(&bound, db, stats)
                 },
                 crate::fixpoint::DEFAULT_FIXPOINT_ITERS,
-            )
+            )?
         }
-    }
+    };
+    Ok(Cow::Owned(out))
 }
 
 /// The integer contribution of one set element to `sum[$col]`: column
@@ -652,9 +668,16 @@ fn shape(op: &'static str, v: &Value) -> EvalError {
     }
 }
 
-fn eval_set(q: &Query, db: &Db, stats: &mut EvalStats) -> Result<BTreeSet<Value>, EvalError> {
-    match eval_with_stats(q, db, stats)? {
-        Value::Set(s) => Ok(s),
+/// A set operand, borrowed where it lies when it is a stored relation
+/// or a literal.
+fn eval_set<'a>(
+    q: &'a Query,
+    db: &'a Db,
+    stats: &mut EvalStats,
+) -> Result<Cow<'a, BTreeSet<Value>>, EvalError> {
+    match eval_ref(q, db, stats)? {
+        Cow::Borrowed(Value::Set(s)) => Ok(Cow::Borrowed(s)),
+        Cow::Owned(Value::Set(s)) => Ok(Cow::Owned(s)),
         other => Err(shape("set operator", &other)),
     }
 }
@@ -682,11 +705,11 @@ fn concat_tuples(a: &Value, b: &Value) -> Result<Value, EvalError> {
 /// differential oracle pins.
 fn select_set(
     p: &Pred,
-    s: BTreeSet<Value>,
+    s: &BTreeSet<Value>,
     db: &Db,
     stats: &mut EvalStats,
 ) -> Result<BTreeSet<Value>, EvalError> {
-    let mut out = BTreeSet::new();
+    let mut out = Vec::new();
     let prog = if db.vm && crate::vm::engage() {
         crate::vm::compile_pred(p).ok()
     } else {
@@ -697,20 +720,20 @@ fn select_set(
         for t in s {
             stats.tuples_scanned += 1;
             stats.fn_applications += 1;
-            if vm.run_pred(&prog, &t, db)? {
-                out.insert(t);
+            if vm.run_pred(&prog, t, db)? {
+                out.push(t.clone());
             }
         }
     } else {
         for t in s {
             stats.tuples_scanned += 1;
             stats.fn_applications += 1;
-            if eval_pred(p, &t, db)? {
-                out.insert(t);
+            if eval_pred(p, t, db)? {
+                out.push(t.clone());
             }
         }
     }
-    Ok(out)
+    Ok(BTreeSet::from_iter(out))
 }
 
 /// One set through `map(f)` — same engage-or-walk split as
@@ -723,7 +746,7 @@ fn map_set(
     db: &Db,
     stats: &mut EvalStats,
 ) -> Result<BTreeSet<Value>, EvalError> {
-    let mut out = BTreeSet::new();
+    let mut out = Vec::new();
     let prog = if db.vm && crate::vm::engage() {
         crate::vm::compile_fn(f).ok()
     } else {
@@ -734,16 +757,16 @@ fn map_set(
         for t in s {
             stats.tuples_scanned += 1;
             stats.fn_applications += 1;
-            out.insert(vm.run_fn(&prog, t, db)?);
+            out.push(vm.run_fn(&prog, t, db)?);
         }
     } else {
         for t in s {
             stats.tuples_scanned += 1;
             stats.fn_applications += 1;
-            out.insert(apply_fn(f, t, db)?);
+            out.push(apply_fn(f, t, db)?);
         }
     }
-    Ok(out)
+    Ok(BTreeSet::from_iter(out))
 }
 
 /// Evaluate a predicate on a tuple.

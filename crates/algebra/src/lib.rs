@@ -1,4 +1,6 @@
 #![warn(missing_docs)]
+// Execution paths must fail structurally, never unwrap (tests exempt).
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 //! # genpar-algebra — relational and complex-value algebra
 //!
 //! The paper analyzes the genericity of "many well known database

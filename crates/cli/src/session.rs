@@ -275,8 +275,13 @@ impl Session {
         match p.route {
             Route::Executor => {
                 let cfg = self.exec.clone().with_workers(p.workers);
-                let (v, _stats, route) =
-                    genpar_exec::eval_verdict(&p.plan, p.verdict, &self.catalog, &cfg)?;
+                let (v, _stats, route) = genpar_exec::eval_verdict(
+                    &p.plan,
+                    p.verdict,
+                    &self.catalog,
+                    self.db.as_ref(),
+                    &cfg,
+                )?;
                 Ok((v, Route::taken(&route)))
             }
             Route::Walker => Ok((self.walk(&p)?, Route::Walker)),
@@ -594,7 +599,13 @@ impl Session {
             self.walk(&p).map(|_| ExecStats::default())
         } else {
             let cfg = self.exec.clone().with_workers(w);
-            let v = genpar_exec::eval_verdict(&p.plan, p.verdict.clone(), &self.catalog, &cfg);
+            let v = genpar_exec::eval_verdict(
+                &p.plan,
+                p.verdict.clone(),
+                &self.catalog,
+                self.db.as_ref(),
+                &cfg,
+            );
             v.map(|(_, stats, _)| stats).map_err(CliError::from)
         };
         drop(scope_guard);

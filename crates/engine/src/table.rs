@@ -1,8 +1,12 @@
 //! Set-semantics tables.
+//!
+//! A table keeps its rows once, as one canonical run: sorted under the
+//! derived order on `Value` and deduplicated. A sorted run already is a
+//! set, so the executor scans it where it lies and merges two runs in
+//! one linear pass.
 
 use crate::schema::Schema;
 use genpar_value::Value;
-use std::collections::BTreeSet;
 
 /// A named table: a set of tuples satisfying a schema.
 #[derive(Debug, Clone)]
@@ -11,7 +15,8 @@ pub struct Table {
     pub name: String,
     /// Schema (arity, types, keys).
     pub schema: Schema,
-    rows: BTreeSet<Vec<Value>>,
+    /// Sorted and deduplicated.
+    rows: Vec<Vec<Value>>,
 }
 
 impl Table {
@@ -20,16 +25,46 @@ impl Table {
         Table {
             name: name.into(),
             schema,
-            rows: BTreeSet::new(),
+            rows: Vec::new(),
         }
     }
 
-    /// Insert a row; returns false if it was already present.
+    /// A table of `rows`, built in one pass: sorted, deduplicated, and
+    /// its arity and keys checked once.
     ///
     /// # Panics
-    /// Panics if the row arity does not match the schema, or if an
-    /// inserted row violates a declared key.
-    pub fn insert(&mut self, row: Vec<Value>) -> bool {
+    /// Panics if a row's arity does not match the schema, or if two
+    /// distinct rows agree on a declared key.
+    pub fn from_rows(
+        name: impl Into<String>,
+        schema: Schema,
+        rows: impl IntoIterator<Item = Vec<Value>>,
+    ) -> Table {
+        let mut t = Table::new(name, schema);
+        t.rows = rows.into_iter().collect();
+        for row in &t.rows {
+            t.check_arity(row);
+        }
+        t.rows.sort();
+        t.rows.dedup();
+        for key in &t.schema.keys {
+            let mut kvs: Vec<Vec<&Value>> = t
+                .rows
+                .iter()
+                .map(|r| key.iter().map(|&i| &r[i]).collect())
+                .collect();
+            kvs.sort();
+            if kvs.windows(2).any(|w| w[0] == w[1]) {
+                panic!(
+                    "key violation on {:?} inserting into {}: duplicate key value",
+                    key, t.name
+                );
+            }
+        }
+        t
+    }
+
+    fn check_arity(&self, row: &[Value]) {
         assert_eq!(
             row.len(),
             self.schema.arity(),
@@ -38,12 +73,23 @@ impl Table {
             self.schema.arity(),
             self.name
         );
+    }
+
+    /// Insert a row; returns false if it was already present.
+    ///
+    /// # Panics
+    /// Panics if the row arity does not match the schema, or if an
+    /// inserted row violates a declared key.
+    pub fn insert(&mut self, row: Vec<Value>) -> bool {
+        self.check_arity(&row);
+        let Err(at) = self.rows.binary_search(&row) else {
+            return false;
+        };
         for key in &self.schema.keys {
-            let kv: Vec<&Value> = key.iter().map(|&i| &row[i]).collect();
             if self
                 .rows
                 .iter()
-                .any(|r| key.iter().map(|&i| &r[i]).collect::<Vec<_>>() == kv && *r != row)
+                .any(|r| key.iter().all(|&i| r[i] == row[i]))
             {
                 panic!(
                     "key violation on {:?} inserting into {}: duplicate key value",
@@ -51,7 +97,8 @@ impl Table {
                 );
             }
         }
-        self.rows.insert(row)
+        self.rows.insert(at, row);
+        true
     }
 
     /// Number of rows.
@@ -64,8 +111,9 @@ impl Table {
         self.rows.is_empty()
     }
 
-    /// Iterate over rows in sorted order.
-    pub fn rows(&self) -> impl Iterator<Item = &Vec<Value>> {
+    /// Iterate over rows in sorted order; `rows().as_slice()` borrows
+    /// them as one canonical run (sorted, deduplicated) where they lie.
+    pub fn rows(&self) -> std::slice::Iter<'_, Vec<Value>> {
         self.rows.iter()
     }
 
@@ -77,23 +125,24 @@ impl Table {
 
     /// Build a table from a complex-value relation, rejecting values that
     /// are not sets of tuples (arity/key violations still panic inside
-    /// [`Table::insert`], caught at the engine's execution boundary).
+    /// [`Table::from_rows`], caught at the engine's execution boundary).
     pub fn try_from_value(
         name: impl Into<String>,
         schema: Schema,
         v: &Value,
     ) -> Result<Table, String> {
-        let mut t = Table::new(name, schema);
         let set = v
             .as_set()
             .ok_or_else(|| format!("relation value must be a set, got {v}"))?;
-        for item in set {
-            let row = item
-                .as_tuple()
-                .ok_or_else(|| format!("relation elements must be tuples, got {item}"))?;
-            t.insert(row.to_vec());
-        }
-        Ok(t)
+        let rows = set
+            .iter()
+            .map(|item| {
+                item.as_tuple()
+                    .map(<[Value]>::to_vec)
+                    .ok_or_else(|| format!("relation elements must be tuples, got {item}"))
+            })
+            .collect::<Result<Vec<_>, _>>()?;
+        Ok(Table::from_rows(name, schema, rows))
     }
 
     /// Build a table from a complex-value relation.
@@ -137,6 +186,17 @@ mod tests {
         assert!(r.is_err());
         // same full row is a no-op, not a violation
         assert!(!t.insert(vec![Value::Int(1), Value::Int(10)]));
+    }
+
+    #[test]
+    fn from_rows_sorts_dedups_and_checks_keys_once() {
+        let row = |a, b| vec![Value::Int(a), Value::Int(b)];
+        let schema = || Schema::uniform(CvType::int(), 2).with_key([0]);
+        let t = Table::from_rows("R", schema(), [row(3, 0), row(1, 9), row(3, 0)]);
+        assert_eq!(t.rows().as_slice(), [row(1, 9), row(3, 0)]);
+        let r =
+            std::panic::catch_unwind(|| Table::from_rows("R", schema(), [row(1, 9), row(1, 8)]));
+        assert!(r.is_err());
     }
 
     #[test]

@@ -37,31 +37,29 @@ pub fn generate_table<R: Rng + ?Sized>(rng: &mut R, name: &str, spec: WorkloadSp
     if spec.key_on_first {
         schema = schema.with_key([0]);
     }
-    let mut t = Table::new(name, schema);
-    if spec.key_on_first {
+    let range = spec.value_range.max(1);
+    let rows: Vec<Vec<Value>> = if spec.key_on_first {
         // unique keys 0..rows, random payloads
-        for k in 0..spec.rows {
-            let mut row = vec![Value::Int(k as i64)];
-            for _ in 1..spec.arity {
-                row.push(Value::Int(rng.gen_range(0..spec.value_range.max(1))));
-            }
-            t.insert(row);
-        }
+        (0..spec.rows)
+            .map(|k| {
+                let mut row = vec![Value::Int(k as i64)];
+                for _ in 1..spec.arity {
+                    row.push(Value::Int(rng.gen_range(0..range)));
+                }
+                row
+            })
+            .collect()
     } else {
-        for _ in 0..spec.rows {
-            let row: Vec<Value> = (0..spec.arity)
-                .map(|_| Value::Int(rng.gen_range(0..spec.value_range.max(1))))
-                .collect();
-            // set semantics: duplicates silently collapse
-            let _ = t_insert_ignore(&mut t, row);
-        }
-    }
-    t
-}
-
-fn t_insert_ignore(t: &mut Table, row: Vec<Value>) -> bool {
-    // plain tables without keys cannot panic on insert
-    t.insert(row)
+        // set semantics: duplicates silently collapse
+        (0..spec.rows)
+            .map(|_| {
+                (0..spec.arity)
+                    .map(|_| Value::Int(rng.gen_range(0..range)))
+                    .collect()
+            })
+            .collect()
+    };
+    Table::from_rows(name, schema, rows)
 }
 
 /// Generate a pair of tables `R`, `S` sharing a key on column 0 with a
@@ -74,8 +72,6 @@ pub fn generate_keyed_pair<R: Rng + ?Sized>(
     overlap: f64,
 ) -> (Table, Table) {
     let schema = || Schema::uniform(CvType::int(), arity).with_key([0]);
-    let mut r = Table::new("R", schema());
-    let mut s = Table::new("S", schema());
     let overlap_rows = (rows as f64 * overlap) as usize;
     let payload = |rng: &mut R, k: i64| -> Vec<Value> {
         let mut row = vec![Value::Int(k)];
@@ -84,18 +80,23 @@ pub fn generate_keyed_pair<R: Rng + ?Sized>(
         }
         row
     };
+    let mut r_rows = Vec::with_capacity(rows);
+    let mut s_rows = Vec::with_capacity(rows);
     for k in 0..rows {
         let row = payload(rng, k as i64);
-        r.insert(row.clone());
         if k < overlap_rows {
             // identical row in S (overlap region)
-            s.insert(row);
+            s_rows.push(row.clone());
         }
+        r_rows.push(row);
     }
     for k in rows..(2 * rows - overlap_rows) {
-        s.insert(payload(rng, k as i64));
+        s_rows.push(payload(rng, k as i64));
     }
-    (r, s)
+    (
+        Table::from_rows("R", schema(), r_rows),
+        Table::from_rows("S", schema(), s_rows),
+    )
 }
 
 /// Generate a binary edge relation for fixpoint workloads: `nodes`
@@ -110,19 +111,19 @@ pub fn generate_edges<R: Rng + ?Sized>(
     mean_degree: f64,
     chain: bool,
 ) -> Table {
-    let mut t = Table::new(name, Schema::uniform(CvType::int(), 2));
+    let mut rows = Vec::new();
     if chain {
         for i in 0..nodes.saturating_sub(1) {
-            t.insert(vec![Value::Int(i as i64), Value::Int(i as i64 + 1)]);
+            rows.push(vec![Value::Int(i as i64), Value::Int(i as i64 + 1)]);
         }
     }
     let extra = (nodes as f64 * mean_degree) as usize;
     for _ in 0..extra {
         let a = rng.gen_range(0..nodes.max(1)) as i64;
         let b = rng.gen_range(0..nodes.max(1)) as i64;
-        t.insert(vec![Value::Int(a), Value::Int(b)]);
+        rows.push(vec![Value::Int(a), Value::Int(b)]);
     }
-    t
+    Table::from_rows(name, Schema::uniform(CvType::int(), 2), rows)
 }
 
 #[cfg(test)]

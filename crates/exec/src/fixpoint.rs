@@ -4,13 +4,16 @@
 //! The body is lowered once, before round 1. Its loop variable lowers to
 //! `Scan(X)`, and each round binds that scan to its input (the previous
 //! round's delta, or the whole accumulator for a body that is not
-//! delta-linear) instead of rewriting the query. A subtree that does not
+//! delta-linear), borrowed, instead of rewriting the query. The
+//! accumulator is a canonical run: each round's new delta is the rows it
+//! produced minus the accumulator, and is folded in by ∪, both one
+//! linear merge ([`merge_runs`]). A subtree that does not
 //! mention `X` has the same value in every round (the body is generic,
 //! and only `X` changes), so it is evaluated once; a join with such a
 //! side keeps it as a [`JoinIndex`] built once, and each round only
 //! probes it.
 
-use crate::kernels::{self, Ctx, JoinIndex, Rows};
+use crate::kernels::{self, merge_runs, Ctx, JoinIndex, Row, Rows, SetOp};
 use crate::{
     apply_op, breach_to_exec, charge_source, children, on_executor, retry_gate, run_plan, traced,
     ExecConfig,
@@ -20,7 +23,6 @@ use genpar_engine::plan::{ExecError, ExecStats, PhysicalPlan};
 use genpar_engine::schema::Catalog;
 use genpar_value::Value;
 use std::borrow::Cow;
-use std::collections::BTreeSet;
 
 /// Does the lowered subtree read the loop variable?
 fn reads(plan: &PhysicalPlan, var: &str) -> bool {
@@ -54,17 +56,18 @@ fn delta_linear(plan: &PhysicalPlan, var: &str) -> bool {
 }
 
 /// A fixpoint body prepared for its rounds: the lowered plan, with every
-/// loop-invariant input already evaluated.
+/// loop-invariant input already evaluated (a scan still borrowed from
+/// the catalog).
 enum Round<'p> {
     /// `Scan(X)`: bound to the round's input.
     Var,
     /// A maximal subtree that does not mention `X`, evaluated once.
-    Fixed(Rows),
+    Fixed(Cow<'p, [Row]>),
     /// A keyed join with one loop-invariant side, indexed once.
     Probe {
         node: &'p PhysicalPlan,
         on: &'p [(usize, usize)],
-        index: JoinIndex,
+        index: JoinIndex<'p>,
         build_left: bool,
         probe: Box<Round<'p>>,
     },
@@ -80,7 +83,7 @@ enum Round<'p> {
 fn prepare<'p>(
     plan: &'p PhysicalPlan,
     var: &str,
-    catalog: &Catalog,
+    catalog: &'p Catalog,
     ctx: &Ctx,
     stats: &mut ExecStats,
     invariant_rows: &mut u64,
@@ -129,17 +132,17 @@ fn prepare<'p>(
 /// lowered to.
 fn run_round<'a>(
     round: &'a Round,
-    input: &'a Rows,
+    input: &'a [Row],
     ctx: &Ctx,
     stats: &mut ExecStats,
-) -> Result<Cow<'a, Rows>, ExecError> {
+) -> Result<Cow<'a, [Row]>, ExecError> {
     match round {
         Round::Var => {
             stats.rows_scanned += input.len() as u64;
             charge_source(ctx, input.len() as u64, "plan.Scan")?;
             Ok(Cow::Borrowed(input))
         }
-        Round::Fixed(rows) => Ok(Cow::Borrowed(rows)),
+        Round::Fixed(rows) => Ok(Cow::Borrowed(rows.as_ref())),
         Round::Probe {
             node,
             on,
@@ -150,17 +153,16 @@ fn run_round<'a>(
             let probe = run_round(probe, input, ctx, stats)?;
             let (rows, s) = kernels::probe_join(&probe, index, on, *build_left, ctx)?;
             kernels::add_stats(stats, &s);
-            Ok((probe.len() as u64, rows))
-        })
-        .map(Cow::Owned),
+            Ok((probe.len() as u64, Cow::Owned(rows)))
+        }),
         Round::Op(node, inputs) => traced(node, || {
             let inputs = inputs
                 .iter()
                 .map(|r| run_round(r, input, ctx, stats))
                 .collect::<Result<Vec<_>, ExecError>>()?;
-            apply_op(node, inputs, ctx, stats)
-        })
-        .map(Cow::Owned),
+            let (rows_in, rows) = apply_op(node, inputs, ctx, stats)?;
+            Ok((rows_in, Cow::Owned(rows)))
+        }),
     }
 }
 
@@ -172,8 +174,8 @@ fn run_round<'a>(
 /// gate certified its body does — so the body is lowered and its
 /// loop-invariant inputs evaluated once, and each round runs it over
 /// the current delta (or the full accumulator when the body is
-/// non-linear in the loop variable), canonically merging the new rows
-/// into the accumulator. Round count, depth-budget charges and the final
+/// non-linear in the loop variable), merging the new rows into the
+/// accumulator. Round count, depth-budget charges and the final
 /// `Value` are identical to the serial inflationary loop by
 /// construction. Returns the answer, the work and the certificate.
 ///
@@ -196,7 +198,7 @@ pub(crate) fn run_fixpoint_route(
     let ran = on_executor(cfg, Some(&body_cert.to_string()), |ctx, stats| {
         let seed = run_plan(init, catalog, ctx, stats)?;
         let round = prepare(body, var, catalog, ctx, stats, &mut invariant_rows)?;
-        let (acc, rounds) = drive_fixpoint(seed, &round, semi_naive, ctx, stats)?;
+        let (acc, rounds) = drive_fixpoint(seed.into_owned(), &round, semi_naive, ctx, stats)?;
         stats.rows_out = acc.len() as u64;
         Ok((acc, rounds))
     });
@@ -216,16 +218,19 @@ pub(crate) fn run_fixpoint_route(
 
 /// The round loop proper: mirrors [`genpar_algebra::fixpoint::inflationary_fixpoint`]
 /// (same bound, same `charge_depth` schedule, same stop condition) with
-/// the prepared body evaluated on the executor each round.
+/// the prepared body evaluated on the executor each round. `seed` is a
+/// canonical run, and so is the accumulator it starts.
 fn drive_fixpoint(
     seed: Rows,
     body: &Round,
     semi_naive: bool,
     ctx: &Ctx,
     stats: &mut ExecStats,
-) -> Result<(Vec<Vec<Value>>, u64), ExecError> {
-    let mut acc: BTreeSet<Vec<Value>> = seed.iter().cloned().collect();
-    let mut delta: Rows = seed;
+) -> Result<(Rows, u64), ExecError> {
+    let mut acc: Rows = seed;
+    // the rows new since the previous round; before round 1, the seed,
+    // which is the accumulator itself
+    let mut delta: Option<Rows> = None;
     let bound =
         (genpar_algebra::fixpoint::DEFAULT_FIXPOINT_ITERS as u64).min(genpar_guard::depth_limit());
     let hist = genpar_obs::histogram("exec.fixpoint_round_us");
@@ -238,10 +243,9 @@ fn drive_fixpoint(
         genpar_obs::counter("exec.fixpoint_rounds", 1);
         // non-linear bodies see the whole accumulator; linear ones only
         // the rows that are new since the previous round
-        let input: Rows = if semi_naive {
-            std::mem::take(&mut delta)
-        } else {
-            acc.iter().cloned().collect()
+        let input: &[Row] = match (&delta, semi_naive) {
+            (Some(delta), true) => delta,
+            _ => &acc,
         };
         rsp.field("input_rows", input.len() as u64);
         // a round is pure against the accumulator (acc only changes
@@ -257,9 +261,9 @@ fn drive_fixpoint(
                         .map_err(breach_to_exec),
                     None => Ok(()),
                 })
-                .and_then(|()| run_round(body, &input, ctx, stats));
+                .and_then(|()| run_round(body, input, ctx, stats));
             match round {
-                Ok(rows) => break rows.into_owned(),
+                Ok(rows) => break rows,
                 Err(e) if e.is_transient() && attempt < ctx.cfg.retry.max_retries => {
                     attempt += 1;
                     retry_gate(iter as usize, attempt)?;
@@ -267,23 +271,27 @@ fn drive_fixpoint(
                 Err(e) => return Err(e),
             }
         };
-        let mut fresh: Rows = Vec::new();
-        for row in produced {
-            if acc.insert(row.clone()) {
-                fresh.push(row);
-            }
-        }
+        // a body that is only `X`, or does not mention it, borrows; its
+        // rows are copied here, once
+        let produced = produced.into_owned().into_iter().map(Cow::Owned);
+        let fresh = merge_runs(produced, acc.iter().map(Cow::Borrowed), SetOp::Difference);
         rsp.field("delta_rows", fresh.len() as u64);
-        rsp.field("acc_rows", acc.len() as u64);
+        rsp.field("acc_rows", (acc.len() + fresh.len()) as u64);
         let round_us = start.elapsed().as_micros() as u64;
         hist.record(round_us);
         if round_us > round_watchdog_us {
             kernels::note_watchdog("exec.fixpoint_round", round_us, round_watchdog_us);
         }
         if fresh.is_empty() {
-            return Ok((acc.into_iter().collect(), iter + 1));
+            return Ok((acc, iter + 1));
         }
-        delta = fresh;
+        let old = std::mem::take(&mut acc);
+        acc = merge_runs(
+            old.into_iter().map(Cow::Owned),
+            fresh.iter().map(Cow::Borrowed),
+            SetOp::Union,
+        );
+        delta = Some(fresh);
     }
     Err(ExecError::Budget {
         resource: genpar_guard::Resource::Depth,

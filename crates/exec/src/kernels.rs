@@ -1,12 +1,16 @@
 //! Parallel operator kernels.
 //!
-//! Every kernel has the same shape: cut the input into morsels (plain
-//! subslices of the borrowed rows) or hash-partition it (references to
-//! the rows), run one task per piece on the pool, then **canonically
-//! merge** — sort + dedup under the derived total order on `Value` — so
-//! the result is independent of worker count, morsel size and
-//! scheduling. Tasks read their rows where they lie: a kernel clones
-//! only the rows it emits (and `par_map` its argument tuple). Each task
+//! Every kernel has the same shape: cut the input into pieces, run one
+//! task per piece on the pool, then **canonically merge** — sort + dedup
+//! under the derived total order on `Value` — so the result is
+//! independent of worker count, morsel size and scheduling. Rows travel
+//! between operators as canonical runs (sorted, deduplicated), so a
+//! piece is a plain subslice: a morsel for the per-row kernels, a key
+//! range of both inputs for ∪/∩/−. Where the task outputs are already
+//! key ranges in order (σ keeps its input's order, a set operation
+//! merges its range), the merge concatenates them instead of sorting.
+//! Tasks read their rows where they lie: a kernel clones only the rows
+//! it emits (and `par_map` its argument tuple). Each task
 //! passes the `exec.morsel` fault site and charges the shared budget
 //! meter; the merge passes `exec.merge` and charges the output-side rows
 //! and cells of each plan node.
@@ -16,14 +20,14 @@
 //! [`crate::tune::MorselTuner`] so the morsel size converges on the
 //! ~100µs/task sweet spot.
 
-use crate::morsel::partition_rows;
 use crate::{eval_to_exec, pool, tune, ExecConfig};
 use genpar_algebra::eval::{apply_fn, eval_row_pred, row_sum_component};
 use genpar_algebra::{vm, Db, Pred, ValueFn};
 use genpar_engine::plan::{ExecError, ExecStats};
 use genpar_guard::SharedMeter;
 use genpar_value::{canonical_rows, Value};
-use std::collections::BTreeSet;
+use std::borrow::Cow;
+use std::cmp::Ordering;
 use std::sync::Mutex;
 
 /// One row: a flat tuple's components.
@@ -31,6 +35,12 @@ pub(crate) type Row = Vec<Value>;
 
 /// Rows in flight between operators (canonical: sorted, deduplicated).
 pub(crate) type Rows = Vec<Row>;
+
+/// Is `rows` a canonical run: strictly increasing, so sorted and free
+/// of duplicates?
+fn is_canonical(rows: &[Row]) -> bool {
+    rows.windows(2).all(|w| w[0] < w[1])
+}
 
 /// Shared per-run context handed to every task.
 #[derive(Clone, Copy)]
@@ -183,21 +193,39 @@ fn enter_morsel(ctx: &Ctx, cells: u64, op: &'static str) -> Result<(), ExecError
     Ok(())
 }
 
+/// How [`merge`] makes the gathered task outputs canonical.
+#[derive(Clone, Copy)]
+enum Gather {
+    /// Outputs in any order: sort and deduplicate.
+    Sort,
+    /// Each output is canonical and precedes the next in key order:
+    /// their concatenation already is canonical.
+    Concat,
+}
+
 /// Canonical merge: the `exec.merge` fault site, per-task stats summed in
-/// task order, rows sorted + deduplicated, output-side budget charges.
+/// task order, rows made canonical ([`Gather`]), output-side budget
+/// charges.
 fn merge(
     parts: Vec<(Rows, ExecStats)>,
     ctx: &Ctx,
     op: &'static str,
+    gather: Gather,
 ) -> Result<(Rows, ExecStats), ExecError> {
     genpar_guard::faultpoint("exec.merge").map_err(fault_err)?;
     let mut stats = ExecStats::default();
-    let mut all: Rows = Vec::new();
+    let mut all: Rows = Vec::with_capacity(parts.iter().map(|(rows, _)| rows.len()).sum());
     for (rows, s) in parts {
         add_stats(&mut stats, &s);
         all.extend(rows);
     }
-    let rows = canonical_rows(all);
+    let rows = match gather {
+        Gather::Sort => canonical_rows(all),
+        Gather::Concat => {
+            debug_assert!(is_canonical(&all), "{op}: task outputs out of key order");
+            all
+        }
+    };
     if let Some(m) = ctx.meter {
         m.charge_rows(rows.len() as u64, op)
             .map_err(|b| budget_err(b, &stats))?;
@@ -211,11 +239,12 @@ fn merge(
 /// [`enter_morsel`] and hands its morsel to `body`, which pushes what
 /// the rows emit. The task's stats start at one processed row (and its
 /// cells) per row read; `body` may add to them. The parts are merged
-/// canonically.
+/// canonically, as `gather` says.
 fn per_morsel<F>(
     input: &[Row],
     ctx: &Ctx,
     op: &'static str,
+    gather: Gather,
     body: F,
 ) -> Result<(Rows, ExecStats), ExecError>
 where
@@ -234,7 +263,7 @@ where
         body(morsel, &mut out, &mut stats)?;
         Ok((out, stats))
     })?;
-    merge(parts, ctx, op)
+    merge(parts, ctx, op, gather)
 }
 
 /// Compile one operator's expression program — **once**, before the
@@ -288,30 +317,39 @@ fn prepare_program(
 
 /// Parallel σ: embarrassingly parallel over morsels. The predicate is
 /// compiled once; each morsel re-checks [`vm::engage`] so an armed
-/// `vm.exec` fault degrades that one morsel to the AST walker.
+/// `vm.exec` fault degrades that one morsel to the AST walker. σ keeps
+/// the order of its canonical input, so the morsels' outputs
+/// concatenate.
 pub(crate) fn par_filter(
     input: &[Row],
     p: &Pred,
     ctx: &Ctx,
 ) -> Result<(Rows, ExecStats), ExecError> {
+    debug_assert!(is_canonical(input), "plan.Filter: input is not canonical");
     let prog = prepare_program(|| vm::compile_pred(p), ctx, "plan.Filter");
-    per_morsel(input, ctx, "plan.Filter", |morsel, out, _| {
-        let db = Db::with_standard_int();
-        let mut on_vm = prog
-            .as_ref()
-            .filter(|_| vm::engage())
-            .map(|p| (p, vm::Vm::new()));
-        for row in morsel {
-            let keep = match &mut on_vm {
-                Some((prog, m)) => m.run_row_pred(prog, row, &db),
-                None => eval_row_pred(p, row, &db),
-            };
-            if keep.map_err(eval_to_exec)? {
-                out.push(row.clone());
+    per_morsel(
+        input,
+        ctx,
+        "plan.Filter",
+        Gather::Concat,
+        |morsel, out, _| {
+            let db = Db::with_standard_int();
+            let mut on_vm = prog
+                .as_ref()
+                .filter(|_| vm::engage())
+                .map(|p| (p, vm::Vm::new()));
+            for row in morsel {
+                let keep = match &mut on_vm {
+                    Some((prog, m)) => m.run_row_pred(prog, row, &db),
+                    None => eval_row_pred(p, row, &db),
+                };
+                if keep.map_err(eval_to_exec)? {
+                    out.push(row.clone());
+                }
             }
-        }
-        Ok(())
-    })
+            Ok(())
+        },
+    )
 }
 
 /// Parallel π: embarrassingly parallel over morsels (dedup at merge).
@@ -320,17 +358,23 @@ pub(crate) fn par_project(
     cols: &[usize],
     ctx: &Ctx,
 ) -> Result<(Rows, ExecStats), ExecError> {
-    per_morsel(input, ctx, "plan.Project", |morsel, out, _| {
-        for row in morsel {
-            let projected = cols.iter().map(|&c| {
-                row.get(c)
-                    .cloned()
-                    .ok_or_else(|| ExecError::Eval(format!("column {c} missing")))
-            });
-            out.push(projected.collect::<Result<_, _>>()?);
-        }
-        Ok(())
-    })
+    per_morsel(
+        input,
+        ctx,
+        "plan.Project",
+        Gather::Sort,
+        |morsel, out, _| {
+            for row in morsel {
+                let projected = cols.iter().map(|&c| {
+                    row.get(c)
+                        .cloned()
+                        .ok_or_else(|| ExecError::Eval(format!("column {c} missing")))
+                });
+                out.push(projected.collect::<Result<_, _>>()?);
+            }
+            Ok(())
+        },
+    )
 }
 
 /// Parallel map: embarrassingly parallel over morsels. Same
@@ -342,24 +386,30 @@ pub(crate) fn par_map(
     ctx: &Ctx,
 ) -> Result<(Rows, ExecStats), ExecError> {
     let prog = prepare_program(|| vm::compile_fn(f), ctx, "plan.MapRows");
-    per_morsel(input, ctx, "plan.MapRows", |morsel, out, _| {
-        let db = Db::with_standard_int();
-        let mut on_vm = prog
-            .as_ref()
-            .filter(|_| vm::engage())
-            .map(|p| (p, vm::Vm::new()));
-        for row in morsel {
-            // a function applies to a tuple value: the one row copy a
-            // kernel makes that it may not emit
-            let arg = Value::Tuple(row.clone());
-            let v = match &mut on_vm {
-                Some((prog, m)) => m.run_fn(prog, &arg, &db),
-                None => apply_fn(f, &arg, &db),
-            };
-            out.push(into_row(v.map_err(eval_to_exec)?)?);
-        }
-        Ok(())
-    })
+    per_morsel(
+        input,
+        ctx,
+        "plan.MapRows",
+        Gather::Sort,
+        |morsel, out, _| {
+            let db = Db::with_standard_int();
+            let mut on_vm = prog
+                .as_ref()
+                .filter(|_| vm::engage())
+                .map(|p| (p, vm::Vm::new()));
+            for row in morsel {
+                // a function applies to a tuple value: the one row copy a
+                // kernel makes that it may not emit
+                let arg = Value::Tuple(row.clone());
+                let v = match &mut on_vm {
+                    Some((prog, m)) => m.run_fn(prog, &arg, &db),
+                    None => apply_fn(f, &arg, &db),
+                };
+                out.push(into_row(v.map_err(eval_to_exec)?)?);
+            }
+            Ok(())
+        },
+    )
 }
 
 /// A mapped value as a row. [`genpar_engine::lower`] admits only
@@ -380,7 +430,7 @@ fn into_row(v: Value) -> Result<Row, ExecError> {
 /// ([`probe_join`]). A keyless join is the product kernel.
 pub(crate) fn hash_join(
     l: &[Row],
-    r: Rows,
+    r: Cow<'_, [Row]>,
     on: &[(usize, usize)],
     ctx: &Ctx,
 ) -> Result<(Rows, ExecStats), ExecError> {
@@ -393,26 +443,36 @@ pub(crate) fn hash_join(
     Ok((rows, stats))
 }
 
-/// One join side indexed on its key column: the rows sorted by key
-/// (already so when the key is the first column, as rows arrive
-/// canonical), probed by binary search. A plan's join builds one over
-/// its right side; a fixpoint keeps one over a loop-invariant side for
-/// all its rounds.
-pub(crate) struct JoinIndex {
+/// One join side indexed on its key column: the rows sorted by key,
+/// probed by binary search. A canonical run is already sorted on its
+/// first column, so an index on column 0 borrows the rows where they
+/// lie; only another key sorts a copy. A plan's join builds one over its
+/// right side; a fixpoint keeps one over a loop-invariant side for all
+/// its rounds.
+pub(crate) struct JoinIndex<'a> {
     key: usize,
-    rows: Rows,
+    rows: Cow<'a, [Row]>,
 }
 
-impl JoinIndex {
+impl<'a> JoinIndex<'a> {
     /// Index `rows` on column `key`. The stats count the build rows once.
-    pub(crate) fn build(mut rows: Rows, key: usize) -> Result<(JoinIndex, ExecStats), ExecError> {
+    pub(crate) fn build(
+        rows: Cow<'a, [Row]>,
+        key: usize,
+    ) -> Result<(JoinIndex<'a>, ExecStats), ExecError> {
         if rows.iter().any(|r| r.len() <= key) {
             return Err(ExecError::Eval(format!("join column {key} missing")));
         }
-        rows.sort_by(|a, b| a[key].cmp(&b[key]));
+        let rows = if rows.is_sorted_by(|a, b| a[key] <= b[key]) {
+            rows
+        } else {
+            let mut sorted = rows.into_owned();
+            sorted.sort_by(|a, b| a[key].cmp(&b[key]));
+            Cow::Owned(sorted)
+        };
         let stats = ExecStats {
             rows_processed: rows.len() as u64,
-            cells_processed: row_cells(&rows),
+            cells_processed: row_cells(rows.iter()),
             ..ExecStats::default()
         };
         Ok((JoinIndex { key, rows }, stats))
@@ -433,7 +493,7 @@ impl JoinIndex {
 /// left side, so joined rows keep the plan's column order.
 pub(crate) fn probe_join(
     probe: &[Row],
-    index: &JoinIndex,
+    index: &JoinIndex<'_>,
     on: &[(usize, usize)],
     build_left: bool,
     ctx: &Ctx,
@@ -442,28 +502,34 @@ pub(crate) fn probe_join(
         return Err(ExecError::Internal("probe join without a key".to_string()));
     };
     let pk = if build_left { j0 } else { i0 };
-    per_morsel(probe, ctx, "plan.HashJoin", |morsel, out, stats| {
-        stats.probes = morsel.len() as u64;
-        for prow in morsel {
-            let Some(k) = prow.get(pk) else {
-                return Err(ExecError::Eval(format!("join column {pk} missing")));
-            };
-            'next: for brow in index.matches(k) {
-                let (lrow, rrow) = if build_left {
-                    (brow, prow)
-                } else {
-                    (prow, brow)
+    per_morsel(
+        probe,
+        ctx,
+        "plan.HashJoin",
+        Gather::Sort,
+        |morsel, out, stats| {
+            stats.probes = morsel.len() as u64;
+            for prow in morsel {
+                let Some(k) = prow.get(pk) else {
+                    return Err(ExecError::Eval(format!("join column {pk} missing")));
                 };
-                for &(i, j) in &on[1..] {
-                    if lrow.get(i) != rrow.get(j) {
-                        continue 'next;
+                'next: for brow in index.matches(k) {
+                    let (lrow, rrow) = if build_left {
+                        (brow, prow)
+                    } else {
+                        (prow, brow)
+                    };
+                    for &(i, j) in &on[1..] {
+                        if lrow.get(i) != rrow.get(j) {
+                            continue 'next;
+                        }
                     }
+                    out.push(concat(lrow, rrow));
                 }
-                out.push(concat(lrow, rrow));
             }
-        }
-        Ok(())
-    })
+            Ok(())
+        },
+    )
 }
 
 /// A joined row: the left row's components, then the right row's.
@@ -485,7 +551,7 @@ pub(crate) fn par_product(
     op: &'static str,
 ) -> Result<(Rows, ExecStats), ExecError> {
     let r_cells = row_cells(r);
-    per_morsel(l, ctx, op, |morsel, out, stats| {
+    per_morsel(l, ctx, op, Gather::Sort, |morsel, out, stats| {
         let pairs = (morsel.len() * r.len()) as u64;
         if let Some(m) = ctx.meter {
             m.charge_steps(pairs, op)
@@ -609,38 +675,95 @@ impl SetOp {
     }
 }
 
-/// Partitioned ∪/∩/−: both sides are routed by whole-row hash, so equal
-/// rows meet in the same partition and each partition's set operation is
-/// independent — the canonical merge of per-partition results equals the
-/// serial result exactly. Partitions hold references to the input rows;
-/// only the rows a partition emits are cloned.
+/// Partitioned ∪/∩/− over two canonical runs: both are cut at the same
+/// pivots ([`key_ranges`]), so equal rows meet in the same task, each
+/// task merges its key range in one linear pass ([`merge_runs`]), and
+/// the task outputs concatenate in key order. Tasks read the input rows
+/// where they lie; only the rows a task emits are cloned.
 pub(crate) fn par_setop(
     l: &[Row],
     r: &[Row],
     op: SetOp,
     ctx: &Ctx,
 ) -> Result<(Rows, ExecStats), ExecError> {
-    let nparts = ctx.cfg.workers.max(1) * 2;
-    let tasks: Vec<(Vec<&Row>, Vec<&Row>)> = partition_rows(l, nparts)
-        .into_iter()
-        .zip(partition_rows(r, nparts))
-        .collect();
+    debug_assert!(
+        is_canonical(l) && is_canonical(r),
+        "{}: inputs are not canonical runs",
+        op.op_name()
+    );
+    let tasks = key_ranges(l, r, ctx.cfg.workers.max(1) * 2);
     let name = op.op_name();
-    let parts = run_timed(ctx, TaskKind::Partition, &tasks, |(lp, rp)| {
+    let parts = run_timed(ctx, TaskKind::Partition, &tasks, |&(lp, rp)| {
         enter_morsel(ctx, row_cells(lp), name)?;
         let stats = ExecStats {
             rows_processed: (lp.len() + rp.len()) as u64,
             cells_processed: row_cells(lp) + row_cells(rp),
             ..ExecStats::default()
         };
-        let ls: BTreeSet<&Row> = lp.iter().copied().collect();
-        let rs: BTreeSet<&Row> = rp.iter().copied().collect();
-        let out: Rows = match op {
-            SetOp::Union => ls.union(&rs).map(|&row| row.clone()).collect(),
-            SetOp::Intersect => ls.intersection(&rs).map(|&row| row.clone()).collect(),
-            SetOp::Difference => ls.difference(&rs).map(|&row| row.clone()).collect(),
-        };
+        let out = merge_runs(
+            lp.iter().map(Cow::Borrowed),
+            rp.iter().map(Cow::Borrowed),
+            op,
+        );
         Ok((out, stats))
     })?;
-    merge(parts, ctx, name)
+    merge(parts, ctx, name, Gather::Concat)
+}
+
+/// Cut two canonical runs into `parts` key ranges at the same pivots,
+/// drawn evenly from the longer run and located in each by binary
+/// search. A row equal to a pivot starts the next range in both runs,
+/// so equal rows always fall into the same range.
+fn key_ranges<'a>(l: &'a [Row], r: &'a [Row], parts: usize) -> Vec<(&'a [Row], &'a [Row])> {
+    let longer = if l.len() >= r.len() { l } else { r };
+    let mut cuts = vec![(0, 0)];
+    for k in 1..parts {
+        cuts.push(match longer.get(k * longer.len() / parts) {
+            Some(pivot) => (
+                l.partition_point(|row| row < pivot),
+                r.partition_point(|row| row < pivot),
+            ),
+            None => (l.len(), r.len()),
+        });
+    }
+    cuts.push((l.len(), r.len()));
+    cuts.windows(2)
+        .map(|w| (&l[w[0].0..w[1].0], &r[w[0].1..w[1].1]))
+        .collect()
+}
+
+/// ∪, ∩ or − of two canonical runs in one linear merge; the result is a
+/// canonical run. A row the result keeps is moved when its side yields
+/// it owned and cloned when borrowed.
+pub(crate) fn merge_runs<'a>(
+    l: impl IntoIterator<Item = Cow<'a, Row>>,
+    r: impl IntoIterator<Item = Cow<'a, Row>>,
+    op: SetOp,
+) -> Rows {
+    let (keep_l, keep_both, keep_r) = match op {
+        SetOp::Union => (true, true, true),
+        SetOp::Intersect => (false, true, false),
+        SetOp::Difference => (true, false, false),
+    };
+    let mut out = Vec::new();
+    let (mut l, mut r) = (l.into_iter().peekable(), r.into_iter().peekable());
+    loop {
+        let order = match (l.peek(), r.peek()) {
+            (Some(a), Some(b)) => a.cmp(b),
+            (Some(_), None) if keep_l => Ordering::Less,
+            (None, Some(_)) if keep_r => Ordering::Greater,
+            _ => return out,
+        };
+        let (row, keep) = match order {
+            Ordering::Less => (l.next(), keep_l),
+            Ordering::Greater => (r.next(), keep_r),
+            Ordering::Equal => {
+                r.next();
+                (l.next(), keep_both)
+            }
+        };
+        if let (Some(row), true) = (row, keep) {
+            out.push(row.into_owned());
+        }
+    }
 }

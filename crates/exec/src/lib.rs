@@ -18,10 +18,11 @@
 //! the algebra walker, recorded as an `exec.fallback` obs event. The
 //! walker is also the serial truth every oracle compares against.
 //!
-//! Pipeline per operator: cut the borrowed input into morsels or
-//! hash-partition it ([`morsel`]), fan tasks out on a work-stealing
+//! Pipeline per operator: cut the borrowed input into morsels, or cut
+//! two canonical runs into key ranges, fan tasks out on a work-stealing
 //! worker pool ([`pool`]), run the parallel kernel ([`kernels`]),
-//! canonically merge. Tasks borrow their input, so the pool's recovery
+//! canonically merge. A scan borrows its table's canonical run, and
+//! tasks borrow their input, so the pool's recovery
 //! ladder is always armed: a faulted task re-runs from the same rows.
 //! Only an injected fault is worth a re-run
 //! ([`ExecError::is_transient`]); any other error is the query's answer.
@@ -39,7 +40,8 @@
 //!   on the executor when certified, fall back to the algebra walker
 //!   otherwise. Returns the route taken alongside the result.
 //! * [`eval_verdict`] — the same, for a caller that already holds the
-//!   gate's verdict (so the gate runs once per query).
+//!   gate's verdict (so the gate runs once per query) and, usually, the
+//!   walker's resident database.
 //!
 //! Every per-run setting — worker count, morsel size, the VM switch and
 //! the retry policy — comes from the caller's [`ExecConfig`]; the crate
@@ -47,7 +49,6 @@
 
 mod fixpoint;
 pub mod kernels;
-pub mod morsel;
 pub mod pool;
 pub mod tune;
 
@@ -58,12 +59,14 @@ use genpar_engine::schema::Catalog;
 use genpar_guard::RetryPolicy;
 use genpar_obs::FieldValue;
 use genpar_value::Value;
-use kernels::{Ctx, Rows, SetOp};
+use kernels::{Ctx, Row, Rows, SetOp};
 use std::borrow::Cow;
 
 pub use kernels::CombineKind;
 
-pub use morsel::DEFAULT_MORSEL_ROWS;
+/// Default number of rows per morsel: the fixed-size subslice of a
+/// borrowed input that is the unit of scheduling on the worker pool.
+pub const DEFAULT_MORSEL_ROWS: usize = 1024;
 
 /// The gate every in-place re-run passes: the `exec.retry` fault site
 /// (so chaos storms can fail the recovery machinery itself), plus the
@@ -197,7 +200,7 @@ pub trait EvalParallel {
     /// Evaluate against a catalog on `cfg.workers` threads (inline at
     /// one), producing canonically-ordered deduplicated rows and summed
     /// work counters. Identical at every worker count by construction:
-    /// deterministic hash partitioning + canonical merge.
+    /// pivots drawn from the inputs, tasks in order + canonical merge.
     fn eval_parallel(
         &self,
         catalog: &Catalog,
@@ -241,7 +244,7 @@ fn eval_plan_parallel(
     let (rows, stats) = on_executor(cfg, cert, |ctx, stats| {
         let rows = run_plan(plan, catalog, ctx, stats)?;
         stats.rows_out = rows.len() as u64;
-        Ok(rows)
+        Ok(rows.into_owned())
     })?;
     sp.field("rows_out", stats.rows_out);
     Ok((rows, stats))
@@ -307,12 +310,14 @@ pub(crate) fn record_run(stats: &ExecStats) {
     genpar_obs::counter("exec.probes", stats.probes);
 }
 
-pub(crate) fn run_plan(
+/// Run a plan to its canonical run of rows. A scan borrows its table's
+/// rows where they lie; every other node owns the rows it emits.
+pub(crate) fn run_plan<'a>(
     plan: &PhysicalPlan,
-    catalog: &Catalog,
+    catalog: &'a Catalog,
     ctx: &Ctx,
     stats: &mut ExecStats,
-) -> Result<Rows, ExecError> {
+) -> Result<Cow<'a, [Row]>, ExecError> {
     traced(plan, || match plan {
         PhysicalPlan::Scan(name) => {
             let t = catalog
@@ -320,22 +325,21 @@ pub(crate) fn run_plan(
                 .ok_or_else(|| ExecError::UnknownTable(name.clone()))?;
             stats.rows_scanned += t.len() as u64;
             charge_source(ctx, t.len() as u64, plan.op_name())?;
-            Ok((t.len() as u64, t.rows().cloned().collect()))
+            Ok((t.len() as u64, Cow::Borrowed(t.rows().as_slice())))
         }
         PhysicalPlan::Values(rows) => {
             stats.rows_scanned += rows.len() as u64;
             charge_source(ctx, rows.len() as u64, plan.op_name())?;
-            Ok((
-                rows.len() as u64,
-                genpar_value::canonical_rows(rows.iter().cloned()),
-            ))
+            let rows = genpar_value::canonical_rows(rows.iter().cloned());
+            Ok((rows.len() as u64, Cow::Owned(rows)))
         }
         _ => {
             let inputs = children(plan)
                 .into_iter()
-                .map(|c| run_plan(c, catalog, ctx, stats).map(Cow::Owned))
+                .map(|c| run_plan(c, catalog, ctx, stats))
                 .collect::<Result<Vec<_>, ExecError>>()?;
-            apply_op(plan, inputs, ctx, stats)
+            let (rows_in, rows) = apply_op(plan, inputs, ctx, stats)?;
+            Ok((rows_in, Cow::Owned(rows)))
         }
     })
 }
@@ -358,10 +362,10 @@ pub(crate) fn children(plan: &PhysicalPlan) -> Vec<&PhysicalPlan> {
 /// Run an interior node's kernel over its evaluated inputs (in
 /// [`children`] order), adding its work to `stats`. Returns the rows in
 /// and the rows out. Kernels borrow their inputs; a join indexes its
-/// right input, which it takes whole (copied only when borrowed).
+/// right input where it lies when that is sorted on the key.
 pub(crate) fn apply_op(
     plan: &PhysicalPlan,
-    inputs: Vec<Cow<'_, Rows>>,
+    inputs: Vec<Cow<'_, [Row]>>,
     ctx: &Ctx,
     stats: &mut ExecStats,
 ) -> Result<(u64, Rows), ExecError> {
@@ -378,7 +382,7 @@ pub(crate) fn apply_op(
         PhysicalPlan::MapRows(f, _) => kernels::par_map(&input()?, f, ctx)?,
         PhysicalPlan::HashJoin(on, ..) => {
             let l = input()?;
-            kernels::hash_join(&l, input()?.into_owned(), on, ctx)?
+            kernels::hash_join(&l, input()?, on, ctx)?
         }
         PhysicalPlan::Product(..) => {
             kernels::par_product(&input()?, &input()?, ctx, "plan.Product")?
@@ -406,15 +410,16 @@ pub(crate) fn apply_op(
 /// `plan.node_stats` event keyed by the structural fingerprint, which
 /// feeds the observed-statistics loop (the optimizer harvests
 /// selectivity from these).
-pub(crate) fn traced(
+pub(crate) fn traced<T: AsRef<[Row]>>(
     plan: &PhysicalPlan,
-    body: impl FnOnce() -> Result<(u64, Rows), ExecError>,
-) -> Result<Rows, ExecError> {
+    body: impl FnOnce() -> Result<(u64, T), ExecError>,
+) -> Result<T, ExecError> {
     let op = plan.op_name();
     let mut sp = genpar_obs::span(op);
     let (rows_in, out) = body()?;
+    let rows_out = out.as_ref().len() as u64;
     sp.field("rows_in", rows_in);
-    sp.field("rows_out", out.len() as u64);
+    sp.field("rows_out", rows_out);
     if genpar_obs::enabled() {
         genpar_obs::event(
             "plan.node_stats",
@@ -422,7 +427,7 @@ pub(crate) fn traced(
                 ("fp", FieldValue::U64(plan.fingerprint())),
                 ("op", FieldValue::Str(op.to_string())),
                 ("rows_in", FieldValue::U64(rows_in)),
-                ("rows_out", FieldValue::U64(out.len() as u64)),
+                ("rows_out", FieldValue::U64(rows_out)),
             ],
         );
     }
@@ -487,22 +492,27 @@ pub fn eval_query(
     catalog: &Catalog,
     cfg: &ExecConfig,
 ) -> Result<(Value, ExecStats, ExecRoute), ExecError> {
-    eval_verdict(q, partition_safety(q), catalog, cfg)
+    eval_verdict(q, partition_safety(q), catalog, None, cfg)
 }
 
 /// [`eval_query`] for a caller that already holds the gate's verdict on
-/// `q`, so the gate runs once per query.
+/// `q`, so the gate runs once per query. `db` is the walker's database
+/// for a query that degrades to it or fails ill-typed, read where it
+/// lies; without one, the walker reads a database built from `catalog`
+/// when it first needs it.
 pub fn eval_verdict(
     q: &Query,
     verdict: PartitionSafety,
     catalog: &Catalog,
+    db: Option<&Db>,
     cfg: &ExecConfig,
 ) -> Result<(Value, ExecStats, ExecRoute), ExecError> {
+    let serial = |op, reason| fallback(q, catalog, db, cfg, op, reason);
     // each executor route, and the walker fallback its faults degrade to
     let (ran, op, degraded) = match verdict {
         PartitionSafety::Safe(cert) => {
             let Some(plan) = lower(q) else {
-                return fallback(q, catalog, cfg, "lit", "literal rows are not flat tuples");
+                return serial("lit", "literal rows are not flat tuples");
             };
             let certificate = cert.to_string();
             let ran = eval_plan_parallel(&plan, catalog, cfg, Some(&certificate))
@@ -518,11 +528,11 @@ pub fn eval_verdict(
             };
             let Some(init) = lower(init) else {
                 let reason = "fixpoint seed does not lower to the row engine";
-                return fallback(q, catalog, cfg, "fix", reason);
+                return serial("fix", reason);
             };
             let Some(body) = lower(step) else {
                 let reason = "fixpoint body does not lower to the row engine";
-                return fallback(q, catalog, cfg, "fix", reason);
+                return serial("fix", reason);
             };
             let ran = fixpoint::run_fixpoint_route(var, &init, &body, catalog, cfg, &body_cert);
             let reason = "injected fault in a fixpoint round: degraded to the serial interpreter";
@@ -541,7 +551,7 @@ pub fn eval_verdict(
             };
             let Some(plan) = lower(inner) else {
                 let reason = "aggregate input does not lower to the row engine";
-                return fallback(q, catalog, cfg, op, reason);
+                return serial(op, reason);
             };
             let certificate = format!(
                 "combiner `{op}`: partition-local accumulators + serial combine; input {cert}"
@@ -551,7 +561,7 @@ pub fn eval_verdict(
             let reason = "injected fault in the combiner: degraded to the serial interpreter";
             (ran, op, reason)
         }
-        PartitionSafety::Unsafe { op, reason } => return fallback(q, catalog, cfg, op, reason),
+        PartitionSafety::Unsafe { op, reason } => return serial(op, reason),
     };
     match ran {
         Ok((value, stats, certificate)) => Ok((
@@ -567,18 +577,15 @@ pub fn eval_verdict(
         // serial interpreter — a correct answer, never a wrong one
         Err(e) if e.is_transient() => {
             note_degrade("serial");
-            fallback(q, catalog, cfg, op, degraded)
+            serial(op, degraded)
         }
         // an ill-typed application fails on whichever morsel reaches it
         // first; the walker names the first offending element in
         // canonical order, so every route reports its error
-        Err(ExecError::Domain(first)) => {
-            let db = db_from_catalog(catalog).with_vm(cfg.vm);
-            match eval(q, &db) {
-                Err(e) => Err(eval_to_exec(e)),
-                Ok(_) => Err(ExecError::Domain(first)),
-            }
-        }
+        Err(ExecError::Domain(first)) => match walk(q, catalog, db, cfg) {
+            Err(e) => Err(eval_to_exec(e)),
+            Ok(_) => Err(ExecError::Domain(first)),
+        },
         Err(e) => Err(e),
     }
 }
@@ -639,18 +646,32 @@ pub fn note_fallback(op: &str, reason: &str) {
     );
 }
 
-pub(crate) fn fallback(
+fn fallback(
     q: &Query,
     catalog: &Catalog,
+    db: Option<&Db>,
     cfg: &ExecConfig,
     op: &'static str,
     reason: &'static str,
 ) -> Result<(Value, ExecStats, ExecRoute), ExecError> {
     note_fallback(op, reason);
     let _sp = genpar_obs::span("exec.fallback");
-    let db = db_from_catalog(catalog).with_vm(cfg.vm);
-    let v = eval(q, &db).map_err(eval_to_exec)?;
+    let v = walk(q, catalog, db, cfg).map_err(eval_to_exec)?;
     Ok((v, ExecStats::default(), ExecRoute::Fallback { op, reason }))
+}
+
+/// The walker's answer on `db`, or, without one, on a database built
+/// from `catalog`.
+fn walk(
+    q: &Query,
+    catalog: &Catalog,
+    db: Option<&Db>,
+    cfg: &ExecConfig,
+) -> Result<Value, genpar_algebra::EvalError> {
+    match db {
+        Some(db) => eval(q, db),
+        None => eval(q, &db_from_catalog(catalog).with_vm(cfg.vm)),
+    }
 }
 
 #[cfg(test)]

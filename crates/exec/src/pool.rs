@@ -189,9 +189,10 @@ fn steal(deques: &[Mutex<VecDeque<usize>>], wid: usize, steals: &mut u64) -> Opt
 /// whose passage fails transiently is requeued once (not at all under a
 /// zero-retry policy); any other failure, or a second failed passage,
 /// cancels outstanding work and is returned. With `workers <= 1` (or at
-/// most one item) everything runs inline on the caller's thread — no
-/// threads are spawned, so thread-local state (an armed serial budget,
-/// say) stays visible.
+/// most one item, or one granted slot) everything runs inline on the
+/// caller's thread ([`run_inline`]) with the same requeue — no threads
+/// are spawned, so thread-local state (an armed serial budget, say)
+/// stays visible.
 pub fn run_tasks<T, R, F>(
     workers: usize,
     retry: RetryPolicy,
@@ -218,8 +219,13 @@ where
         }
     };
     let n = items.len();
+    let max_requeues = if retry.max_retries == 0 {
+        0
+    } else {
+        MAX_REQUEUES
+    };
     if workers <= 1 || n <= 1 {
-        return (0..n).map(passage).collect();
+        return run_inline(n, max_requeues, passage);
     }
 
     // borrow worker slots from the process-wide governor (full grant
@@ -228,7 +234,7 @@ where
     let permit = acquire_workers(workers.min(n));
     if permit.granted <= 1 {
         drop(permit);
-        return (0..n).map(passage).collect();
+        return run_inline(n, max_requeues, passage);
     }
     let w = permit.granted;
     let deques: Vec<Mutex<VecDeque<usize>>> = (0..w).map(|_| Mutex::new(VecDeque::new())).collect();
@@ -240,11 +246,6 @@ where
     let stop = AtomicBool::new(false);
     // per-task count of pool-level passages that ended in failure
     let requeues: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(0)).collect();
-    let max_requeues = if retry.max_retries == 0 {
-        0
-    } else {
-        MAX_REQUEUES
-    };
     let active = AtomicUsize::new(w);
 
     // capture the spawning thread's obs scope so workers record into the
@@ -350,6 +351,29 @@ where
             .map_or_else(|| passage(idx), Ok)
         })
         .collect()
+}
+
+/// The pool with one worker, on the caller's thread: passages in task
+/// order, a task whose passage fails transiently requeued behind the
+/// rest up to `max_requeues` times, and the first other failure
+/// returned.
+fn run_inline<R>(
+    n: usize,
+    max_requeues: u32,
+    passage: impl Fn(usize) -> Result<R, ExecError>,
+) -> Result<Vec<R>, ExecError> {
+    let mut results: Vec<Option<R>> = (0..n).map(|_| None).collect();
+    let mut queue: VecDeque<(usize, u32)> = (0..n).map(|idx| (idx, 0)).collect();
+    while let Some((idx, requeues)) = queue.pop_front() {
+        match passage(idx) {
+            Ok(r) => results[idx] = Some(r),
+            Err(e) if e.is_transient() && requeues < max_requeues => {
+                queue.push_back((idx, requeues + 1));
+            }
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(results.into_iter().flatten().collect())
 }
 
 #[cfg(test)]

@@ -40,7 +40,7 @@
 //! pins per-config. Every applied step emits an `exec.retune` obs event
 //! with the old and new sizes and the batch p95 that triggered it.
 
-use crate::morsel::DEFAULT_MORSEL_ROWS;
+use crate::DEFAULT_MORSEL_ROWS;
 use genpar_obs::FieldValue;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;

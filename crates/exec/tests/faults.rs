@@ -400,3 +400,34 @@ fn retry_gate_fault_escalates_to_requeue() {
     assert_eq!(rows_to_value(rows.expect("requeued").0), truth(&q, &c));
     assert!(!has_event(&snap, "exec.retry"), "the gate faulted first");
 }
+
+/// Recovery does not depend on the worker count. One arming gives the
+/// same answer, on the executor, with the same degrade steps at one
+/// worker (tasks inline), at two and four (the pool), and on an input of
+/// one morsel (inline at any count): an in-place retry, or, when the
+/// retry gate itself faults, one requeue.
+#[test]
+fn recovery_is_the_same_at_every_worker_count() {
+    let _g = lock();
+    let c = catalog();
+    let q = Query::rel("R").select(Pred::True).project([1, 0]);
+    let steps = |snap: &Snapshot| -> Vec<(String, u64)> {
+        let steps = snap.counters.iter();
+        let steps = steps.filter(|(k, _)| k.starts_with("exec.degrade_step."));
+        steps.map(|(k, &v)| (k.clone(), v)).collect()
+    };
+    for (spec, retries) in [("exec.morsel:1", 1), ("exec.morsel:1,exec.retry:*", 0)] {
+        for (w, morsel) in [(1, 16), (2, 16), (4, 16), (1, 1024), (4, 1024)] {
+            let (out, snap) = armed(spec, || genpar_exec::eval_query(&q, &c, &cfg(w, morsel)));
+            let (v, _, route) = out.expect("recovered");
+            assert_eq!(v, truth(&q, &c), "{spec} at W={w}, morsel {morsel}");
+            assert!(
+                matches!(route, ExecRoute::Parallel { .. }),
+                "{spec} at W={w}, morsel {morsel}: degraded to {route:?}"
+            );
+            let want = [("exec.degrade_step.retry".to_string(), retries)];
+            let want: Vec<_> = want.into_iter().filter(|&(_, n)| n > 0).collect();
+            assert_eq!(steps(&snap), want, "{spec} at W={w}, morsel {morsel}");
+        }
+    }
+}

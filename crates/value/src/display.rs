@@ -4,7 +4,7 @@
 //! Multisets (sets and bags) render in **canonical order** — the derived
 //! total `Ord` on [`Value`] — through the single [`canonical_order`]
 //! choke point. Producers that hold rows in arbitrary order (a parallel
-//! executor's per-worker partitions, hash-partitioned merge output) go
+//! executor's per-worker partitions, a projection's morsel outputs) go
 //! through [`canonical_rows`] / [`rows_to_value`] before anything is
 //! rendered or compared, so serial and parallel evaluations of the same
 //! query display — and `==` — identically.
